@@ -8,10 +8,10 @@ float64.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class DimensionError(ValueError):
@@ -37,8 +37,19 @@ class ProductCounter:
             self._count = 0
 
 
+def _issparse(a) -> bool:
+    """scipy.sparse.issparse without importing scipy.sparse.
+
+    No object can be a sparse matrix before that module is loaded, so
+    dense-only programs never pay for its import.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
+
+
 def _as_payload(a):
-    if sp.issparse(a):
+    if _issparse(a):
+        import scipy.sparse as sp
         m = sp.csr_matrix(a, dtype=np.float64)
         if not np.all(np.isfinite(m.data)):
             raise ValueError("matrix entries must be finite")
@@ -70,7 +81,7 @@ class CountedMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.payload)
+        return _issparse(self.payload)
 
     def _bump(self, audit: bool):
         (self.audit_counter if audit else self.counter).bump()
@@ -101,7 +112,7 @@ class CountedMatrix:
                 f"matmat: {self.shape} @ {b.shape}")
         self._bump(audit)
         out = self.payload @ b
-        if sp.issparse(out):
+        if _issparse(out):
             out = out.toarray()
         return np.asarray(out, dtype=np.float64)
 
@@ -113,7 +124,7 @@ class CountedMatrix:
                 f"rmatmat: {self.shape}.T @ {b.shape}")
         self._bump(audit)
         out = self.payload.T @ b
-        if sp.issparse(out):
+        if _issparse(out):
             out = out.toarray()
         return np.asarray(out, dtype=np.float64)
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .counted import CountedMatrix
 
@@ -82,6 +81,7 @@ def parse_libsvm(text: str | bytes) -> Dataset:
         n += 1
     if n == 0:
         raise ParseError(0, "empty input")
+    import scipy.sparse as sp
     X = sp.csr_matrix(
         (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
         shape=(n, d))
@@ -91,6 +91,7 @@ def parse_libsvm(text: str | bytes) -> Dataset:
 
 def write_libsvm(ds: Dataset) -> str:
     """Inverse of parse_libsvm; values printed with 17 significant digits."""
+    import scipy.sparse as sp
     X = ds.X.payload
     if not sp.issparse(X):
         X = sp.csr_matrix(X)

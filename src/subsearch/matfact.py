@@ -3,8 +3,10 @@
 Five update schemes with exact counted-product budgets.  The bottleneck here
 is any O(ndr) product (a rank-r factor or the dense gradient times a factor),
 so the module meters those itself: every call to the internal product helper
-costs one unit, and the tracked M = U W^T keeps candidate evaluations at
-O(nd) with no products at all.
+costs one unit.  The tracked M = U W^T and the Gram form of the SO
+restriction (see `_poly_subproblem`) keep each candidate evaluation at
+O(k^2) scalar work for the k <= 9 expansion terms, after O(nd k^2) set-up
+per step, with no products at all.
 
 Scheme budgets per iteration:
   alternating (LO/SO on one factor)       2
@@ -90,10 +92,39 @@ def audit_product(state: MfState) -> float:
 def _poly_subproblem(X, M, terms, dim):
     """SO restriction of the PCA loss to a polynomial family of M updates.
 
-    `terms` is a list of (coef, dcoef, T): coefficient, its gradient in
-    theta, and an n x d matrix.  Values and gradients cost O(nd * len(terms))
-    with zero counted products.
+    `terms` is a list of (coef, dcoef, T): a coefficient c_i(theta), its
+    gradient in theta, and an n x d matrix T_i, so that
+    M(theta) = M + sum_i c_i(theta) T_i.  The loss is quadratic in M, so
+    with R = M - X, b_i = <R, T_i> and the Gram matrix G_ij = <T_i, T_j>,
+    formed once in O(nd k^2) for k terms,
+
+        f(theta)    = ||R||^2 / 2 + c.b + c^T G c / 2
+        grad f      = J^T (b + G c)
+        hess f      = J^T G J + sum_i (b + G c)_i hess c_i
+
+    where J stacks the dcoef rows.  Every coefficient must have degree <= 2
+    in theta: each dcoef is then affine, and the constant hess c_i is read
+    exactly from dcoef at zero and at the p unit vectors.  A value, gradient
+    or Hessian costs O(k^2 + k p^2) scalar work and zero counted products;
+    only `m_at` forms an n x d matrix.
     """
+    R = M - X
+    S = np.stack([T.ravel() for _, _, T in terms])
+    b = S @ R.ravel()
+    G = S @ S.T
+    f0 = 0.5 * float(np.sum(R * R))
+
+    def coefs(theta):
+        return np.array([coef(theta) for coef, _, _ in terms],
+                        dtype=np.float64)
+
+    def jac(theta):
+        return np.array([dcoef(theta) for _, dcoef, _ in terms],
+                        dtype=np.float64)
+
+    J0 = jac(np.zeros(dim))
+    # curv[i, :, l] = d(dcoef_i)/d theta_l, constant by the degree bound
+    curv = np.stack([jac(e) - J0 for e in np.eye(dim)], axis=2)
 
     def m_at(theta):
         M_c = M.copy()
@@ -104,17 +135,17 @@ def _poly_subproblem(X, M, terms, dim):
         return M_c
 
     def value(theta):
-        return pca_value(m_at(theta), X)
+        c = coefs(theta)
+        return f0 + float(c @ (b + 0.5 * (G @ c)))
 
     def grad(theta):
-        G = pca_grad(m_at(theta), X)
-        out = np.zeros(dim)
-        for coef, dcoef, T in terms:
-            ip = float(np.sum(G * T))
-            out += np.asarray(dcoef(theta)) * ip
-        return out
+        return jac(theta).T @ (b + G @ coefs(theta))
 
-    return SubProblem(dim, value, grad), m_at
+    def hess(theta):
+        J = jac(theta)
+        return J.T @ G @ J + np.tensordot(b + G @ coefs(theta), curv, 1)
+
+    return SubProblem(dim, value, grad, hess), m_at
 
 
 def _commit(state, U_new, W_new, M_new, rec, theta4, restart=False):
@@ -171,16 +202,6 @@ def step_altmin_so(state: MfState, which: str | None = None,
         terms.append((lambda th, j=j: float(th[j]),
                       lambda th, e=e: e, T))
     sp, m_at = _poly_subproblem(state.X, state.M, terms, len(images))
-
-    # the restriction is an exact quadratic in theta
-    def hess(theta):
-        H = np.empty((len(images), len(images)))
-        for i, Ti in enumerate(images):
-            for j in range(i + 1):
-                H[i, j] = H[j, i] = float(np.sum(Ti * images[j]))
-        return H
-
-    sp.hess = hess
     res = solve(sp, solver_opts or SubSolverOptions())
     alpha = float(res.theta[0])
     beta = float(res.theta[1]) if len(res.theta) > 1 else None
@@ -217,15 +238,19 @@ def _core_blocks(state):
     return Gu, Gw, D1, D2, D3
 
 
-def step_simul_so2(state: MfState, solver_opts=None) -> StepRecord:
-    """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
-    Gu, Gw, D1, D2, D3 = _core_blocks(state)
-    terms = [
+def _simul_terms(D1, D2, D3):
+    # theta = (a1, a2)
+    return [
         (lambda t: -t[0], lambda t: (-1.0, 0.0), D1),
         (lambda t: -t[1], lambda t: (0.0, -1.0), D2),
         (lambda t: t[0] * t[1], lambda t: (t[1], t[0]), D3),
     ]
-    sp, m_at = _poly_subproblem(state.X, state.M, terms, 2)
+
+
+def step_simul_so2(state: MfState, solver_opts=None) -> StepRecord:
+    """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
+    Gu, Gw, D1, D2, D3 = _core_blocks(state)
+    sp, m_at = _poly_subproblem(state.X, state.M, _simul_terms(D1, D2, D3), 2)
     res = solve(sp, solver_opts or SubSolverOptions())
     a1, a2 = (float(t) for t in res.theta)
     rec = StepRecord("mf-simul", res.value, inner_iters=res.inner_iters,
@@ -234,13 +259,9 @@ def step_simul_so2(state: MfState, solver_opts=None) -> StepRecord:
                    m_at(res.theta), rec, (a1, 0.0, a2, 0.0))
 
 
-def step_momentum_one(state: MfState, solver_opts=None) -> StepRecord:
-    """Momentum on U only: 3-d SO over (alpha1, beta, alpha2); 7 products."""
-    Gu, Gw, D1, D2, D3 = _core_blocks(state)
-    E1 = state.prod(state.U_prev, state.W.T)        # n x d
-    E2 = state.prod(state.U_prev, Gw.T)             # n x d
+def _one_terms(state, D1, D2, D3, E1, E2):
     # theta = (a1, b, a2)
-    terms = [
+    return [
         (lambda t: t[1], lambda t: (0.0, 1.0, 0.0), state.M),
         (lambda t: -t[0], lambda t: (-1.0, 0.0, 0.0), D1),
         (lambda t: -t[2] * (1.0 + t[1]),
@@ -249,6 +270,14 @@ def step_momentum_one(state: MfState, solver_opts=None) -> StepRecord:
         (lambda t: -t[1], lambda t: (0.0, -1.0, 0.0), E1),
         (lambda t: t[2] * t[1], lambda t: (0.0, t[2], t[1]), E2),
     ]
+
+
+def step_momentum_one(state: MfState, solver_opts=None) -> StepRecord:
+    """Momentum on U only: 3-d SO over (alpha1, beta, alpha2); 7 products."""
+    Gu, Gw, D1, D2, D3 = _core_blocks(state)
+    E1 = state.prod(state.U_prev, state.W.T)        # n x d
+    E2 = state.prod(state.U_prev, Gw.T)             # n x d
+    terms = _one_terms(state, D1, D2, D3, E1, E2)
     sp, m_at = _poly_subproblem(state.X, state.M, terms, 3)
     res = solve(sp, solver_opts or _MOMENTUM_OPTS)
     a1, b, a2 = (float(t) for t in res.theta)

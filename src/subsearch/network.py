@@ -70,12 +70,21 @@ def subspace_restrict(obj: NetObjective, W, v, M,
                       dirs: list[Direction]) -> SubProblem:
     """Restrict f to (W, v) + sum_j theta_j (dW_j, dv_j) given images dM_j.
 
-    Candidate values and gradients are O(nrp); analytic differentiation
-    through tanh, no counted products.
+    Candidate values and gradients cost O(nrp) (plus O(drp) for the weight
+    decay term), and the exact p x p Hessian O(nrp^2); all are analytic
+    through tanh and use no counted products.  With u = tanh(M_c) v_c - y
+    and a_j = du/dtheta_j = (H' o dM_j) v_c + H dv_j, where H = tanh(M_c),
+    the Hessian is
+
+        2 a_j.a_k + 2 u.da_j/dtheta_k + lambda (<dW_j, dW_k> + dv_j.dv_k).
+
+    The direction stacks it needs are built on its first call, so callers
+    that use only values and gradients (the Wolfe search) never pay for them.
     """
     lam = obj.l2_lambda
     y = obj.y
     p = len(dirs)
+    n, r = M.shape
 
     def combine(theta):
         M_c = M.copy()
@@ -118,7 +127,44 @@ def subspace_restrict(obj: NetObjective, W, v, M,
             out[j] = t
         return out
 
-    return SubProblem(p, value, grad)
+    stacks = None
+
+    def direction_stacks():
+        # None slots become zero rows: dM (p, n, r), dv (p, r), and the
+        # constant weight-decay Gram
+        DM = np.zeros((p, n, r))
+        DV = np.zeros((p, r))
+        DW = np.zeros((p, W.size)) if lam > 0 else None
+        for j, (dW, dv, dM) in enumerate(dirs):
+            if dM is not None:
+                DM[j] = dM
+            if dv is not None:
+                DV[j] = dv
+            if lam > 0 and dW is not None:
+                DW[j] = dW.ravel()
+        K = lam * (DW @ DW.T + DV @ DV.T) if lam > 0 else 0.0
+        return DM, DV, K
+
+    def hess(theta):
+        nonlocal stacks
+        if stacks is None:
+            stacks = direction_stacks()
+        DM, DV, K = stacks
+        M_c = M + np.tensordot(theta, DM, 1)
+        v_c = v + theta @ DV
+        H = np.tanh(M_c)
+        Hp = 1.0 - H * H
+        u = H @ v_c - y
+        A = (Hp * DM) @ v_c + DV @ H.T              # rows a_j, (p, n)
+        # u.da_j/dtheta_k = sum_il u_i H''_il dM_j,il dM_k,il v_l + B_jk + B_kj
+        # with H'' = -2 H H' and B_jk = sum_il u_i H'_il dM_j,il dv_k,l
+        P = (u[:, None] * (-2.0 * H * Hp) * v_c).ravel()
+        DMf = DM.reshape(p, n * r)
+        B = (DM * (u[:, None] * Hp)).sum(axis=1) @ DV.T
+        out = 2.0 * (A @ A.T + (DMf * P) @ DMf.T + B + B.T) + K
+        return 0.5 * (out + out.T)
+
+    return SubProblem(p, value, grad, hess)
 
 
 @dataclass

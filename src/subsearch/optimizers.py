@@ -20,7 +20,7 @@ from .subsolver import SubSolverOptions, solve
 STEP_SLOTS = ("alpha1", "beta1", "alpha2", "beta2", "gamma", "delta")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     method: str
     f: float

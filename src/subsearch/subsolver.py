@@ -3,12 +3,15 @@
 Barzilai-Borwein spectral steps safeguarded by a non-monotone Armijo
 backtracking rule; subproblems that expose a Hessian get damped Newton steps
 instead.  Starts at zero (unless warm-started) and returns the best point
-seen, so the result can never be worse than the zero step.
+seen, so the result can never be worse than the zero step.  `converged`
+reports whether the gradient tolerance was met; a solve that stops at the
+iteration cap, after a failed backtrack or on a non-finite gradient still
+returns its best point, with `converged` false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,8 +44,7 @@ class SubSolveResult:
     theta: np.ndarray
     value: float
     inner_iters: int
-    converged: bool = True
-    history: list = field(default_factory=list)
+    converged: bool
 
 
 def _safe_value(phi, theta, cap):
@@ -52,6 +54,40 @@ def _safe_value(phi, theta, cap):
     if not np.isfinite(v):
         return np.inf
     return float(v)
+
+
+# an eigenvalue of the subproblem Hessian at or below this fraction of its
+# largest one marks a flat mode
+_FLAT_RCOND = 1e-10
+
+
+def _newton_direction(H, g, tol):
+    """Damped-Newton search direction, or None when H is singular.
+
+    A positive definite H gives the plain Newton direction -H^{-1} g.
+    Otherwise the step is taken on |H| (each eigenvalue replaced by its
+    magnitude), so a concave mode is descended rather than climbed toward
+    a saddle.  A flat mode on which the gradient already meets `tol` is
+    left where it is: it comes from a zero or repeated direction whose
+    images cancel only up to rounding (the momentum terms right after a
+    restart), and solving for it would turn rounding noise into an O(1)
+    step that does not move the objective.  An exactly singular H (an
+    exactly zero direction) is left to the spectral step.
+    """
+    try:
+        step = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(step)):
+        return None
+    w, V = np.linalg.eigh(H)
+    keep = np.abs(w) > _FLAT_RCOND * float(np.max(np.abs(w)))
+    if np.linalg.norm(V[:, ~keep].T @ g) > tol:
+        keep[:] = True
+    if np.all(keep) and w[0] > 0:
+        return step
+    V = V[:, keep]
+    return -V @ ((V.T @ g) / np.abs(w[keep]))
 
 
 def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
@@ -83,19 +119,19 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
     prev_grad = None
 
     iters = 0
+    converged = False
     for iters in range(1, opts.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol or not np.isfinite(gnorm):
+        if gnorm <= tol:
+            converged = True
+            break
+        if not np.isfinite(gnorm):
             break
 
         direction = None
         if sp.hess is not None:
-            try:
-                cand = np.linalg.solve(sp.hess(theta), -g)
-            except np.linalg.LinAlgError:
-                cand = None
-            if (cand is not None and np.all(np.isfinite(cand))
-                    and float(g @ cand) < 0):
+            cand = _newton_direction(sp.hess(theta), g, tol)
+            if cand is not None and float(g @ cand) < 0:
                 direction = cand
                 t = 1.0
 
@@ -135,4 +171,4 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
         if f < best_f:
             best_theta, best_f = theta.copy(), f
 
-    return SubSolveResult(best_theta, best_f, iters)
+    return SubSolveResult(best_theta, best_f, iters, converged)

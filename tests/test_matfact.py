@@ -79,6 +79,49 @@ def test_momentum_both_expansion_matches_explicit_candidates(state):
         assert abs(sp.value(t) - explicit) <= 1e-10 * max(1.0, explicit)
 
 
+def _scheme_terms(state):
+    """(name, terms, dim) of the simul, momentum-u and momentum-both
+    restrictions at the current state."""
+    Gu, Gw, D1, D2, D3 = mf._core_blocks(state)
+    E1 = state.U_prev @ state.W.T
+    E2 = state.U_prev @ Gw.T
+    E4 = state.U @ state.W_prev.T
+    E5 = Gu @ state.W_prev.T
+    return [("simul", mf._simul_terms(D1, D2, D3), 2),
+            ("momentum-u", mf._one_terms(state, D1, D2, D3, E1, E2), 3),
+            ("momentum-both", mf._both_terms(state, D1, D2, D3, E1, E2,
+                                             state.M_prev, E4, E5), 4)]
+
+
+def test_gram_restriction_matches_finite_differences(state):
+    mf.step_momentum_both_exact(state)       # populate momentum anchors
+    mf.step_momentum_both_exact(state)
+    rng = np.random.default_rng(3)
+    h = 1e-5
+    for name, terms, dim in _scheme_terms(state):
+        sp, _ = mf._poly_subproblem(state.X, state.M, terms, dim)
+        for _ in range(3):
+            t = rng.uniform(-0.5, 0.5, size=dim)
+            E = np.eye(dim) * h
+            g_fd = np.array([(sp.value(t + e) - sp.value(t - e)) / (2 * h)
+                             for e in E])
+            H_fd = np.array([(sp.grad(t + e) - sp.grad(t - e)) / (2 * h)
+                             for e in E])
+            g, H = sp.grad(t), sp.hess(t)
+            assert np.linalg.norm(g - g_fd) <= 1e-6 * max(
+                1.0, np.linalg.norm(g)), name
+            assert np.max(np.abs(H - H_fd)) <= 1e-6 * max(
+                1.0, np.max(np.abs(H))), name
+
+
+def test_momentum_both_subsolves_take_few_newton_iterations():
+    # the Gram-form Hessian turns on damped Newton: a few iterations per
+    # 4-d solve instead of running to the 100-iteration cap
+    _, recs = mf.run("momentum-both", make_X(40, 25, seed=2), rank=3,
+                     iters=20, seed=1)
+    assert np.mean([r.inner_iters for r in recs]) <= 20
+
+
 def test_budgets_exact():
     X = make_X()
     for scheme, budget in mf.MF_BUDGETS.items():

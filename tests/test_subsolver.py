@@ -19,6 +19,7 @@ def test_solves_well_conditioned_quadratic():
     b = np.array([1.0, -2.0])
     res = solve(quad(H, b))
     assert np.linalg.norm(res.theta - np.linalg.solve(H, -b)) < 1e-6
+    assert res.converged
 
 
 def test_newton_path_is_exact_on_quadratics():
@@ -58,6 +59,7 @@ def test_theta_cap_boxes_the_search():
     sp = SubProblem(1, lambda t: float(-t[0]), lambda t: np.array([-1.0]))
     res = solve(sp, SubSolverOptions(max_iters=200, theta_cap=10.0))
     assert abs(res.theta[0]) <= 10.0
+    assert not res.converged        # no trial past the box is accepted
 
 
 def test_warm_start_can_only_help():
@@ -68,6 +70,7 @@ def test_warm_start_can_only_help():
     warm = solve(sp, SubSolverOptions(max_iters=2),
                  theta0=np.linalg.solve(H, -b))
     assert warm.value <= cold.value + 1e-15
+    assert warm.converged and not cold.converged    # cold hit the cap
 
 
 def test_nonfinite_at_zero_is_an_error():
@@ -98,3 +101,44 @@ def test_bb_step_matches_reference_recurrence():
             break
     f_ref = 0.5 * float(theta @ H @ theta) + float(b @ theta)
     assert res.value <= f_ref + 1e-12
+
+
+def test_flat_stationary_mode_is_not_solved_for():
+    # the second direction repeats the first up to rounding, as the
+    # momentum terms do right after a restart: the plain Newton solve
+    # would throw that mode across the box on rounding noise
+    eps = 1e-14
+    D = np.array([[1.0, 1.0 + eps], [2.0, 2.0], [0.5, 0.5 - eps]])
+    r = np.array([1.0, -3.0, 2.0])
+
+    def value(t):
+        e = r + D @ t
+        return 0.5 * float(e @ e)
+
+    sp = SubProblem(2, value, lambda t: D.T @ (r + D @ t),
+                    lambda t: D.T @ D)
+    res = solve(sp)
+    assert res.converged and res.inner_iters <= 3
+    a = -float(D[:, 0] @ r) / float(D[:, 0] @ D[:, 0])
+    assert abs(res.theta.sum() - a) < 1e-10
+    assert np.max(np.abs(res.theta)) < 10 * abs(a)
+
+
+def test_concave_mode_is_descended_not_climbed():
+    # at zero the Hessian is diag(12, -1).  The plain Newton step stays a
+    # descent direction while the quartic t0 mode converges slowly, and it
+    # climbs the concave t1 mode to the saddle near t1 = 0.1; the step on
+    # |H| descends it to the minimum near t1 = -1.05
+    def value(t):
+        return float((t[0] - 1.0) ** 4 + t[1] ** 4 / 4 - t[1] ** 2 / 2
+                     + 0.1 * t[1])
+
+    sp = SubProblem(
+        2, value,
+        lambda t: np.array([4.0 * (t[0] - 1.0) ** 3,
+                            t[1] ** 3 - t[1] + 0.1]),
+        lambda t: np.diag([12.0 * (t[0] - 1.0) ** 2,
+                           3.0 * t[1] ** 2 - 1.0]))
+    res = solve(sp)
+    assert res.converged
+    assert abs(res.theta[0] - 1.0) < 1e-3 and res.theta[1] < -1.0
