@@ -1,15 +1,16 @@
 """Experiment pipeline: configs, reference optima, and CSV trace emission.
 
 A Trace is one method run on one problem: the initial point plus one
-StepRecord per iteration, with gradient norms recorded through the audit
-path so instrumentation never touches the per-iteration product budget.
+StepRecord per iteration, with gradient norms computed from an uncounted
+dense copy of the data so instrumentation never touches the per-iteration
+product budget.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import network as _network
 from . import optimizers as _optimizers
 from .data import Dataset, gen_logistic, gen_quadratic, parse_libsvm
 from .data import standardize as _standardize
-from .network import NetObjective, init_params
+from .network import NetObjective, NetState, init_params
 from .objectives import LcpObjective
 from .optimizers import StepRecord
 from .subsolver import SubProblem, SubSolverOptions, solve
@@ -60,13 +61,7 @@ class ExperimentConfig:
 
 
 def methods_for_model(model: str) -> tuple[str, ...]:
-    if model in ("logistic", "lsq"):
-        return tuple(_optimizers.LCP_METHODS)
-    if model in ("net2", "net2_reg"):
-        return tuple(_network.NET_METHODS)
-    if model == "matfact":
-        return tuple(_matfact.MF_SCHEMES)
-    return ("rank1", "rank2")
+    return tuple(_FAMILIES[model][1])
 
 
 def canonical_method(name: str, model: str) -> str:
@@ -196,108 +191,166 @@ def parse_csv(text: str) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# model adapters: build the problem, report f/gradient without counters
+# model families: each builds its problem once from a config and supplies the
+# initial f and gradient norm, a gradient-norm callback that spends no counted
+# products, the run call, and the full-space reference problem
 
-def _net_raw_grad(Xd, y, W, v, lam):
-    M = Xd @ W
-    T = np.tanh(M)
-    gg = 2.0 * (T @ v - y)
-    gv = T.T @ gg + lam * v
-    R = (gg[:, None] * (1.0 - T * T)) * v[None, :]
-    gW = Xd.T @ R + lam * W
-    return gW, gv
-
-
-def _net_raw_value(Xd, y, W, v, lam):
-    r = np.tanh(Xd @ W) @ v - y
-    val = float(r @ r)
-    if lam > 0:
-        val += 0.5 * lam * (float(np.sum(W * W)) + float(v @ v))
-    return val
+@dataclass
+class _Family:
+    f0: float
+    gnorm0: float
+    gnorm: Callable             # state -> float
+    run: Callable               # callback -> (state, records)
+    reference: SubProblem       # raw-array objective over a flat vector
 
 
-def _collect(runner, cb_factory):
-    gnorms = []
+_LOSS = {"logistic": "logistic", "lsq": "least_squares"}
 
-    def cb(k, state, rec):
-        gnorms.append(cb_factory(state))
-    _, records = runner(cb)
-    return records, gnorms
+
+def _lcp_family(cfg: ExperimentConfig) -> _Family:
+    ds = load_dataset(cfg)
+    lam = resolve_lambda(cfg.lam, ds.n)
+    obj = LcpObjective(_LOSS[cfg.model], ds, lam)
+    Xd = ds.X.dense()
+
+    def grad(w, m):
+        g = Xd.T @ obj.g_grad(m)
+        if lam > 0:
+            g = g + lam * w
+        return g
+
+    state0 = _optimizers.init_state(obj)
+    return _Family(
+        state0.f, float(np.linalg.norm(grad(state0.w, state0.m))),
+        lambda st: float(np.linalg.norm(grad(st.w, st.m))),
+        lambda cb: _optimizers.run(cfg.method, obj, cfg.iters, callback=cb),
+        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xd @ w),
+                   lambda w: grad(w, Xd @ w)))
+
+
+def _net_family(cfg: ExperimentConfig) -> _Family:
+    ds = load_dataset(cfg)
+    lam = resolve_lambda(cfg.lam, ds.n)
+    if cfg.model == "net2_reg" and lam == 0.0:
+        lam = 1.0 / ds.n
+    obj = NetObjective(ds, cfg.hidden, lam)
+    Xd = ds.X.dense()
+    W0, v0 = init_params(ds.d, cfg.hidden, cfg.seed)
+    d, r = ds.d, cfg.hidden
+
+    def grad(W, v):
+        R, gv = _network.backward(obj, NetState(W, v, Xd @ W, 0.0))
+        gW = Xd.T @ R
+        if lam > 0:
+            gW = gW + lam * W
+        return gW, gv
+
+    def gnorm(W, v):
+        gW, gv = grad(W, v)
+        return float(np.sqrt(np.sum(gW * gW) + gv @ gv))
+
+    def unpack(t):
+        return W0 + t[:d * r].reshape(d, r), v0 + t[d * r:]
+
+    def ref_value(t):
+        W, v = unpack(t)
+        return obj.value_tracked(W, v, Xd @ W)
+
+    def ref_grad(t):
+        gW, gv = grad(*unpack(t))
+        return np.concatenate([gW.ravel(), gv])
+
+    return _Family(
+        obj.value_tracked(W0, v0, Xd @ W0), gnorm(W0, v0),
+        lambda st: gnorm(st.W, st.v),
+        lambda cb: _network.run(cfg.method, obj, cfg.iters, seed=cfg.seed,
+                                params=(W0, v0), callback=cb),
+        SubProblem(d * r + r, ref_value, ref_grad))
+
+
+def _matfact_family(cfg: ExperimentConfig) -> _Family:
+    X = load_dataset(cfg).X.dense()
+    st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
+    (n, d), r = X.shape, cfg.hidden
+
+    def grads(U, W):
+        G = U @ W.T - X
+        return G @ W, G.T @ U
+
+    def gnorm(st):
+        gU, gW = grads(st.U, st.W)
+        return float(np.sqrt(np.sum(gU ** 2) + np.sum(gW ** 2)))
+
+    def unpack(t):
+        return (st0.U + t[:n * r].reshape(n, r),
+                st0.W + t[n * r:].reshape(d, r))
+
+    def ref_value(t):
+        U, W = unpack(t)
+        return _matfact.pca_value(U @ W.T, X)
+
+    return _Family(
+        st0.f, gnorm(st0), gnorm,
+        lambda cb: _matfact.run(cfg.method, X, cfg.hidden, cfg.iters,
+                                seed=cfg.seed, callback=cb),
+        SubProblem((n + d) * r, ref_value, lambda t: np.concatenate(
+            [g.ravel() for g in grads(*unpack(t))])))
+
+
+def _logdet_family(cfg: ExperimentConfig) -> _Family:
+    ds = load_dataset(cfg)
+    Xd = ds.X.dense()
+    d = ds.d
+    eye = np.eye(d)
+    S = (Xd.T @ Xd) / ds.n + eye
+
+    def unpack(t):
+        V = eye + t.reshape(d, d)
+        return 0.5 * (V + V.T)
+
+    def ref_value(t):
+        V = unpack(t)
+        try:
+            L = np.linalg.cholesky(V)
+        except np.linalg.LinAlgError:
+            return np.inf
+        return float(np.sum(S * V)) - 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    def ref_grad(t):
+        g = S - np.linalg.inv(unpack(t))
+        return 0.5 * (g + g.T).ravel()
+
+    rank = 1 if cfg.method == "rank1" else 2
+    return _Family(
+        _logdet.f_gauss(_logdet.init_state(S)),
+        float(np.linalg.norm(S - eye)),
+        lambda st: float(np.linalg.norm(st.S - np.linalg.inv(st.V))),
+        lambda cb: _logdet.run(S, rank, cfg.iters, callback=cb),
+        SubProblem(d * d, ref_value, ref_grad))
+
+
+# model -> (family builder, method names)
+_FAMILIES = {
+    "logistic": (_lcp_family, _optimizers.LCP_METHODS),
+    "lsq": (_lcp_family, _optimizers.LCP_METHODS),
+    "net2": (_net_family, _network.NET_METHODS),
+    "net2_reg": (_net_family, _network.NET_METHODS),
+    "matfact": (_matfact_family, _matfact.MF_SCHEMES),
+    "logdet": (_logdet_family, ("rank1", "rank2")),
+}
+
+
+def _family(cfg: ExperimentConfig) -> _Family:
+    return _FAMILIES[cfg.model][0](cfg)
 
 
 def _run_trace(cfg: ExperimentConfig) -> Trace:
-    model = cfg.model
-    if model in ("logistic", "lsq"):
-        ds = load_dataset(cfg)
-        lam = resolve_lambda(cfg.lam, ds.n)
-        loss = "logistic" if model == "logistic" else "least_squares"
-        obj = LcpObjective(loss, ds, lam)
-        Xd = ds.X.dense()
-        f0 = obj.f_value_margin(np.zeros(ds.d), np.zeros(ds.n))
-        gnorm0 = float(np.linalg.norm(Xd.T @ obj.g_grad(np.zeros(ds.n))))
-
-        def gn(state):
-            g = Xd.T @ obj.g_grad(state.m)
-            if lam > 0:
-                g = g + lam * state.w
-            return float(np.linalg.norm(g))
-
-        records, gnorms = _collect(
-            lambda cb: _optimizers.run(cfg.method, obj, cfg.iters,
-                                       callback=cb), gn)
-    elif model in ("net2", "net2_reg"):
-        ds = load_dataset(cfg)
-        lam = resolve_lambda(cfg.lam, ds.n)
-        if model == "net2_reg" and lam == 0.0:
-            lam = 1.0 / ds.n
-        obj = NetObjective(ds, cfg.hidden, lam)
-        Xd = ds.X.dense()
-        W0, v0 = init_params(ds.d, cfg.hidden, cfg.seed)
-        f0 = _net_raw_value(Xd, ds.y, W0, v0, lam)
-        gW0, gv0 = _net_raw_grad(Xd, ds.y, W0, v0, lam)
-        gnorm0 = float(np.sqrt(np.sum(gW0 * gW0) + gv0 @ gv0))
-
-        def gn(state):
-            gW, gv = _net_raw_grad(Xd, ds.y, state.W, state.v, lam)
-            return float(np.sqrt(np.sum(gW * gW) + gv @ gv))
-
-        records, gnorms = _collect(
-            lambda cb: _network.run(cfg.method, obj, cfg.iters,
-                                    seed=cfg.seed, params=(W0, v0),
-                                    callback=cb), gn)
-    elif model == "matfact":
-        ds = load_dataset(cfg)
-        X = ds.X.dense()
-        st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
-        f0 = st0.f
-        G0 = st0.M - X
-        gnorm0 = float(np.sqrt(np.sum((G0 @ st0.W) ** 2)
-                               + np.sum((G0.T @ st0.U) ** 2)))
-
-        def gn(state):
-            G = (state.U @ state.W.T) - state.X
-            return float(np.sqrt(np.sum((G @ state.W) ** 2)
-                                 + np.sum((G.T @ state.U) ** 2)))
-
-        records, gnorms = _collect(
-            lambda cb: _matfact.run(cfg.method, X, cfg.hidden, cfg.iters,
-                                    seed=cfg.seed, callback=cb), gn)
-    else:
-        ds = load_dataset(cfg)
-        Xd = ds.X.dense()
-        S = (Xd.T @ Xd) / ds.n + np.eye(ds.d)
-        st0 = _logdet.init_state(S)
-        f0 = _logdet.f_gauss(st0)
-        gnorm0 = float(np.linalg.norm(S - np.eye(ds.d)))
-
-        def gn(state):
-            return float(np.linalg.norm(state.S - np.linalg.inv(state.V)))
-
-        rank = 1 if cfg.method == "rank1" else 2
-        records, gnorms = _collect(
-            lambda cb: _logdet.run(S, rank, cfg.iters, callback=cb), gn)
-
-    return Trace(cfg, f0, gnorm0, records, gnorms, fstar=cfg.fstar)
+    family = _family(cfg)
+    gnorms = []
+    _, records = family.run(
+        lambda k, state, rec: gnorms.append(family.gnorm(state)))
+    return Trace(cfg, family.f0, family.gnorm0, records, gnorms,
+                 fstar=cfg.fstar)
 
 
 # ---------------------------------------------------------------------------
@@ -312,95 +365,7 @@ def compute_reference(cfg: ExperimentConfig) -> float:
 
     Instrumentation-free: all linear algebra runs on raw arrays.
     """
-    model = cfg.model
-    if model in ("logistic", "lsq"):
-        ds = load_dataset(cfg)
-        lam = resolve_lambda(cfg.lam, ds.n)
-        loss = "logistic" if model == "logistic" else "least_squares"
-        obj = LcpObjective(loss, ds, lam)
-        Xd = ds.X.dense()
-
-        def value(w):
-            return obj.f_value_margin(w, Xd @ w)
-
-        def grad(w):
-            g = Xd.T @ obj.g_grad(Xd @ w)
-            if lam > 0:
-                g = g + lam * w
-            return g
-
-        sp = SubProblem(ds.d, value, grad)
-    elif model in ("net2", "net2_reg"):
-        ds = load_dataset(cfg)
-        lam = resolve_lambda(cfg.lam, ds.n)
-        if model == "net2_reg" and lam == 0.0:
-            lam = 1.0 / ds.n
-        Xd = ds.X.dense()
-        W0, v0 = init_params(ds.d, cfg.hidden, cfg.seed)
-        r = cfg.hidden
-        nW = ds.d * r
-
-        def unpack(t):
-            return (W0 + t[:nW].reshape(ds.d, r), v0 + t[nW:])
-
-        def value(t):
-            W, v = unpack(t)
-            return _net_raw_value(Xd, ds.y, W, v, lam)
-
-        def grad(t):
-            W, v = unpack(t)
-            gW, gv = _net_raw_grad(Xd, ds.y, W, v, lam)
-            return np.concatenate([gW.ravel(), gv])
-
-        sp = SubProblem(nW + r, value, grad)
-    elif model == "matfact":
-        ds = load_dataset(cfg)
-        X = ds.X.dense()
-        st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
-        n, d, r = X.shape[0], X.shape[1], cfg.hidden
-        nU = n * r
-
-        def unpack(t):
-            return st0.U + t[:nU].reshape(n, r), st0.W + t[nU:].reshape(d, r)
-
-        def value(t):
-            U, W = unpack(t)
-            return _matfact.pca_value(U @ W.T, X)
-
-        def grad(t):
-            U, W = unpack(t)
-            G = U @ W.T - X
-            return np.concatenate([(G @ W).ravel(), (G.T @ U).ravel()])
-
-        sp = SubProblem(nU + d * r, value, grad)
-    else:
-        ds = load_dataset(cfg)
-        Xd = ds.X.dense()
-        S = (Xd.T @ Xd) / ds.n + np.eye(ds.d)
-        d = ds.d
-        eye = np.eye(d)
-
-        def unpack(t):
-            V = eye + t.reshape(d, d)
-            return 0.5 * (V + V.T)
-
-        def value(t):
-            V = unpack(t)
-            try:
-                L = np.linalg.cholesky(V)
-            except np.linalg.LinAlgError:
-                return np.inf
-            return float(np.sum(S * V)) - 2.0 * float(
-                np.sum(np.log(np.diag(L))))
-
-        def grad(t):
-            V = unpack(t)
-            g = S - np.linalg.inv(V)
-            return 0.5 * (g + g.T).ravel()
-
-        sp = SubProblem(d * d, value, grad)
-
-    res = solve(sp, _REF_OPTS)
+    res = solve(_family(cfg).reference, _REF_OPTS)
     if not np.isfinite(res.value):
         raise RuntimeError("reference run diverged")
     return float(res.value)
@@ -408,16 +373,7 @@ def compute_reference(cfg: ExperimentConfig) -> float:
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     """Run one method on one problem; write CSV to cfg.out when set."""
-    t0 = time.perf_counter()
     trace = _run_trace(cfg)
-    trace_elapsed = time.perf_counter() - t0
-    if trace.records and trace.records[-1].elapsed_s == 0.0:
-        # per-step timing is filled by the step functions where available;
-        # fall back to uniform attribution so the column is never all-zero
-        per = trace_elapsed / len(trace.records)
-        for rec in trace.records:
-            if rec.elapsed_s == 0.0:
-                rec.elapsed_s = per
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -425,10 +381,6 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         except OSError as e:
             raise RuntimeError(f"cannot write {cfg.out}: {e}")
     return trace
-
-
-def config_echo(cfg: ExperimentConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True)
 
 
 @dataclass
@@ -445,10 +397,10 @@ def trace_from_csv(text: str, label: str) -> Trace:
     if not rows or rows[0]["iter"] != 0:
         raise ValueError("CSV must start at iteration 0")
     records, gnorms = [], []
-    for row in rows[1:]:
+    for prev, row in zip(rows, rows[1:]):
         records.append(StepRecord(
             method=label, f=row["f"],
-            products=row["products_cum"] or 0,
+            products=(row["products_cum"] or 0) - (prev["products_cum"] or 0),
             inner_iters=row["inner_iters"] or 0,
             alpha1=row["alpha1"], beta1=row["beta1"],
             alpha2=row["alpha2"], beta2=row["beta2"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counted import ProductCounter
-from .optimizers import StepRecord
+from .optimizers import StepRecord, drive
 from .subsolver import SubProblem, SubSolverOptions, solve
 
 
@@ -230,15 +230,14 @@ def step_rank_so(state: SpdState, rank: int = 2,
         state.logdet_V = _chol_logdet(state.V)
 
     # update cached solves for the next proposal (Sherman-Morrison, exact)
-    new_u_sol = _sherman_morrison(u_tilde, u_tilde, u, a1, factor1)
     if rank == 2:
         v_sol1 = _sherman_morrison(v_tilde, u_tilde, u, a1, factor1)
         denom2 = 1.0 + a2 * float(v @ v_sol1)
-        new_u_sol = _sherman_morrison(new_u_sol, v_sol1, v, a2, denom2)
         state.u_prev, state.u_prev_tilde = v, _sherman_morrison(
             v_sol1, v_sol1, v, a2, denom2)
     else:
-        state.u_prev, state.u_prev_tilde = u, new_u_sol
+        state.u_prev, state.u_prev_tilde = u, _sherman_morrison(
+            u_tilde, u_tilde, u, a1, factor1)
 
     return StepRecord("logdet-rank%d" % rank, res.value,
                       inner_iters=res.inner_iters, alpha1=a1, alpha2=a2)
@@ -248,17 +247,8 @@ def run(S: np.ndarray, rank: int, iters: int,
         V0: np.ndarray | None = None, audit_every: int = 50,
         callback=None) -> tuple[SpdState, list[StepRecord]]:
     state = init_state(S, V0)
-    records = []
-    for k in range(iters):
-        before = state.solver.read()
-        rec = step_rank_so(state, rank=rank)
-        rec.products = state.solver.read() - before
-        records.append(rec)
-        if audit_every and (k + 1) % audit_every == 0:
-            drift = audit_logdet(state)
-            if drift > 1e-8 * max(1.0, abs(state.logdet_V)):
-                raise RuntimeError(
-                    f"logdet drift {drift:.3e} at iteration {k + 1}")
-        if callback is not None:
-            callback(k, state, rec)
-    return state, records
+    return drive(f"rank{rank}", lambda st: step_rank_so(st, rank=rank),
+                 state, iters, state.solver.read,
+                 lambda st: ("logdet", audit_logdet(st),
+                             1e-8 * max(1.0, abs(st.logdet_V))),
+                 audit_every, callback)

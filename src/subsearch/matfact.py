@@ -24,7 +24,7 @@ import numpy as np
 
 from .counted import ProductCounter
 from .data import _normals, _seed_state
-from .optimizers import StepRecord
+from .optimizers import StepRecord, drive
 from .subsolver import SubProblem, SubSolverOptions, solve
 
 
@@ -49,7 +49,6 @@ class MfState:
     M_prev: np.ndarray | None = None    # tracked U_prev W_prev^T
     counter: ProductCounter = field(default_factory=ProductCounter)
     audit_counter: ProductCounter = field(default_factory=ProductCounter)
-    last_factor: str | None = None      # for the alternating scheme
     # snapshot of (factor, M) from the last alternating update
     alt_prev: tuple | None = None
     last_theta: tuple = (0.0, 0.0, 0.0, 0.0)
@@ -219,7 +218,6 @@ def step_altmin_so(state: MfState, which: str | None = None,
     rec = StepRecord("mf-altmin", res.value, inner_iters=res.inner_iters,
                      alpha1=alpha, beta1=beta, flag=which)
     state.alt_prev = (which, state.M)
-    state.last_factor = which
     return _commit(state, U_new, W_new, M_new, rec,
                    (alpha, beta or 0.0, 0.0, 0.0))
 
@@ -427,19 +425,8 @@ def run(scheme: str, X: np.ndarray, rank: int, iters: int, seed: int = 0,
         ) -> tuple[MfState, list[StepRecord]]:
     if scheme not in MF_SCHEMES:
         raise KeyError(f"unknown scheme {scheme!r}")
-    step_fn = MF_SCHEMES[scheme]
     state = init_state(X, rank, seed)
-    records = []
-    for k in range(iters):
-        before = state.counter.read()
-        rec = step_fn(state)
-        rec.products = state.counter.read() - before
-        records.append(rec)
-        if audit_every and (k + 1) % audit_every == 0:
-            drift = audit_product(state)
-            if drift > 1e-8:
-                raise RuntimeError(
-                    f"product drift {drift:.3e} at iteration {k + 1}")
-        if callback is not None:
-            callback(k, state, rec)
-    return state, records
+    return drive(scheme, MF_SCHEMES[scheme], state, iters,
+                 state.counter.read,
+                 lambda st: ("product", audit_product(st), 1e-8),
+                 audit_every, callback)

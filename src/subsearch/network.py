@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, _normals, _seed_state
-from .linesearch import LEstimate, LineSearchError, WolfeOptions, strong_wolfe
-from .optimizers import StepRecord, pr_plus
-from .subsolver import SubProblem, SubSolverOptions, solve
+from .linesearch import LEstimate
+from .optimizers import (TRACKED_METHODS, StepRecord, drive, make_step,
+                         momentum_dir, pr_plus, so_step)
+# the tied (both-layer) steps are the shared tracked-state steps
+from .optimizers import step_gd_fixedL, step_gd_lo  # noqa: F401
+from .optimizers import step_memory_gradient as step_mg_so  # noqa: F401
+from .subsolver import SubProblem, solve
 
 
 @dataclass
@@ -167,8 +171,13 @@ def subspace_restrict(obj: NetObjective, W, v, M,
     return SubProblem(p, value, grad, hess)
 
 
+def _flat(blocks):
+    return np.concatenate([b.ravel() for b in blocks])
+
+
 @dataclass
 class NetState:
+    """Network iterate; the tracked-state adapter of `optimizers`."""
     W: np.ndarray               # d x r
     v: np.ndarray               # r
     M: np.ndarray               # n x r, tracked XW
@@ -181,6 +190,67 @@ class NetState:
     alpha_prev: float | None = None
     L: LEstimate = field(default_factory=LEstimate)
     k: int = 0
+
+    @property
+    def blocks(self):
+        return (self.W, self.v, self.M)
+
+    @property
+    def prev_blocks(self):
+        if self.M_prev is None:
+            return None
+        return (self.W_prev, self.v_prev, self.M_prev)
+
+    def advance(self, blocks, f, grad, grad_image):
+        self.W_prev, self.v_prev, self.M_prev = self.W, self.v, self.M
+        self.gW_prev, self.gv_prev = grad
+        self.W, self.v, self.M = blocks
+        self.f = f
+        self.k += 1
+
+    def gradient(self, obj: NetObjective):
+        """Full gradient (gW, gv) and image D = X gW; two counted products."""
+        R, gv = backward(obj, self)
+        gW = obj.X.rmatmat(R)
+        if obj.l2_lambda > 0:
+            gW = gW + obj.l2_lambda * self.W
+        return (gW, gv), obj.X.matmat(gW)
+
+    @staticmethod
+    def value(obj: NetObjective, blocks) -> float:
+        return obj.value_tracked(*blocks)
+
+    @staticmethod
+    def recompute(obj: NetObjective, params) -> np.ndarray:
+        return obj.X.matmat(params[0])
+
+    @staticmethod
+    def dot(a, b) -> float:
+        return float(np.sum(a[0] * b[0])) + float(a[1] @ b[1])
+
+    def momentum_coef(self, grad, formula: str) -> float:
+        """PR+ over both layers jointly."""
+        if self.gW_prev is None:
+            return 0.0
+        return pr_plus(_flat(grad), _flat((self.gW_prev, self.gv_prev)),
+                       _flat((self.W, self.v)),
+                       _flat((self.W_prev, self.v_prev)), formula)
+
+    def subspace_solve(self, obj: NetObjective, dirs, warm, opts):
+        sp = subspace_restrict(obj, self.W, self.v, self.M, dirs)
+        return solve(sp, opts, theta0=warm)
+
+    def line(self, obj: NetObjective, direction):
+        sp = subspace_restrict(obj, self.W, self.v, self.M, [direction])
+        one = np.ones(1)
+
+        def phi(a):
+            return sp.value(a * one)
+
+        def dphi(a):
+            return float(sp.grad(a * one)[0])
+
+        return phi, dphi
 
 
 def init_params(d: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,16 +289,6 @@ def backward(obj: NetObjective, state: NetState
     return R, grad_v
 
 
-def _layer_gradient(obj, state):
-    """Full gradient (gW, gv) and image D = X gW; two counted products."""
-    R, gv = backward(obj, state)
-    gW = obj.X.rmatmat(R)
-    if obj.l2_lambda > 0:
-        gW = gW + obj.l2_lambda * state.W
-    D = obj.X.matmat(gW)
-    return gW, gv, D
-
-
 def audit_activations(state: NetState, obj: NetObjective) -> float:
     """Relative Frobenius drift of tracked M; uses the audit counter."""
     M_true = obj.X.matmat(state.W, audit=True)
@@ -236,173 +296,12 @@ def audit_activations(state: NetState, obj: NetObjective) -> float:
                  / (1.0 + np.linalg.norm(state.M)))
 
 
-def _shift_prev(state, W_new, v_new, M_new, f_new, gW, gv):
-    state.W_prev, state.v_prev, state.M_prev = state.W, state.v, state.M
-    state.gW_prev, state.gv_prev = gW, gv
-    state.W, state.v, state.M, state.f = W_new, v_new, M_new, f_new
-    state.k += 1
-
-
-def _apply_theta(state, dirs, theta):
-    W_new = state.W.copy()
-    v_new = state.v.copy()
-    M_new = state.M.copy()
-    for t, (dW, dv, dM) in zip(theta, dirs):
-        if dW is not None:
-            W_new += t * dW
-        if dv is not None:
-            v_new += t * dv
-        if dM is not None:
-            M_new += t * dM
-    return W_new, v_new, M_new
-
-
-def _so_step(state, obj, dirs, slots, method, gW, gv,
-             warm=None, solver_opts=None, flag=None):
-    sp = subspace_restrict(obj, state.W, state.v, state.M, dirs)
-    res = solve(sp, solver_opts or SubSolverOptions(), theta0=warm)
-    W_new, v_new, M_new = _apply_theta(state, dirs, res.theta)
-    rec = StepRecord(method=method, f=res.value, inner_iters=res.inner_iters,
-                     flag=flag)
-    for slot, t in zip(slots, res.theta):
-        setattr(rec, slot, float(t))
-    _shift_prev(state, W_new, v_new, M_new, res.value, gW, gv)
-    if rec.alpha1:
-        state.alpha_prev = rec.alpha1
-    return rec
-
-
-def _grad_dir(gW, gv, D):
-    return (-gW, -gv, -D)
-
-
-def _momentum_dir(state):
-    return (state.W - state.W_prev, state.v - state.v_prev,
-            state.M - state.M_prev)
-
-
-def step_gd_fixedL(state, obj):
-    """GD(1/L): doubling backtrack; rejected trials recompute M (counted)."""
-    gW, gv, D = _layer_gradient(obj, state)
-    gsq = float(np.sum(gW * gW)) + float(gv @ gv)
-    if gsq == 0:
-        rec = StepRecord("gd(1/l)", state.f, alpha1=0.0)
-        _shift_prev(state, state.W.copy(), state.v.copy(), state.M.copy(),
-                    state.f, gW, gv)
-        return rec
-    f0 = state.f
-    L = state.L.L
-    doublings = 0
-    first = True
-    while True:
-        W_t = state.W - gW / L
-        v_t = state.v - gv / L
-        if first:
-            M_t = state.M - D / L
-            first = False
-        else:
-            M_t = obj.X.matmat(W_t)
-        f_t = obj.value_tracked(W_t, v_t, M_t)
-        if np.isfinite(f_t) and f_t <= f0 - gsq / (2.0 * L):
-            break
-        L *= 2.0
-        doublings += 1
-        if L > 1e30:
-            raise LineSearchError("curvature estimate exceeded 1e30")
-    state.L.L = L
-    rec = StepRecord("gd(1/l)", f_t, alpha1=1.0 / L, inner_iters=doublings)
-    _shift_prev(state, W_t, v_t, M_t, f_t, gW, gv)
-    return rec
-
-
-def _wolfe_along(state, obj, direction, alpha_init, method, gW, gv,
-                 flag=None, wolfe_opts=None):
-    sp = subspace_restrict(obj, state.W, state.v, state.M, [direction])
-    one = np.ones(1)
-
-    def phi(a):
-        return sp.value(a * one)
-
-    def dphi(a):
-        return float(sp.grad(a * one)[0])
-
-    res = strong_wolfe(phi, dphi, alpha_init, wolfe_opts or WolfeOptions())
-    a = res.alpha
-    rec = StepRecord(method, res.value, alpha1=a, inner_iters=res.evals,
-                     wolfe_verified=res.verified if res.success else None,
-                     flag=flag if res.success else (flag or "wolfe_fail"))
-    W_new, v_new, M_new = _apply_theta(state, [direction], [a])
-    _shift_prev(state, W_new, v_new, M_new, res.value, gW, gv)
-    if a > 0:
-        state.alpha_prev = a
-    return rec
-
-
-def step_gd_wolfe(state, obj, wolfe_opts=None):
-    gW, gv, D = _layer_gradient(obj, state)
-    a0 = state.alpha_prev if state.alpha_prev else 1.0
-    return _wolfe_along(state, obj, _grad_dir(gW, gv, D), a0, "gd(ls)",
-                        gW, gv, wolfe_opts=wolfe_opts)
-
-
-def step_gd_lo(state, obj, warm=None, solver_opts=None):
-    gW, gv, D = _layer_gradient(obj, state)
-    return _so_step(state, obj, [_grad_dir(gW, gv, D)], ["alpha1"],
-                    "gd(lo)", gW, gv, warm=warm, solver_opts=solver_opts)
-
-
-def _flat(gW, gv):
-    return np.concatenate([gW.ravel(), gv])
-
-
-def step_cg_prp(state, obj, mode="lo", eta_formula="hs", warm=None,
-                solver_opts=None, wolfe_opts=None):
-    """GD+M(LS)/GD+M(LO): PR+ momentum over both layers jointly."""
-    gW, gv, D = _layer_gradient(obj, state)
-    eta = 0.0
-    if state.gW_prev is not None:
-        eta = pr_plus(_flat(gW, gv), _flat(state.gW_prev, state.gv_prev),
-                      _flat(state.W, state.v),
-                      _flat(state.W_prev, state.v_prev), eta_formula)
-    if eta:
-        dW, dv, dM = _momentum_dir(state)
-        direction = (-gW + eta * dW, -gv + eta * dv, -D + eta * dM)
-    else:
-        direction = _grad_dir(gW, gv, D)
-    flag = None
-    if float(np.sum(direction[0] * gW)) + float(direction[1] @ gv) >= 0:
-        eta, direction = 0.0, _grad_dir(gW, gv, D)
-        flag = "momentum_reset"
-    method = "gd+m(ls)" if mode == "wolfe" else "gd+m(lo)"
-    if mode == "wolfe":
-        a0 = state.alpha_prev if state.alpha_prev else 1.0
-        rec = _wolfe_along(state, obj, direction, a0, method, gW, gv,
-                           flag=flag, wolfe_opts=wolfe_opts)
-    else:
-        rec = _so_step(state, obj, [direction], ["alpha1"], method, gW, gv,
-                       warm=warm, solver_opts=solver_opts, flag=flag)
-    rec.beta1 = eta * (rec.alpha1 or 0.0) if eta else (0.0 if flag else None)
-    return rec
-
-
-def step_mg_so(state, obj, warm=None, solver_opts=None):
-    """GD+M(SO): tied learning and momentum rates via 2-d subspace search."""
-    gW, gv, D = _layer_gradient(obj, state)
-    dirs = [_grad_dir(gW, gv, D)]
-    slots = ["alpha1"]
-    if state.M_prev is not None:
-        dirs.append(_momentum_dir(state))
-        slots.append("beta1")
-    return _so_step(state, obj, dirs, slots, "gd+m(so)", gW, gv,
-                    warm=warm, solver_opts=solver_opts)
-
-
 def step_gd_sb(state, obj, warm=None, solver_opts=None):
     """GD(SB): separate per-layer learning rates, set jointly by 2-d SO."""
-    gW, gv, D = _layer_gradient(obj, state)
+    (gW, gv), D = state.gradient(obj)
     dirs = [(-gW, None, -D), (None, -gv, None)]
-    return _so_step(state, obj, dirs, ["alpha1", "alpha2"], "gd(sb)",
-                    gW, gv, warm=warm, solver_opts=solver_opts)
+    return so_step(state, obj, dirs, ["alpha1", "alpha2"], "gd(sb)",
+                   (gW, gv), D, warm=warm, solver_opts=solver_opts)
 
 
 def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
@@ -411,13 +310,13 @@ def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
     Both coefficients reset only if the combined direction fails the
     descent test.
     """
-    gW, gv, D = _layer_gradient(obj, state)
+    (gW, gv), D = state.gradient(obj)
     eta1 = eta2 = 0.0
     if state.gW_prev is not None:
         eta1 = pr_plus(gW.ravel(), state.gW_prev.ravel(),
                        state.W.ravel(), state.W_prev.ravel(), eta_formula)
         eta2 = pr_plus(gv, state.gv_prev, state.v, state.v_prev, eta_formula)
-    dW, dv, dM = (_momentum_dir(state) if state.M_prev is not None
+    dW, dv, dM = (momentum_dir(state) if state.M_prev is not None
                   else (0.0, 0.0, 0.0))
     d1 = (-gW + eta1 * dW, None, -D + eta1 * dM)
     d2 = (None, -gv + eta2 * dv, None)
@@ -426,8 +325,8 @@ def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
         eta1 = eta2 = 0.0
         d1, d2 = (-gW, None, -D), (None, -gv, None)
         flag = "momentum_reset"
-    rec = _so_step(state, obj, [d1, d2], ["alpha1", "alpha2"], "gd+m(sb)",
-                   gW, gv, warm=warm, solver_opts=solver_opts, flag=flag)
+    rec = so_step(state, obj, [d1, d2], ["alpha1", "alpha2"], "gd+m(sb)",
+                  (gW, gv), D, warm=warm, solver_opts=solver_opts, flag=flag)
     rec.beta1 = eta1 * (rec.alpha1 or 0.0)
     rec.beta2 = eta2 * (rec.alpha2 or 0.0)
     return rec
@@ -435,7 +334,7 @@ def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
 
 def step_mg_so_sb(state, obj, warm=None, solver_opts=None):
     """GD+M(SO+SB): per-layer learning and momentum rates via 4-d SO."""
-    gW, gv, D = _layer_gradient(obj, state)
+    (gW, gv), D = state.gradient(obj)
     dirs = [(-gW, None, -D)]
     slots = ["alpha1"]
     if state.M_prev is not None:
@@ -446,24 +345,15 @@ def step_mg_so_sb(state, obj, warm=None, solver_opts=None):
     if state.v_prev is not None:
         dirs.append((None, state.v - state.v_prev, None))
         slots.append("beta2")
-    return _so_step(state, obj, dirs, slots, "gd+m(so+sb)", gW, gv,
-                    warm=warm, solver_opts=solver_opts)
-
-
-def _make(fn, **kw):
-    return lambda state, obj: fn(state, obj, **kw)
+    return so_step(state, obj, dirs, slots, "gd+m(so+sb)", (gW, gv), D,
+                   warm=warm, solver_opts=solver_opts)
 
 
 NET_METHODS = {
-    "gd(1/l)": _make(step_gd_fixedL),
-    "gd(ls)": _make(step_gd_wolfe),
-    "gd(lo)": _make(step_gd_lo),
-    "gd+m(ls)": _make(step_cg_prp, mode="wolfe"),
-    "gd+m(lo)": _make(step_cg_prp, mode="lo"),
-    "gd+m(so)": _make(step_mg_so),
-    "gd(sb)": _make(step_gd_sb),
-    "gd+m(sb)": _make(step_cgm_sb),
-    "gd+m(so+sb)": _make(step_mg_so_sb),
+    **TRACKED_METHODS,
+    "gd(sb)": make_step(step_gd_sb),
+    "gd+m(sb)": make_step(step_cgm_sb),
+    "gd+m(so+sb)": make_step(step_mg_so_sb),
 }
 
 NET_LO_SO_METHODS = ("gd(ls)", "gd(lo)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)",
@@ -478,23 +368,9 @@ def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
-    step_fn = NET_METHODS[method]
-    state = init_state(obj, seed=seed, params=params)
-    records = []
-    for k in range(iters):
-        before = obj.X.counter_read()
-        try:
-            rec = step_fn(state, obj)
-        except Exception as exc:
-            raise RuntimeError(f"{method} failed at iteration {k}: {exc}") \
-                from exc
-        rec.products = obj.X.counter_read() - before
-        records.append(rec)
-        if audit_every and (k + 1) % audit_every == 0:
-            drift = audit_activations(state, obj)
-            if drift > 1e-8:
-                raise RuntimeError(
-                    f"activation drift {drift:.3e} at iteration {k + 1}")
-        if callback is not None:
-            callback(k, state, rec)
-    return state, records
+    step = NET_METHODS[method]
+    return drive(method, lambda st: step(st, obj),
+                 init_state(obj, seed=seed, params=params), iters,
+                 obj.X.counter_read,
+                 lambda st: ("activation", audit_activations(st, obj), 1e-8),
+                 audit_every, callback)

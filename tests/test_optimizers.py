@@ -177,3 +177,71 @@ def test_records_expose_step_sizes(logistic_obj):
     assert recs[1].beta1 is not None          # momentum active from step 2
     _, recs = run("snag(so)", logistic_obj, 5)
     assert recs[-1].alpha1 is not None
+
+
+def test_drive_meters_audits_wraps_and_calls_back():
+    from subsearch.optimizers import StepRecord, drive
+
+    spent = [0]
+
+    def step(state):
+        spent[0] += state["k"] + 1           # a different cost each step
+        state["k"] += 1
+        return StepRecord("fake", float(state["k"]))
+
+    seen = []
+    state, recs = drive("fake", step, {"k": 0}, 4, lambda: spent[0],
+                        lambda st: ("fake", 0.0, 1e-8), 2,
+                        callback=lambda k, st, rec: seen.append((k, st, rec)))
+    assert [r.products for r in recs] == [1, 2, 3, 4]
+    assert [(k, rec) for k, _, rec in seen] == list(enumerate(recs))
+    assert all(st is state for _, st, _ in seen)
+
+    with pytest.raises(RuntimeError, match="fake drift 1.000e-07 at "
+                                           "iteration 3"):
+        drive("fake", step, {"k": 0}, 5, lambda: spent[0],
+              lambda st: ("fake", 1e-7 if st["k"] == 3 else 0.0, 1e-8), 1)
+
+    def broken(state):
+        if state["k"] == 2:
+            raise ValueError("boom")
+        return step(state)
+
+    with pytest.raises(RuntimeError, match="fake failed at iteration 2: "
+                                           "boom"):
+        drive("fake", broken, {"k": 0}, 5, lambda: spent[0], None, 0)
+
+
+def test_unknown_method_or_scheme_raises_before_any_product(logistic_obj):
+    from subsearch import matfact, network
+
+    before = logistic_obj.X.counter_read()
+    with pytest.raises(KeyError):
+        run("gd(magic)", logistic_obj, 3)
+    nobj = network.NetObjective(gen_quadratic(20, 4, seed=1), hidden=2)
+    with pytest.raises(KeyError):
+        network.run("gd(magic)", nobj, 3)
+    with pytest.raises(KeyError):
+        matfact.run("magic", np.ones((6, 4)), 2, 3)
+    assert logistic_obj.X.counter_read() == before
+    assert nobj.X.counter_read() == 0
+
+
+def test_run_functions_record_step_wall_time(logistic_obj):
+    import time
+
+    from subsearch import logdet, matfact, network
+
+    nobj = network.NetObjective(gen_quadratic(30, 5, seed=2), hidden=3)
+    X = gen_quadratic(12, 6, seed=2).X.dense()
+    calls = [lambda: run("gd+m(so)", logistic_obj, 5),
+             lambda: network.run("gd(ls)", nobj, 5),
+             lambda: matfact.run("simul", X, 2, 5),
+             lambda: logdet.run(X.T @ X / 12 + np.eye(6), 1, 5)]
+    for call in calls:
+        t0 = time.perf_counter()
+        _, recs = call()
+        wall = time.perf_counter() - t0
+        assert len(recs) == 5
+        assert all(r.elapsed_s > 0 for r in recs)
+        assert sum(r.elapsed_s for r in recs) <= wall
