@@ -126,6 +126,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.n < 1 or args.d < 1:
+        raise UsageError("--n and --d must be >= 1")
     if args.kind == "logistic":
         ds = gen_logistic(args.n, args.d, args.seed)
     else:

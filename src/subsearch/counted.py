@@ -67,7 +67,8 @@ class CountedMatrix:
 
     The payload is immutable after construction; only the counters change.
     A separate audit counter is kept so that correctness audits (recomputing
-    tracked quantities from scratch) do not pollute the per-iteration budget.
+    tracked quantities from scratch) and trace instrumentation (gradient
+    norms) do not pollute the per-iteration budget.
     """
 
     def __init__(self, payload, counter: ProductCounter | None = None):

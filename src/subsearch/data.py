@@ -124,18 +124,47 @@ def standardize(ds: Dataset) -> Dataset:
     return Dataset(CountedMatrix(out), ds.y.copy(), ds.label_kind)
 
 
+# Knuth MMIX multiplier and increment of the congruential stream
+_LCG_A = 6364136223846793005
+_LCG_C = 1442695040888963407
+_MASK64 = (1 << 64) - 1
+_BLOCK = 4096
+
+
+def _jump_table(block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `block` steps as affine maps s_j = a_j s_0 + c_j mod 2^64."""
+    a_j, c_j = [], []
+    a, c = 1, 0
+    for _ in range(block):
+        a, c = (_LCG_A * a) & _MASK64, (_LCG_A * c + _LCG_C) & _MASK64
+        a_j.append(a)
+        c_j.append(c)
+    return np.array(a_j, dtype=np.uint64), np.array(c_j, dtype=np.uint64)
+
+
+_JUMP_A, _JUMP_C = _jump_table(_BLOCK)
+
+
 def _uniforms(state: list[int], n: int) -> np.ndarray:
-    """Deterministic 64-bit congruential stream mapped to (0,1)."""
-    # Knuth MMIX multiplier; the state list holds one 64-bit word.
-    a = 6364136223846793005
-    c = 1442695040888963407
-    mask = (1 << 64) - 1
+    """Deterministic 64-bit congruential stream mapped to (0,1).
+
+    The state list holds one 64-bit word, advanced by n steps.  Each block
+    of _BLOCK outputs is one wrapping uint64 multiply-add of the state
+    before the block against the jump table, so the stream is bit-identical
+    to stepping s <- a s + c one output at a time.
+    """
     out = np.empty(n)
-    s = state[0]
-    for i in range(n):
-        s = (a * s + c) & mask
-        out[i] = ((s >> 11) + 0.5) / float(1 << 53)
-    state[0] = s
+    s0 = np.uint64(state[0])
+    for i in range(0, n, _BLOCK):
+        r = min(_BLOCK, n - i)
+        s = _JUMP_A[:r] * s0
+        s += _JUMP_C[:r]
+        s0 = s[-1]
+        s >>= np.uint64(11)
+        block = out[i:i + r]
+        np.add(s, 0.5, out=block)
+        block /= float(1 << 53)
+    state[0] = int(s0)
     return out
 
 
@@ -151,7 +180,7 @@ def _normals(state: list[int], n: int) -> np.ndarray:
 
 
 def _seed_state(seed: int) -> list[int]:
-    return [(seed * 0x9E3779B97F4A7C15 + 1) & ((1 << 64) - 1)]
+    return [(seed * 0x9E3779B97F4A7C15 + 1) & _MASK64]
 
 
 def _gen_features(n: int, d: int, state: list[int],

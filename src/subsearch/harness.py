@@ -1,9 +1,11 @@
 """Experiment pipeline: configs, reference optima, and CSV trace emission.
 
 A Trace is one method run on one problem: the initial point plus one
-StepRecord per iteration, with gradient norms computed from an uncounted
-dense copy of the data so instrumentation never touches the per-iteration
-product budget.
+StepRecord per iteration.  LCP and network gradient norms (and the network
+f0) are computed with audit products on the data's own payload, so sparse
+inputs stay sparse, instrumentation never touches the per-iteration product
+budget, and its cost shows in the audit counter.  matfact and logdet work on
+a dense copy by design.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class ExperimentConfig:
                 f"unknown model {self.model!r}; choose from {MODELS}")
         if self.iters < 0:
             raise ConfigError("iters must be >= 0")
+        for name in ("n", "d", "hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         self.method = canonical_method(self.method, self.model)
 
 
@@ -192,8 +197,9 @@ def parse_csv(text: str) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # model families: each builds its problem once from a config and supplies the
-# initial f and gradient norm, a gradient-norm callback that spends no counted
-# products, the run call, and the full-space reference problem
+# initial f and gradient norm, a gradient-norm callback that spends no budget
+# products (LCP and net use audit products), the run call, and the full-space
+# reference problem on raw arrays
 
 @dataclass
 class _Family:
@@ -211,21 +217,23 @@ def _lcp_family(cfg: ExperimentConfig) -> _Family:
     ds = load_dataset(cfg)
     lam = resolve_lambda(cfg.lam, ds.n)
     obj = LcpObjective(_LOSS[cfg.model], ds, lam)
-    Xd = ds.X.dense()
+    Xp = ds.X.payload
 
-    def grad(w, m):
-        g = Xd.T @ obj.g_grad(m)
+    def gnorm(w, m):
+        return float(np.linalg.norm(obj.f_grad_margin(w, m, audit=True)))
+
+    def ref_grad(w):
+        g = Xp.T @ obj.g_grad(Xp @ w)
         if lam > 0:
             g = g + lam * w
         return g
 
     state0 = _optimizers.init_state(obj)
     return _Family(
-        state0.f, float(np.linalg.norm(grad(state0.w, state0.m))),
-        lambda st: float(np.linalg.norm(grad(st.w, st.m))),
+        state0.f, gnorm(state0.w, state0.m),
+        lambda st: gnorm(st.w, st.m),
         lambda cb: _optimizers.run(cfg.method, obj, cfg.iters, callback=cb),
-        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xd @ w),
-                   lambda w: grad(w, Xd @ w)))
+        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad))
 
 
 def _net_family(cfg: ExperimentConfig) -> _Family:
@@ -234,19 +242,20 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
     if cfg.model == "net2_reg" and lam == 0.0:
         lam = 1.0 / ds.n
     obj = NetObjective(ds, cfg.hidden, lam)
-    Xd = ds.X.dense()
+    X, Xp = ds.X, ds.X.payload
     W0, v0 = init_params(ds.d, cfg.hidden, cfg.seed)
     d, r = ds.d, cfg.hidden
 
-    def grad(W, v):
-        R, gv = _network.backward(obj, NetState(W, v, Xd @ W, 0.0))
-        gW = Xd.T @ R
+    def grad(W, v, mul, tmul):
+        R, gv = _network.backward(obj, NetState(W, v, mul(W), 0.0))
+        gW = tmul(R)
         if lam > 0:
             gW = gW + lam * W
         return gW, gv
 
     def gnorm(W, v):
-        gW, gv = grad(W, v)
+        gW, gv = grad(W, v, lambda B: X.matmat(B, audit=True),
+                      lambda B: X.rmatmat(B, audit=True))
         return float(np.sqrt(np.sum(gW * gW) + gv @ gv))
 
     def unpack(t):
@@ -254,14 +263,14 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
 
     def ref_value(t):
         W, v = unpack(t)
-        return obj.value_tracked(W, v, Xd @ W)
+        return obj.value_tracked(W, v, Xp @ W)
 
     def ref_grad(t):
-        gW, gv = grad(*unpack(t))
+        gW, gv = grad(*unpack(t), lambda B: Xp @ B, lambda B: Xp.T @ B)
         return np.concatenate([gW.ravel(), gv])
 
     return _Family(
-        obj.value_tracked(W0, v0, Xd @ W0), gnorm(W0, v0),
+        obj.value(W0, v0, audit=True), gnorm(W0, v0),
         lambda st: gnorm(st.W, st.v),
         lambda cb: _network.run(cfg.method, obj, cfg.iters, seed=cfg.seed,
                                 params=(W0, v0), callback=cb),

@@ -86,3 +86,15 @@ def test_run_without_out_prints_csv(capsys):
                  "--iters", "2", "--n", "15", "--d", "3"]) == 0
     out = capsys.readouterr().out
     assert "iter,f,subopt" in out
+
+
+def test_nonpositive_sizes_are_usage_errors(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    for flags in (["--n", "0"], ["--d", "-1"]):
+        assert main(["gen", "--kind", "logistic", "--n", "5", "--d", "2",
+                     "--out", out] + flags) == 1
+        assert not (tmp_path / "x").exists()
+    run = ["run", "--model", "net2", "--method", "gd(lo)", "--iters", "1"]
+    for flags in (["--n", "0"], ["--d", "-1"], ["--hidden", "0"]):
+        assert main(run + flags) == 1
+        assert "must be >= 1" in capsys.readouterr().err

@@ -179,3 +179,59 @@ def test_benchmark_entry_points_stay_patchable(monkeypatch):
     assert len(trace.records) == 3
     assert len(runs) == 1 and isinstance(runs[0][1], network.NetObjective)
     assert len(solves) == 3      # network restrictions solve in network.py
+
+
+def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
+    """LCP and net gradient norms go through audit products on the CSR
+    payload, and the reference runs on the raw payload: neither densifies
+    X, budgets stay exact, and gnorms match a dense-payload run."""
+    import scipy.sparse as sp
+
+    from subsearch.counted import CountedMatrix
+    from subsearch.data import Dataset, write_libsvm
+
+    rng = np.random.default_rng(4)
+    Xs = sp.random(60, 12, density=0.25, random_state=rng,
+                   data_rvs=rng.standard_normal)
+    ys = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+    path = tmp_path / "sparse.libsvm"
+    path.write_text(write_libsvm(Dataset(CountedMatrix(Xs), ys, "binary")))
+    parse = hz.parse_libsvm
+    seen = []
+
+    def parse_sparse(text):
+        seen.append(parse(text))
+        return seen[-1]
+
+    def parse_dense(text):
+        ds = parse(text)
+        return Dataset(CountedMatrix(ds.X.payload.toarray()), ds.y,
+                       ds.label_kind)
+
+    def no_dense(self):
+        raise AssertionError("CountedMatrix.dense called")
+
+    iters = 8
+    # model, method, products before the first step, audit products per
+    # gnorm and at iteration 0 (net2: f0 costs one more)
+    cases = [("logistic", "gd+m(so)", 0, 1, 1), ("net2", "gd(ls)", 1, 2, 3)]
+    for model, method, init, per_gnorm, at_zero in cases:
+        cfg = hz.ExperimentConfig(model=model, method=method, iters=iters,
+                                  data=str(path), hidden=3, seed=1,
+                                  lam="1/n")
+        monkeypatch.setattr(hz, "parse_libsvm", parse_dense)
+        dense = hz.run_experiment(cfg)
+        monkeypatch.setattr(hz, "parse_libsvm", parse_sparse)
+        monkeypatch.setattr(CountedMatrix, "dense", no_dense)
+        trace = hz.run_experiment(cfg)
+        X = seen[-1].X
+        assert X.is_sparse
+        assert X.counter.read() == init + sum(r.products
+                                              for r in trace.records)
+        assert X.audit_counter.read() == at_zero + per_gnorm * iters
+        got = np.array([trace.gnorm0] + trace.gnorms)
+        want = np.array([dense.gnorm0] + dense.gnorms)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), model
+        fstar = hz.compute_reference(cfg)
+        assert np.isfinite(fstar) and fstar <= trace.records[-1].f
+        monkeypatch.undo()
