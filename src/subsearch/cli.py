@@ -24,19 +24,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _lambda_flag(value: str) -> str:
-    if value in ("0", "1/n"):
-        return value
-    try:
-        float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad lambda {value!r}; use 0, 1/n, or a float")
-    return value
-
-
-
-
 def _add_experiment_flags(p: _Parser):
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--data", help="libsvm file; omit for synthetic data")
@@ -46,8 +33,8 @@ def _add_experiment_flags(p: _Parser):
     p.add_argument("--seed", type=int)
     p.add_argument("--hidden", type=int,
                    help="hidden units / factorization rank")
-    p.add_argument("--lambda", dest="lam", type=_lambda_flag,
-                   help="regularization: 0, 1/n, or a float")
+    p.add_argument("--lambda", dest="lam",
+                   help="regularization: 0, 1/n, or a finite float >= 0")
     p.add_argument("--standardize", action="store_true", default=None)
     p.add_argument("--fstar", type=float)
     p.add_argument("--kind", choices=("logistic", "quadratic"),

@@ -48,7 +48,7 @@ class ExperimentConfig:
     d: int = 20
     seed: int = 0
     hidden: int = 10                 # hidden units / factorization rank
-    lam: str = "0"                   # "0", "1/n", or a float literal
+    lam: str = "0"                   # "0", "1/n", or a finite float >= 0
     standardize: bool = False
     fstar: float | None = None
     out: str | None = None
@@ -62,6 +62,7 @@ class ExperimentConfig:
         for name in ("n", "d", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        resolve_lambda(self.lam, self.n)     # checks the grammar only
         self.method = canonical_method(self.method, self.model)
 
 
@@ -105,17 +106,20 @@ def config_from_json(text: str, overrides: dict | None = None
 
 
 def resolve_lambda(lam: str | float, n: int) -> float:
-    if isinstance(lam, (int, float)):
+    """The regularization weight for `lam`: "0", "1/n" or a finite float >= 0.
+
+    The one owner of this grammar: configs check it on construction and the
+    model families resolve it against the data's n.
+    """
+    if lam == "1/n":
+        return 1.0 / n
+    try:
         value = float(lam)
-    elif lam == "1/n":
-        value = 1.0 / n
-    else:
-        try:
-            value = float(lam)
-        except ValueError:
-            raise ConfigError(f"bad lambda {lam!r}; use 0, 1/n, or a float")
-    if value < 0:
-        raise ConfigError("lambda must be nonnegative")
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad lambda {lam!r}; use 0, 1/n, or a float")
+    if not 0.0 <= value < np.inf:
+        raise ConfigError(f"lambda must be finite and nonnegative, "
+                          f"got {lam!r}")
     return value
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .counted import ProductCounter
 from .optimizers import StepRecord, drive
-from .subsolver import SubProblem, SubSolverOptions, solve
+from .subsolver import SubProblem, solve
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -131,8 +131,7 @@ def _sherman_morrison(x_sol, u_sol, u, alpha, denom):
 
 
 def step_rank_so(state: SpdState, rank: int = 2,
-                 directions: list[np.ndarray] | None = None,
-                 solver_opts: SubSolverOptions | None = None) -> StepRecord:
+                 directions: list[np.ndarray] | None = None) -> StepRecord:
     """SO over step sizes along one or two rank-1 directions.
 
     Trial points with any non-positive sequential determinant factor are
@@ -209,7 +208,7 @@ def step_rank_so(state: SpdState, rank: int = 2,
 
         sp = SubProblem(1, value, grad, hess)
 
-    res = solve(sp, solver_opts or SubSolverOptions())
+    res = solve(sp)
     t = res.theta
     a1 = float(t[0])
     a2 = float(t[1]) if rank == 2 else None

@@ -166,8 +166,7 @@ def _commit(state, U_new, W_new, M_new, rec, theta4, restart=False):
 # ---------------------------------------------------------------------------
 # scheme 1: alternating minimization (one factor per iteration, LCP-style)
 
-def step_altmin_so(state: MfState, which: str | None = None,
-                   solver_opts=None) -> StepRecord:
+def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:
     """Update one factor by LO/SO; exactly 2 counted products.
 
     The momentum direction is included only when the immediately preceding
@@ -201,7 +200,7 @@ def step_altmin_so(state: MfState, which: str | None = None,
         terms.append((lambda th, j=j: float(th[j]),
                       lambda th, e=e: e, T))
     sp, m_at = _poly_subproblem(state.X, state.M, terms, len(images))
-    res = solve(sp, solver_opts or SubSolverOptions())
+    res = solve(sp)
     alpha = float(res.theta[0])
     beta = float(res.theta[1]) if len(res.theta) > 1 else None
     if which == "u":
@@ -245,11 +244,11 @@ def _simul_terms(D1, D2, D3):
     ]
 
 
-def step_simul_so2(state: MfState, solver_opts=None) -> StepRecord:
+def step_simul_so2(state: MfState) -> StepRecord:
     """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
     Gu, Gw, D1, D2, D3 = _core_blocks(state)
     sp, m_at = _poly_subproblem(state.X, state.M, _simul_terms(D1, D2, D3), 2)
-    res = solve(sp, solver_opts or SubSolverOptions())
+    res = solve(sp)
     a1, a2 = (float(t) for t in res.theta)
     rec = StepRecord("mf-simul", res.value, inner_iters=res.inner_iters,
                      alpha1=a1, alpha2=a2)
@@ -270,14 +269,14 @@ def _one_terms(state, D1, D2, D3, E1, E2):
     ]
 
 
-def step_momentum_one(state: MfState, solver_opts=None) -> StepRecord:
+def step_momentum_one(state: MfState) -> StepRecord:
     """Momentum on U only: 3-d SO over (alpha1, beta, alpha2); 7 products."""
     Gu, Gw, D1, D2, D3 = _core_blocks(state)
     E1 = state.prod(state.U_prev, state.W.T)        # n x d
     E2 = state.prod(state.U_prev, Gw.T)             # n x d
     terms = _one_terms(state, D1, D2, D3, E1, E2)
     sp, m_at = _poly_subproblem(state.X, state.M, terms, 3)
-    res = solve(sp, solver_opts or _MOMENTUM_OPTS)
+    res = solve(sp, _MOMENTUM_OPTS)
     a1, b, a2 = (float(t) for t in res.theta)
     U_new = (1.0 + b) * state.U - b * state.U_prev - a1 * Gu
     W_new = state.W - a2 * Gw
@@ -343,7 +342,7 @@ def _commit_both(state, Gu, Gw, theta, f_new, M_new, method, inner,
                    restart=restart)
 
 
-def step_momentum_both_exact(state: MfState, solver_opts=None) -> StepRecord:
+def step_momentum_both_exact(state: MfState) -> StepRecord:
     """Momentum on both factors: exact 4-d SO; 9 products."""
     Gu, Gw, D1, D2, D3 = _core_blocks(state)
     E1 = state.prod(state.U_prev, state.W.T)
@@ -353,7 +352,7 @@ def step_momentum_both_exact(state: MfState, solver_opts=None) -> StepRecord:
     E5 = state.prod(Gu, state.W_prev.T)
     terms = _both_terms(state, D1, D2, D3, E1, E2, E3, E4, E5)
     sp, m_at = _poly_subproblem(state.X, state.M, terms, 4)
-    res = solve(sp, solver_opts or _MOMENTUM_OPTS)
+    res = solve(sp, _MOMENTUM_OPTS)
     return _commit_both(state, Gu, Gw, res.theta, res.value,
                         m_at(res.theta), "mf-momentum-both",
                         res.inner_iters)
@@ -404,11 +403,11 @@ def step_momentum_both_inexact(state: MfState,
 
 
 MF_SCHEMES = {
-    "altmin": lambda st: step_altmin_so(st),
-    "simul": lambda st: step_simul_so2(st),
-    "momentum-u": lambda st: step_momentum_one(st),
-    "momentum-both": lambda st: step_momentum_both_exact(st),
-    "momentum-both-inexact": lambda st: step_momentum_both_inexact(st),
+    "altmin": step_altmin_so,
+    "simul": step_simul_so2,
+    "momentum-u": step_momentum_one,
+    "momentum-both": step_momentum_both_exact,
+    "momentum-both-inexact": step_momentum_both_inexact,
 }
 
 MF_BUDGETS = {

@@ -15,8 +15,9 @@ import numpy as np
 
 from .data import Dataset, _normals, _seed_state
 from .linesearch import LEstimate
-from .optimizers import (TRACKED_METHODS, StepRecord, drive, make_step,
-                         momentum_dir, pr_plus, so_step)
+from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
+                         StepRecord, apply_rule, drive, methods_with_rule,
+                         momentum_dir, pr_plus)
 # the tied (both-layer) steps are the shared tracked-state steps
 from .optimizers import step_gd_fixedL, step_gd_lo  # noqa: F401
 from .optimizers import step_memory_gradient as step_mg_so  # noqa: F401
@@ -32,8 +33,8 @@ class NetObjective:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be finite and nonnegative")
 
     @property
     def X(self):
@@ -66,13 +67,11 @@ class NetObjective:
         return self.value_tracked(W, v, self.X.matmat(W, audit=audit))
 
 
-# direction triple: (dW or None, dv or None, dM or None) with dM = X dW
-Direction = tuple
-
-
-def subspace_restrict(obj: NetObjective, W, v, M,
-                      dirs: list[Direction]) -> SubProblem:
+def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     """Restrict f to (W, v) + sum_j theta_j (dW_j, dv_j) given images dM_j.
+
+    Each direction is a triple (dW, dv, dM) with dM = X dW, None marking a
+    block it leaves alone.
 
     Candidate values and gradients cost O(nrp) (plus O(drp) for the weight
     decay term), and the exact p x p Hessian O(nrp^2); all are analytic
@@ -189,7 +188,6 @@ class NetState:
     gv_prev: np.ndarray | None = None
     alpha_prev: float | None = None
     L: LEstimate = field(default_factory=LEstimate)
-    k: int = 0
 
     @property
     def blocks(self):
@@ -206,7 +204,6 @@ class NetState:
         self.gW_prev, self.gv_prev = grad
         self.W, self.v, self.M = blocks
         self.f = f
-        self.k += 1
 
     def gradient(self, obj: NetObjective):
         """Full gradient (gW, gv) and image D = X gW; two counted products."""
@@ -228,17 +225,17 @@ class NetState:
     def dot(a, b) -> float:
         return float(np.sum(a[0] * b[0])) + float(a[1] @ b[1])
 
-    def momentum_coef(self, grad, formula: str) -> float:
+    def momentum_coef(self, grad) -> float:
         """PR+ over both layers jointly."""
         if self.gW_prev is None:
             return 0.0
         return pr_plus(_flat(grad), _flat((self.gW_prev, self.gv_prev)),
                        _flat((self.W, self.v)),
-                       _flat((self.W_prev, self.v_prev)), formula)
+                       _flat((self.W_prev, self.v_prev)))
 
-    def subspace_solve(self, obj: NetObjective, dirs, warm, opts):
+    def subspace_solve(self, obj: NetObjective, dirs, warm):
         sp = subspace_restrict(obj, self.W, self.v, self.M, dirs)
-        return solve(sp, opts, theta0=warm)
+        return solve(sp, theta0=warm)
 
     def line(self, obj: NetObjective, direction):
         sp = subspace_restrict(obj, self.W, self.v, self.M, [direction])
@@ -296,15 +293,15 @@ def audit_activations(state: NetState, obj: NetObjective) -> float:
                  / (1.0 + np.linalg.norm(state.M)))
 
 
-def step_gd_sb(state, obj, warm=None, solver_opts=None):
+def step_gd_sb(state, obj, rule="so"):
     """GD(SB): separate per-layer learning rates, set jointly by 2-d SO."""
     (gW, gv), D = state.gradient(obj)
     dirs = [(-gW, None, -D), (None, -gv, None)]
-    return so_step(state, obj, dirs, ["alpha1", "alpha2"], "gd(sb)",
-                   (gW, gv), D, warm=warm, solver_opts=solver_opts)
+    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], "gd(sb)",
+                      (gW, gv), D)
 
 
-def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
+def step_cgm_sb(state, obj, rule="so"):
     """GD+M(SB): per-layer PR+ momentum folded into per-layer directions.
 
     Both coefficients reset only if the combined direction fails the
@@ -314,8 +311,8 @@ def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
     eta1 = eta2 = 0.0
     if state.gW_prev is not None:
         eta1 = pr_plus(gW.ravel(), state.gW_prev.ravel(),
-                       state.W.ravel(), state.W_prev.ravel(), eta_formula)
-        eta2 = pr_plus(gv, state.gv_prev, state.v, state.v_prev, eta_formula)
+                       state.W.ravel(), state.W_prev.ravel())
+        eta2 = pr_plus(gv, state.gv_prev, state.v, state.v_prev)
     dW, dv, dM = (momentum_dir(state) if state.M_prev is not None
                   else (0.0, 0.0, 0.0))
     d1 = (-gW + eta1 * dW, None, -D + eta1 * dM)
@@ -325,14 +322,14 @@ def step_cgm_sb(state, obj, eta_formula="hs", warm=None, solver_opts=None):
         eta1 = eta2 = 0.0
         d1, d2 = (-gW, None, -D), (None, -gv, None)
         flag = "momentum_reset"
-    rec = so_step(state, obj, [d1, d2], ["alpha1", "alpha2"], "gd+m(sb)",
-                  (gW, gv), D, warm=warm, solver_opts=solver_opts, flag=flag)
+    rec = apply_rule(state, obj, rule, [d1, d2], ["alpha1", "alpha2"],
+                     "gd+m(sb)", (gW, gv), D, flag=flag)
     rec.beta1 = eta1 * (rec.alpha1 or 0.0)
     rec.beta2 = eta2 * (rec.alpha2 or 0.0)
     return rec
 
 
-def step_mg_so_sb(state, obj, warm=None, solver_opts=None):
+def step_mg_so_sb(state, obj, rule="so", warm=None):
     """GD+M(SO+SB): per-layer learning and momentum rates via 4-d SO."""
     (gW, gv), D = state.gradient(obj)
     dirs = [(-gW, None, -D)]
@@ -345,21 +342,19 @@ def step_mg_so_sb(state, obj, warm=None, solver_opts=None):
     if state.v_prev is not None:
         dirs.append((None, state.v - state.v_prev, None))
         slots.append("beta2")
-    return so_step(state, obj, dirs, slots, "gd+m(so+sb)", (gW, gv), D,
-                   warm=warm, solver_opts=solver_opts)
+    return apply_rule(state, obj, rule, dirs, slots, "gd+m(so+sb)", (gW, gv),
+                      D, warm=warm)
 
 
 NET_METHODS = {
     **TRACKED_METHODS,
-    "gd(sb)": make_step(step_gd_sb),
-    "gd+m(sb)": make_step(step_cgm_sb),
-    "gd+m(so+sb)": make_step(step_mg_so_sb),
+    "gd(sb)": (step_gd_sb, "so"),
+    "gd+m(sb)": (step_cgm_sb, "so"),
+    "gd+m(so+sb)": (step_mg_so_sb, "so"),
 }
 
-NET_LO_SO_METHODS = ("gd(ls)", "gd(lo)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)",
-                     "gd(sb)", "gd+m(sb)", "gd+m(so+sb)")
-NET_MONOTONE_METHODS = ("gd(lo)", "gd+m(lo)", "gd+m(so)", "gd(sb)",
-                        "gd+m(sb)", "gd+m(so+sb)")
+NET_LO_SO_METHODS = methods_with_rule(NET_METHODS, TWO_PRODUCT_RULES)
+NET_MONOTONE_METHODS = methods_with_rule(NET_METHODS, MONOTONE_RULES)
 
 
 def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
@@ -368,8 +363,8 @@ def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
-    step = NET_METHODS[method]
-    return drive(method, lambda st: step(st, obj),
+    step, rule = NET_METHODS[method]
+    return drive(method, lambda st: step(st, obj, rule),
                  init_state(obj, seed=seed, params=params), iters,
                  obj.X.counter_read,
                  lambda st: ("activation", audit_activations(st, obj), 1e-8),

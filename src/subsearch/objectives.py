@@ -45,8 +45,8 @@ class LcpObjective:
     def __post_init__(self):
         if self.loss_kind not in LOSSES:
             raise ValueError(f"unknown loss {self.loss_kind!r}")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not 0 <= self.l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be finite and nonnegative")
 
     @property
     def X(self) -> CountedMatrix:

@@ -16,29 +16,47 @@ The steps are written once against a tracked state (`MarginState` here,
 - `value(obj, blocks)`: f at a tracked point (no products);
 - `recompute(obj, params)`: the image of new parameters (one counted
   product), for a rejected 1/L trial;
-- `subspace_solve(obj, dirs, warm, opts)` and `line(obj, direction)`: the
+- `subspace_solve(obj, dirs, warm)` and `line(obj, direction)`: the
   restriction to a list of directions solved by the subsolver, and the
   1-d value and slope closures for the Wolfe search;
 - `dot`, `momentum_coef` and `advance`: the model's inner product, its PR+
   coefficient, and committing a step.
 
 A direction is a tuple shaped like `blocks`; None marks a block it leaves
-alone.
+alone.  A method is a step function, which builds the method's directions,
+plus a step-size rule, which `apply_rule` carries out:
+
+  "1/l"    backtracking on L along the negative gradient
+  "fixed"  a constant step along the first direction
+  "ls"     a strong Wolfe line search along the first direction
+  "lo"     line optimization along the first direction
+  "so"     subspace optimization over all of the directions
+
+LS, LO and SO spend exactly two products per iteration, and LO and SO are
+never worse than the zero step; the method tables below are keyed by name
+to (step, rule), and the budget and monotone method sets derive from them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .linesearch import (LEstimate, WolfeOptions, backtrack_half,
-                         fista_momentum, strong_wolfe)
+from .linesearch import LEstimate, backtrack_half, fista_momentum, strong_wolfe
 from .objectives import LcpObjective
-from .subsolver import SubSolverOptions, solve
+from .subsolver import solve
 
-STEP_SLOTS = ("alpha1", "beta1", "alpha2", "beta2", "gamma", "delta")
+# L-BFGS keeps this many (s, y) pairs
+LBFGS_MEMORY = 10
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.99
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# the "fixed" rule's step size, Adam's default learning rate
+FIXED_STEP = 1e-3
 
 
 @dataclass(slots=True)
@@ -93,16 +111,13 @@ class MarginState:
     L: LEstimate = field(default_factory=LEstimate)
     # quasi-Newton memory
     lbfgs_pairs: list = field(default_factory=list)
-    lbfgs_memory: int = 10
     pending_s: np.ndarray | None = None
-    # Adam accumulators
+    # Adam accumulators and the last Adam direction
     adam_mu: np.ndarray | None = None
     adam_v: np.ndarray | None = None
-    adam_d_prev: np.ndarray | None = None
-    adam_d_prev_image: np.ndarray | None = None
+    adam_dir_prev: tuple | None = None
     # NAG/FISTA
     nag_t: float = 1.0
-    k: int = 0
 
     @property
     def blocks(self):
@@ -117,7 +132,6 @@ class MarginState:
         self.grad_prev, self.grad_image_prev = grad[0], grad_image
         self.w, self.m = blocks
         self.f = f
-        self.k += 1
 
     def gradient(self, obj: LcpObjective):
         """Full gradient and its margin image; two counted products."""
@@ -136,15 +150,15 @@ class MarginState:
     def dot(a, b) -> float:
         return float(a[0] @ b[0])
 
-    def momentum_coef(self, grad, formula: str) -> float:
+    def momentum_coef(self, grad) -> float:
         if self.grad_prev is None or self.w_prev is None:
             return 0.0
-        return pr_plus(grad[0], self.grad_prev, self.w, self.w_prev, formula)
+        return pr_plus(grad[0], self.grad_prev, self.w, self.w_prev)
 
-    def subspace_solve(self, obj: LcpObjective, dirs, warm, opts):
+    def subspace_solve(self, obj: LcpObjective, dirs, warm):
         sp = obj.subspace_restrict(self.w, self.m, [p for p, _ in dirs],
                                    [q for _, q in dirs])
-        return solve(sp, opts, theta0=warm)
+        return solve(sp, theta0=warm)
 
     def line(self, obj: LcpObjective, direction):
         """Margin-space value and slope along p with image q."""
@@ -203,10 +217,9 @@ def _apply(blocks, dirs, theta):
 
 
 def so_step(state, obj, dirs, slots, method, grad, grad_image,
-            warm=None, solver_opts=None, flag=None):
+            warm=None, flag=None):
     """Solve the restriction to `dirs` and commit the result."""
-    res = state.subspace_solve(obj, dirs, warm,
-                               solver_opts or SubSolverOptions())
+    res = state.subspace_solve(obj, dirs, warm)
     rec = StepRecord(method=method, f=res.value, inner_iters=res.inner_iters,
                      flag=flag)
     for slot, t in zip(slots, res.theta):
@@ -221,10 +234,10 @@ def so_step(state, obj, dirs, slots, method, grad, grad_image,
 
 
 def _wolfe_along(state, obj, direction, alpha_init, method, grad,
-                 grad_image, flag=None, wolfe_opts=None):
+                 grad_image, flag=None):
     """Strong Wolfe search along `direction` from the tracked point."""
     phi, dphi = state.line(obj, direction)
-    res = strong_wolfe(phi, dphi, alpha_init, wolfe_opts or WolfeOptions())
+    res = strong_wolfe(phi, dphi, alpha_init)
     a = res.alpha
     rec = StepRecord(method, res.value, alpha1=a, inner_iters=res.evals,
                      wolfe_verified=res.verified if res.success else None,
@@ -261,30 +274,51 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
     return StepRecord(method, f_t, alpha1=1.0 / L, inner_iters=doublings)
 
 
-def step_gd_fixedL(state, obj):
-    """GD(1/L): Armijo with sigma=1/2 via doubling; L persists across steps."""
+def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
+               flag=None, alpha_init=None, warm=None):
+    """Commit a step along `dirs`, its sizes set by the step-size `rule`.
+
+    "1/l" backtracks from the iterate along the negative gradient, which
+    `dirs[0]` must be; "fixed" steps FIXED_STEP along `dirs[0]`; "ls" runs
+    a strong Wolfe search along `dirs[0]` from `alpha_init` (default: the
+    last accepted step size, or 1); "lo" optimizes the step size along
+    `dirs[0]` and "so" one step size per direction, `slots` naming the
+    record fields.
+    """
+    if rule == "1/l":
+        return _backtrack(state, obj, method, state.blocks, state.f, grad,
+                          grad_image)
+    if rule == "fixed":
+        blocks = _apply(state.blocks, dirs[:1], [FIXED_STEP])
+        f = state.value(obj, blocks)
+        state.advance(blocks, f, grad, grad_image)
+        return StepRecord(method, f, alpha1=FIXED_STEP, flag=flag)
+    if rule == "ls":
+        return _wolfe_along(state, obj, dirs[0],
+                            alpha_init or state.alpha_prev or 1.0, method,
+                            grad, grad_image, flag)
+    if rule == "lo":
+        dirs, slots = dirs[:1], slots[:1]
+    return so_step(state, obj, dirs, slots, method, grad, grad_image,
+                   warm=warm, flag=flag)
+
+
+def step_gd(state, obj, rule, warm=None):
+    """GD: the negative gradient with the 1/L, LS or LO step size."""
     grad, q = state.gradient(obj)
-    return _backtrack(state, obj, "gd(1/l)", state.blocks, state.f, grad, q)
+    return apply_rule(state, obj, rule, [grad_dir(grad, q)], ["alpha1"],
+                      f"gd({rule})", grad, q, warm=warm)
 
 
-def step_gd_wolfe(state, obj, wolfe_opts=None):
-    grad, q = state.gradient(obj)
-    return _wolfe_along(state, obj, grad_dir(grad, q),
-                        state.alpha_prev or 1.0, "gd(ls)", grad, q,
-                        wolfe_opts=wolfe_opts)
+# GD(1/L) and GD(LO) as single steps, for comparisons from one state
+step_gd_fixedL = partial(step_gd, rule="1/l")
+step_gd_lo = partial(step_gd, rule="lo")
 
 
-def step_gd_lo(state, obj, warm=None, solver_opts=None):
-    grad, q = state.gradient(obj)
-    return so_step(state, obj, [grad_dir(grad, q)], ["alpha1"], "gd(lo)",
-                   grad, q, warm=warm, solver_opts=solver_opts)
-
-
-def step_cg_prp(state, obj, mode="lo", eta_formula="hs", warm=None,
-                solver_opts=None, wolfe_opts=None):
+def step_cg_prp(state, obj, rule):
     """GD+M(LS)/GD+M(LO): nonlinear CG direction, Wolfe or LO step size."""
     grad, q = state.gradient(obj)
-    eta = state.momentum_coef(grad, eta_formula)
+    eta = state.momentum_coef(grad)
     direction = grad_dir(grad, q)
     if eta:
         direction = tuple(g + eta * s
@@ -293,13 +327,8 @@ def step_cg_prp(state, obj, mode="lo", eta_formula="hs", warm=None,
     if state.dot(direction[:-1], grad) >= 0:
         eta, direction = 0.0, grad_dir(grad, q)
         flag = "momentum_reset"
-    if mode == "wolfe":
-        rec = _wolfe_along(state, obj, direction, state.alpha_prev or 1.0,
-                           "gd+m(ls)", grad, q, flag=flag,
-                           wolfe_opts=wolfe_opts)
-    else:
-        rec = so_step(state, obj, [direction], ["alpha1"], "gd+m(lo)", grad,
-                      q, warm=warm, solver_opts=solver_opts, flag=flag)
+    rec = apply_rule(state, obj, rule, [direction], ["alpha1"],
+                     f"gd+m({rule})", grad, q, flag=flag)
     rec.beta1 = eta * (rec.alpha1 or 0.0) if eta else (0.0 if flag else None)
     return rec
 
@@ -311,18 +340,18 @@ def _with_momentum(state, direction):
     return [direction, momentum_dir(state)], ["alpha1", "beta1"]
 
 
-def step_memory_gradient(state, obj, warm=None, solver_opts=None):
+def step_memory_gradient(state, obj, rule="so", warm=None):
     """GD+M(SO): 2-d plane search over learning and momentum rates."""
     grad, q = state.gradient(obj)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
-    return so_step(state, obj, dirs, slots, "gd+m(so)", grad, q,
-                   warm=warm, solver_opts=solver_opts)
+    return apply_rule(state, obj, rule, dirs, slots, "gd+m(so)", grad, q,
+                      warm=warm)
 
 
 # ---------------------------------------------------------------------------
 # LCP-only steps
 
-def step_nag_so(state, obj, scaled=False, warm=None, solver_opts=None):
+def step_nag_so(state, obj, rule="so", scaled=False):
     """3-d SO over gradient, momentum, and gradient-momentum directions.
 
     `scaled` (SNAG) adds a scaling of the iterate (delta = 1 + theta).
@@ -335,13 +364,15 @@ def step_nag_so(state, obj, scaled=False, warm=None, solver_opts=None):
     if scaled:
         dirs.append((state.w.copy(), state.m.copy()))
         slots.append("delta")
-    return so_step(state, obj, dirs, slots,
-                   "snag(so)" if scaled else "nag(so)", grad, q,
-                   warm=warm, solver_opts=solver_opts)
+    return apply_rule(state, obj, rule, dirs, slots,
+                      "snag(so)" if scaled else "nag(so)", grad, q)
 
 
-def step_nag_fixedL(state, obj):
-    """NAG(1/L): FISTA-style extrapolation with the same doubling rule."""
+def step_nag_fixedL(state, obj, rule="1/l"):
+    """NAG(1/L): FISTA-style extrapolation with the same doubling rule.
+
+    The 1/L rule backtracks from the extrapolated point, not the iterate.
+    """
     t_next, mix = fista_momentum(state.nag_t)
     if state.m_prev is None:
         y = state.blocks
@@ -354,14 +385,13 @@ def step_nag_fixedL(state, obj):
                       (grad_y,), obj.X.matvec(grad_y))
 
 
-def lbfgs_direction(pairs, grad, memory=10):
+def lbfgs_direction(pairs, grad):
     """Two-loop recursion for H*grad with (s'y / y'y) initial scaling.
 
     With no history this is just the gradient (identity initial matrix).
     """
     if not pairs:
         return grad.copy()
-    pairs = pairs[-memory:]
     q = grad.copy()
     alphas = []
     for s, yv, rho in reversed(pairs):
@@ -385,39 +415,34 @@ def _lbfgs_absorb(state, grad):
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv) + 1e-300):
             state.lbfgs_pairs.append((s, yv, 1.0 / sy))
-            if len(state.lbfgs_pairs) > state.lbfgs_memory:
+            if len(state.lbfgs_pairs) > LBFGS_MEMORY:
                 state.lbfgs_pairs.pop(0)
     state.pending_s = None
 
 
-def step_qn(state, obj, mode="lo", warm=None, solver_opts=None,
-            wolfe_opts=None):
-    """QN(LS)/QN(LO)/QN+M(SO) with L-BFGS directions and Shanno scaling."""
+def step_qn(state, obj, rule):
+    """QN(LS)/QN(LO)/QN+M(SO) with L-BFGS directions and Shanno scaling.
+
+    The SO rule adds the momentum direction.
+    """
     grad = obj.f_grad_margin(state.w, state.m)
     _lbfgs_absorb(state, grad)
-    d = lbfgs_direction(state.lbfgs_pairs, grad, state.lbfgs_memory)
+    d = lbfgs_direction(state.lbfgs_pairs, grad)
     flag = None
     if float(d @ grad) <= 0:
         d = -d
         flag = "negated_direction"
     q = obj.X.matvec(d)
     w_old = state.w
-    if mode == "wolfe":
-        rec = _wolfe_along(state, obj, (-d, -q), 1.0, "qn(ls)", (grad,), q,
-                           flag=flag, wolfe_opts=wolfe_opts)
-    else:
-        if mode == "lo":
-            method, dirs, slots = "qn(lo)", [(-d, -q)], ["alpha1"]
-        else:
-            method = "qn+m(so)"
-            dirs, slots = _with_momentum(state, (-d, -q))
-        rec = so_step(state, obj, dirs, slots, method, (grad,), q,
-                      warm=warm, solver_opts=solver_opts, flag=flag)
+    dirs, slots = _with_momentum(state, (-d, -q))
+    rec = apply_rule(state, obj, rule, dirs, slots,
+                     "qn+m(so)" if rule == "so" else f"qn({rule})", (grad,),
+                     None, flag=flag, alpha_init=1.0)
     state.pending_s = state.w - w_old
     return rec
 
 
-def adam_direction(state, grad, beta1=0.99, beta2=0.999, eps=1e-8):
+def adam_direction(state, grad):
     """Update the accumulators and return d = mu / (sqrt(v) + eps).
 
     No bias correction.
@@ -425,92 +450,76 @@ def adam_direction(state, grad, beta1=0.99, beta2=0.999, eps=1e-8):
     if state.adam_mu is None:
         state.adam_mu = np.zeros_like(grad)
         state.adam_v = np.zeros_like(grad)
-    state.adam_mu = beta1 * state.adam_mu + (1 - beta1) * grad
-    state.adam_v = beta2 * state.adam_v + (1 - beta2) * grad * grad
-    return state.adam_mu / (np.sqrt(state.adam_v) + eps)
+    state.adam_mu = ADAM_BETA1 * state.adam_mu + (1 - ADAM_BETA1) * grad
+    state.adam_v = (ADAM_BETA2 * state.adam_v
+                    + (1 - ADAM_BETA2) * grad * grad)
+    return state.adam_mu / (np.sqrt(state.adam_v) + ADAM_EPS)
 
 
-def step_adam(state, obj, mode="lo", beta1=0.99, beta2=0.999, eps=1e-8,
-              alpha_default=1e-3, warm=None, solver_opts=None,
-              wolfe_opts=None):
+def step_adam(state, obj, rule):
+    """Adam/Adam(LS)/Adam(LO)/Adam2(SO); SO adds the last Adam direction."""
     grad = obj.f_grad_margin(state.w, state.m)
-    d = adam_direction(state, grad, beta1, beta2, eps)
+    d = adam_direction(state, grad)
     q = obj.X.matvec(d)
-    method = {"default": "adam", "wolfe": "adam(ls)", "lo": "adam(lo)",
-              "two_dir_so": "adam2(so)"}[mode]
-    if mode == "default":
-        w_new = state.w - alpha_default * d
-        m_new = state.m - alpha_default * q
-        f_new = obj.f_value_margin(w_new, m_new)
-        rec = StepRecord(method, f_new, alpha1=alpha_default)
-        state.advance((w_new, m_new), f_new, (grad,), q)
-    elif mode == "wolfe":
-        flag = None
-        if float(d @ grad) <= 0:
-            # -d is not a descent direction; search along +d instead
-            d, q = -d, -q
-            flag = "negated_direction"
-            if float(d @ grad) <= 0:
-                rec = StepRecord(method, state.f, alpha1=0.0,
-                                 flag="no_descent")
-                state.advance((state.w.copy(), state.m.copy()), state.f,
-                              (grad,), q)
-                state.adam_d_prev, state.adam_d_prev_image = d, q
-                return rec
-        rec = _wolfe_along(state, obj, (-d, -q), state.alpha_prev or 1.0,
-                           method, (grad,), q, flag=flag,
-                           wolfe_opts=wolfe_opts)
-    else:
-        dirs = [(-d, -q)]
-        slots = ["alpha1"]
-        if mode == "two_dir_so" and state.adam_d_prev is not None:
-            dirs.append((-state.adam_d_prev, -state.adam_d_prev_image))
-            slots.append("alpha2")
-        rec = so_step(state, obj, dirs, slots, method, (grad,), q,
-                      warm=warm, solver_opts=solver_opts)
-    state.adam_d_prev, state.adam_d_prev_image = d, q
-    return rec
+    method = {"fixed": "adam", "so": "adam2(so)"}.get(rule, f"adam({rule})")
+    flag = None
+    if rule == "ls" and float(d @ grad) <= 0:
+        # -d is not a descent direction; search along +d instead
+        d, q = -d, -q
+        flag = "no_descent" if float(d @ grad) <= 0 else "negated_direction"
+    dirs = [(-d, -q)]
+    if state.adam_dir_prev is not None:
+        dirs.append(state.adam_dir_prev)
+    state.adam_dir_prev = dirs[0]
+    if flag == "no_descent":
+        state.advance((state.w.copy(), state.m.copy()), state.f, (grad,),
+                      None)
+        return StepRecord(method, state.f, alpha1=0.0, flag=flag)
+    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], method,
+                      (grad,), None, flag=flag)
 
 
 # ---------------------------------------------------------------------------
-# method registry and the step driver
+# method tables and the step driver
 
-def make_step(fn, **kw):
-    return lambda state, obj: fn(state, obj, **kw)
-
-
-# the methods written against the tracked-state adapter; the network
-# registers these same entries
+# each method is a step function, which builds its directions, and a
+# step-size rule; the network registers these same entries
 TRACKED_METHODS = {
-    "gd(1/l)": make_step(step_gd_fixedL),
-    "gd(ls)": make_step(step_gd_wolfe),
-    "gd(lo)": make_step(step_gd_lo),
-    "gd+m(ls)": make_step(step_cg_prp, mode="wolfe"),
-    "gd+m(lo)": make_step(step_cg_prp, mode="lo"),
-    "gd+m(so)": make_step(step_memory_gradient),
+    "gd(1/l)": (step_gd, "1/l"),
+    "gd(ls)": (step_gd, "ls"),
+    "gd(lo)": (step_gd, "lo"),
+    "gd+m(ls)": (step_cg_prp, "ls"),
+    "gd+m(lo)": (step_cg_prp, "lo"),
+    "gd+m(so)": (step_memory_gradient, "so"),
 }
 
 LCP_METHODS = {
     **TRACKED_METHODS,
-    "nag(1/l)": make_step(step_nag_fixedL),
-    "nag(so)": make_step(step_nag_so),
-    "snag(so)": make_step(step_nag_so, scaled=True),
-    "qn(ls)": make_step(step_qn, mode="wolfe"),
-    "qn(lo)": make_step(step_qn, mode="lo"),
-    "qn+m(so)": make_step(step_qn, mode="momentum_so"),
-    "adam": make_step(step_adam, mode="default"),
-    "adam(ls)": make_step(step_adam, mode="wolfe"),
-    "adam(lo)": make_step(step_adam, mode="lo"),
-    "adam2(so)": make_step(step_adam, mode="two_dir_so"),
+    "nag(1/l)": (step_nag_fixedL, "1/l"),
+    "nag(so)": (step_nag_so, "so"),
+    "snag(so)": (partial(step_nag_so, scaled=True), "so"),
+    "qn(ls)": (step_qn, "ls"),
+    "qn(lo)": (step_qn, "lo"),
+    "qn+m(so)": (step_qn, "so"),
+    "adam": (step_adam, "fixed"),
+    "adam(ls)": (step_adam, "ls"),
+    "adam(lo)": (step_adam, "lo"),
+    "adam2(so)": (step_adam, "so"),
 }
 
-# methods whose per-iteration product budget is exactly 2
-LO_SO_METHODS = ("gd(lo)", "gd(ls)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)",
-                 "nag(so)", "snag(so)", "qn(ls)", "qn(lo)", "qn+m(so)",
-                 "adam(ls)", "adam(lo)", "adam2(so)")
-# methods guaranteed monotone by the subsolver's never-worse bookkeeping
-MONOTONE_METHODS = ("gd(lo)", "gd+m(lo)", "gd+m(so)", "nag(so)", "snag(so)",
-                    "qn(lo)", "qn+m(so)", "adam(lo)", "adam2(so)")
+# rules whose per-iteration product budget is exactly 2
+TWO_PRODUCT_RULES = ("ls", "lo", "so")
+# rules never worse than the zero step, by the subsolver's bookkeeping
+MONOTONE_RULES = ("lo", "so")
+
+
+def methods_with_rule(table, rules) -> tuple[str, ...]:
+    """The names in a method table whose step-size rule is in `rules`."""
+    return tuple(name for name, (_, rule) in table.items() if rule in rules)
+
+
+LO_SO_METHODS = methods_with_rule(LCP_METHODS, TWO_PRODUCT_RULES)
+MONOTONE_METHODS = methods_with_rule(LCP_METHODS, MONOTONE_RULES)
 
 
 def drive(name, step, state, iters, meter, audit, audit_every,
@@ -551,8 +560,8 @@ def run(method: str, obj: LcpObjective, iters: int,
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in LCP_METHODS:
         raise KeyError(f"unknown method {method!r}")
-    step = LCP_METHODS[method]
-    return drive(method, lambda st: step(st, obj), init_state(obj, w0),
+    step, rule = LCP_METHODS[method]
+    return drive(method, lambda st: step(st, obj, rule), init_state(obj, w0),
                  iters, obj.X.counter_read,
                  lambda st: ("margin", audit_margin(st, obj), 1e-8),
                  audit_every, callback)

@@ -98,3 +98,13 @@ def test_nonpositive_sizes_are_usage_errors(tmp_path, capsys):
     for flags in (["--n", "0"], ["--d", "-1"], ["--hidden", "0"]):
         assert main(run + flags) == 1
         assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_nonfinite_lambda_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    for lam in ("nan", "inf", "-inf", "abc"):
+        assert main(["run", "--model", "logistic", "--method", "gd(lo)",
+                     "--iters", "2", "--n", "15", "--d", "3",
+                     "--lambda", lam, "--out", str(out)]) == 1, lam
+        assert "lambda" in capsys.readouterr().err
+        assert not out.exists()

@@ -47,6 +47,22 @@ def test_resolve_lambda():
         hz.resolve_lambda("half", 50)
 
 
+def test_bad_lambda_rejected_at_construction():
+    for bad in ("nan", "inf", "-inf", float("nan"), float("inf"), None):
+        with pytest.raises(hz.ConfigError):
+            hz.resolve_lambda(bad, 50)
+    for bad in ("abc", "nan", "inf", "-1", "1/m", float("nan")):
+        with pytest.raises(hz.ConfigError):
+            hz.ExperimentConfig(model="logistic", method="gd(lo)", iters=1,
+                                lam=bad)
+        with pytest.raises(hz.ConfigError):
+            hz.config_from_json('{"model": "net2", "method": "gd(lo)", '
+                                '"iters": 1}', overrides={"lam": bad})
+    cfg = hz.ExperimentConfig(model="logistic", method="gd(lo)", iters=1,
+                              lam="1/n")
+    assert cfg.lam == "1/n"
+
+
 def test_reference_matches_normal_equations():
     cfg = hz.ExperimentConfig(model="lsq", method="gd(lo)", iters=1,
                               kind="quadratic", n=30, d=5, seed=3)

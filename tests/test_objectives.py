@@ -111,3 +111,13 @@ def test_rejects_bad_construction():
         LcpObjective("hinge", ds)
     with pytest.raises(ValueError):
         LcpObjective("logistic", ds, -1.0)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_rejects_nonfinite_lambda(lam):
+    from subsearch.network import NetObjective
+    ds = gen_logistic(5, 2, seed=0)
+    with pytest.raises(ValueError):
+        LcpObjective("logistic", ds, lam)
+    with pytest.raises(ValueError):
+        NetObjective(ds, hidden=2, l2_lambda=lam)

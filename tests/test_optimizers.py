@@ -47,6 +47,28 @@ def test_registry_has_no_orphans():
         assert name in LCP_METHODS
 
 
+def test_method_sets_derive_from_rule_tables():
+    from subsearch import network
+
+    assert set(LO_SO_METHODS) == {
+        "gd(lo)", "gd(ls)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)", "nag(so)",
+        "snag(so)", "qn(ls)", "qn(lo)", "qn+m(so)", "adam(ls)", "adam(lo)",
+        "adam2(so)"}
+    assert set(MONOTONE_METHODS) == {
+        "gd(lo)", "gd+m(lo)", "gd+m(so)", "nag(so)", "snag(so)", "qn(lo)",
+        "qn+m(so)", "adam(lo)", "adam2(so)"}
+    assert set(network.NET_LO_SO_METHODS) == {
+        "gd(ls)", "gd(lo)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)", "gd(sb)",
+        "gd+m(sb)", "gd+m(so+sb)"}
+    assert set(network.NET_MONOTONE_METHODS) == {
+        "gd(lo)", "gd+m(lo)", "gd+m(so)", "gd(sb)", "gd+m(sb)",
+        "gd+m(so+sb)"}
+    for table in (LCP_METHODS, network.NET_METHODS):
+        for name, (step, rule) in table.items():
+            assert callable(step), name
+            assert rule in ("1/l", "fixed", "ls", "lo", "so"), name
+
+
 def test_nag_fixedL_matches_reference_fista():
     obj = LcpObjective("least_squares", gen_quadratic(20, 5, seed=6))
     X, y = obj.X.dense(), obj.y
