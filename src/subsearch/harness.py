@@ -11,6 +11,7 @@ a dense copy by design.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,6 +55,17 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # JSON configs arrive untyped: true is not 1, and 10.5 is no size
+        for name in ("iters", "n", "d", "seed", "hidden"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{name} must be an integer, "
+                                  f"got {value!r}")
+        if self.fstar is not None and (isinstance(self.fstar, bool)
+                                       or not isinstance(self.fstar,
+                                                         numbers.Real)):
+            raise ConfigError(f"fstar must be a number, got {self.fstar!r}")
         if self.model not in MODELS:
             raise ConfigError(
                 f"unknown model {self.model!r}; choose from {MODELS}")
@@ -113,6 +125,8 @@ def resolve_lambda(lam: str | float, n: int) -> float:
     """
     if lam == "1/n":
         return 1.0 / n
+    if isinstance(lam, bool):
+        raise ConfigError(f"bad lambda {lam!r}; use 0, 1/n, or a float")
     try:
         value = float(lam)
     except (TypeError, ValueError):
@@ -370,7 +384,7 @@ def _run_trace(cfg: ExperimentConfig) -> Trace:
 # reference optimum: full-space non-monotone Barzilai-Borwein, 5000 iters
 
 _REF_OPTS = SubSolverOptions(max_iters=5000, memory=10, grad_tol=1e-14,
-                             theta_cap=1e12)
+                             theta_cap=1e12, floor_stop=False)
 
 
 def compute_reference(cfg: ExperimentConfig) -> float:

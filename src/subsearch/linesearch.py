@@ -2,14 +2,40 @@
 
 These operate on 1-d callbacks so callers decide whether evaluations are
 margin-space (free) or full-space (counted).
+
+Both inner searches, the Wolfe search here and `subsolver.solve`, stop at
+the rounding floor: once neither the decrease a step predicts nor the change
+it makes is larger than a few ulps of |f| (`rounding_floor`), no step can
+change f and further trials only shuffle rounding noise.  This is the
+rounding-aware stop of Hager and Zhang's approximate Wolfe conditions (SIAM
+J. Optim. 2005).  Each search records why it ended in a `reason` shared by
+`WolfeResult` and `subsolver.SubSolveResult`:
+
+  "converged"       the search's own test holds (both Wolfe conditions;
+                    the subsolver's gradient tolerance)
+  "rounding_floor"  no step can change f beyond rounding
+  "max_iters"       the evaluation or iteration budget ran out
+  "backtrack_fail"  no backtracked trial was accepted (subsolver)
+  "nonfinite"       the gradient stopped being finite (subsolver)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
+
+Reason = Literal["converged", "rounding_floor", "max_iters",
+                 "backtrack_fail", "nonfinite"]
+
+# changes of f within 8 ulps of |f| are rounding
+_ROUNDING_REL = 8 * float(np.finfo(np.float64).eps)
+
+
+def rounding_floor(f: float) -> float:
+    """The change of f that rounding alone can make at f."""
+    return _ROUNDING_REL * abs(f)
 
 
 class LineSearchError(ValueError):
@@ -32,9 +58,14 @@ class WolfeOptions:
 class WolfeResult:
     alpha: float
     value: float
-    success: bool          # both conditions hold at alpha
+    reason: Reason
     verified: bool         # postcondition re-checked by direct evaluation
     evals: int
+
+    @property
+    def success(self) -> bool:
+        """Both Wolfe conditions hold at alpha."""
+        return self.reason == "converged"
 
 
 def strong_wolfe(phi: Callable[[float], float],
@@ -43,14 +74,27 @@ def strong_wolfe(phi: Callable[[float], float],
                  opts: WolfeOptions | None = None) -> WolfeResult:
     """Bracketing with step doubling, then midpoint zoom (Nocedal alg. 3.5).
 
-    On budget exhaustion, returns the best Armijo-satisfying step seen, or
-    alpha=0 with success=False if there is none.
+    A trial that passes both conditions is accepted.  A trial the search
+    would go on from, whose predicted decrease a |phi'(0)| and observed
+    change |phi(a) - phi(0)| are both within `rounding_floor(phi(0))`, ends
+    it with reason "rounding_floor": the result is the best Armijo step
+    whose decrease clears that floor, or alpha=0; a rounding-sized step is
+    never returned, since it carries no information about f.  A slope
+    phi'(0) >= 0 ends it the same way when alpha_init phi'(0) is within the
+    floor (its sign is rounding noise) and raises LineSearchError
+    otherwise.  On budget exhaustion ("max_iters") the result is the best
+    Armijo step seen, or alpha=0 if there is none.
     """
     opts = opts or WolfeOptions()
     phi0 = phi(0.0)
     g0 = dphi(0.0)
     evals = 2
+    a = max(alpha_init, 1e-16)
+    floor = rounding_floor(phi0)
     if g0 >= 0:
+        # at the floor the sign of a rounding-sized slope is noise
+        if a * g0 <= floor:
+            return WolfeResult(0.0, phi0, "rounding_floor", False, evals)
         raise LineSearchError("strong_wolfe needs a descent direction")
 
     c1, c2 = opts.c1, opts.c2
@@ -70,13 +114,17 @@ def strong_wolfe(phi: Callable[[float], float],
         da = dphi(a)
         ok = (va <= phi0 + c1 * a * g0 + 1e-12 * max(1.0, abs(phi0))
               and abs(da) <= c2 * abs(g0) + 1e-12 * abs(g0))
-        return WolfeResult(a, fa, True, bool(ok), evals)
+        return WolfeResult(a, fa, "converged", bool(ok), evals)
 
-    def fail():
-        if best_armijo is not None:
+    def lost(a, fa):
+        return -a * g0 <= floor and abs(fa - phi0) <= floor
+
+    def fail(reason="max_iters"):
+        if best_armijo is not None and (reason == "max_iters"
+                                        or phi0 - best_armijo[1] > floor):
             a, fa = best_armijo
-            return WolfeResult(a, fa, False, False, evals)
-        return WolfeResult(0.0, phi0, False, False, evals)
+            return WolfeResult(a, fa, reason, False, evals)
+        return WolfeResult(0.0, phi0, reason, False, evals)
 
     def zoom(lo, f_lo, hi, f_hi):
         nonlocal evals
@@ -85,31 +133,38 @@ def strong_wolfe(phi: Callable[[float], float],
             fa = phi(a)
             evals += 1
             note(a, fa)
-            if not armijo_ok(a, fa) or fa >= f_lo:
+            rejected = not armijo_ok(a, fa) or fa >= f_lo
+            if not rejected:
+                ga = dphi(a)
+                evals += 1
+                if abs(ga) <= -c2 * g0:
+                    return finish(a, fa)
+            if lost(a, fa):
+                return fail("rounding_floor")
+            if rejected:
                 hi, f_hi = a, fa
                 continue
-            ga = dphi(a)
-            evals += 1
-            if abs(ga) <= -c2 * g0:
-                return finish(a, fa)
             if ga * (hi - lo) >= 0:
                 hi, f_hi = lo, f_lo
             lo, f_lo = a, fa
         return fail()
 
     a_prev, f_prev = 0.0, phi0
-    a = max(alpha_init, 1e-16)
     first = True
     while evals < opts.max_evals:
         fa = phi(a)
         evals += 1
         note(a, fa)
-        if not armijo_ok(a, fa) or (not first and fa >= f_prev):
+        rejected = not armijo_ok(a, fa) or (not first and fa >= f_prev)
+        if not rejected:
+            ga = dphi(a)
+            evals += 1
+            if abs(ga) <= -c2 * g0:
+                return finish(a, fa)
+        if lost(a, fa):
+            return fail("rounding_floor")
+        if rejected:
             return zoom(a_prev, f_prev, a, fa)
-        ga = dphi(a)
-        evals += 1
-        if abs(ga) <= -c2 * g0:
-            return finish(a, fa)
         if ga >= 0:
             return zoom(a, fa, a_prev, f_prev)
         a_prev, f_prev = a, fa

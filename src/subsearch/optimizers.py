@@ -239,9 +239,12 @@ def _wolfe_along(state, obj, direction, alpha_init, method, grad,
     phi, dphi = state.line(obj, direction)
     res = strong_wolfe(phi, dphi, alpha_init)
     a = res.alpha
+    if not res.success:
+        flag = flag or ("wolfe_fail" if res.reason == "max_iters"
+                        else res.reason)
     rec = StepRecord(method, res.value, alpha1=a, inner_iters=res.evals,
                      wolfe_verified=res.verified if res.success else None,
-                     flag=flag if res.success else (flag or "wolfe_fail"))
+                     flag=flag)
     state.advance(_apply(state.blocks, [direction], [a]), res.value, grad,
                   grad_image)
     if a > 0:

@@ -3,10 +3,27 @@
 Barzilai-Borwein spectral steps safeguarded by a non-monotone Armijo
 backtracking rule; subproblems that expose a Hessian get damped Newton steps
 instead.  Starts at zero (unless warm-started) and returns the best point
-seen, so the result can never be worse than the zero step.  `converged`
-reports whether the gradient tolerance was met; a solve that stops at the
-iteration cap, after a failed backtrack or on a non-finite gradient still
-returns its best point, with `converged` false.
+seen, so the result can never be worse than the zero step.
+
+A solve ends at the first of these, recorded as its `reason` (the
+vocabulary `linesearch.Reason` shares with the Wolfe search):
+
+  "converged"       the gradient norm meets the tolerance
+  "rounding_floor"  the last accepted step changed f by no more than
+                    `linesearch.rounding_floor(f)`, and neither does the
+                    decrease -t g.d that the next proposal predicts at its
+                    full step t, before any backtracking; testing both keeps
+                    a Newton step that still has a real decrease to make
+                    (off with `floor_stop=False`)
+  "max_iters"       the iteration cap
+  "backtrack_fail"  no backtracked trial passes the Armijo test
+  "nonfinite"       the gradient is not finite
+
+Every reason returns the best point seen, except that a floor stop whose
+best gain over the zero step is itself within the floor returns the zero
+step, as the Wolfe search does: a rounding-sized step carries no
+information, and as the next momentum direction it is noise.
+`converged` is true for the first reason only.
 """
 
 from __future__ import annotations
@@ -15,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .linesearch import Reason, rounding_floor
 
 
 @dataclass
@@ -37,6 +56,10 @@ class SubSolverOptions:
     bb_max: float = 1e10
     theta_cap: float = 1e8           # reject trial points beyond this box
     max_backtracks: int = 60
+    # stop at the rounding floor; the full-space reference run turns this
+    # off, since over thousands of spectral steps rounding-sized gains
+    # still add up
+    floor_stop: bool = True
 
 
 @dataclass
@@ -44,7 +67,11 @@ class SubSolveResult:
     theta: np.ndarray
     value: float
     inner_iters: int
-    converged: bool
+    reason: Reason
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def _safe_value(phi, theta, cap):
@@ -72,7 +99,8 @@ def _newton_direction(H, g, tol):
     images cancel only up to rounding (the momentum terms right after a
     restart), and solving for it would turn rounding noise into an O(1)
     step that does not move the objective.  An exactly singular H (an
-    exactly zero direction) is left to the spectral step.
+    exactly zero direction, or an exactly zero eigenvalue on a mode the
+    step would have to solve for) is left to the spectral step.
     """
     try:
         step = np.linalg.solve(H, -g)
@@ -83,6 +111,8 @@ def _newton_direction(H, g, tol):
     w, V = np.linalg.eigh(H)
     keep = np.abs(w) > _FLAT_RCOND * float(np.max(np.abs(w)))
     if np.linalg.norm(V[:, ~keep].T @ g) > tol:
+        if not np.all(w):
+            return None
         keep[:] = True
     if np.all(keep) and w[0] > 0:
         return step
@@ -119,13 +149,15 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
     prev_grad = None
 
     iters = 0
-    converged = False
+    reason = "max_iters"
+    last_change = None      # |f change| of the last accepted step
     for iters in range(1, opts.max_iters + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
-            converged = True
+            reason = "converged"
             break
         if not np.isfinite(gnorm):
+            reason = "nonfinite"
             break
 
         direction = None
@@ -150,6 +182,10 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
                     t = 1.0
 
         slope = float(g @ direction)
+        if (opts.floor_stop and last_change is not None
+                and max(last_change, -t * slope) <= rounding_floor(f)):
+            reason = "rounding_floor"
+            break
         f_ref = max(recent)
         accepted = False
         for _ in range(opts.max_backtracks):
@@ -160,8 +196,10 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
                 break
             t *= 0.5
         if not accepted:
+            reason = "backtrack_fail"
             break
 
+        last_change = abs(f_trial - f)
         prev_theta, prev_grad = theta, g
         theta, f = trial, f_trial
         g = np.asarray(sp.grad(theta), dtype=np.float64)
@@ -171,4 +209,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
         if f < best_f:
             best_theta, best_f = theta.copy(), f
 
-    return SubSolveResult(best_theta, best_f, iters, converged)
+    if (reason == "rounding_floor"
+            and f_zero - best_f <= rounding_floor(f_zero)):
+        best_theta, best_f = zero, f_zero
+    return SubSolveResult(best_theta, best_f, iters, reason)

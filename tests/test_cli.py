@@ -108,3 +108,15 @@ def test_nonfinite_lambda_is_usage_error(tmp_path, capsys):
                      "--lambda", lam, "--out", str(out)]) == 1, lam
         assert "lambda" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_mistyped_json_config_is_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    out = tmp_path / "t.csv"
+    for fields in ('"iters": true, "lam": true', '"iters": 2, "n": 10.5'):
+        cfgfile.write_text('{"model": "logistic", "method": "gd(lo)", '
+                           '"d": 3, ' + fields + "}")
+        assert main(["run", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1, fields
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()

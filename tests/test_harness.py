@@ -251,3 +251,16 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
         fstar = hz.compute_reference(cfg)
         assert np.isfinite(fstar) and fstar <= trace.records[-1].f
         monkeypatch.undo()
+
+
+def test_config_fields_are_type_checked():
+    base = '{"model": "logistic", "method": "gd(lo)", "n": 20, "d": 3, '
+    for fields in ('"iters": true', '"iters": 2, "lam": true',
+                   '"iters": 2, "lam": false', '"iters": 2.0',
+                   '"iters": 2, "n": 10.5', '"iters": 2, "seed": 1.5',
+                   '"iters": 2, "hidden": "4"', '"iters": 2, "fstar": true',
+                   '"iters": 2, "fstar": "1"'):
+        with pytest.raises(hz.ConfigError):
+            hz.config_from_json(base + fields + "}")
+    cfg = hz.config_from_json(base + '"iters": 2, "lam": 0.5, "fstar": 1}')
+    assert (cfg.iters, cfg.lam, cfg.fstar) == (2, 0.5, 1)

@@ -94,3 +94,50 @@ def test_fista_schedule_matches_reference():
         t_prev = ts[-2]
         assert abs(t - 0.5 * (1 + np.sqrt(1 + 4 * t_prev ** 2))) < 1e-12
         assert abs(gamma - (t_prev - 1) / t) < 1e-12
+
+
+def test_wolfe_stops_at_rounding_floor_with_the_zero_step():
+    # f has stalled at 800: phi'(0) is rounding noise and every trial reads
+    # phi(0) give or take one ulp, so no step can show a decrease
+    ulp = np.spacing(800.0)
+    rng = np.random.default_rng(0)
+
+    def phi(a):
+        return 800.0 if a == 0 else 800.0 + ulp * float(rng.integers(-1, 2))
+
+    for a0 in (1.0, 0.5, 1e-3):
+        res = strong_wolfe(phi, lambda a: -1e-13, a0)
+        assert res.reason == "rounding_floor" and not res.success
+        assert res.evals <= 4
+        assert res.alpha == 0.0 and res.value == 800.0
+    # at the floor even the sign of phi'(0) is noise: no error, no step
+    res = strong_wolfe(phi, lambda a: 4.5e-16, 0.25)
+    assert res.reason == "rounding_floor" and res.alpha == 0.0
+
+
+def test_wolfe_floor_stop_keeps_an_armijo_step_that_clears_it():
+    # a decrease far above the floor at a = 1, then a rounding-sized bracket
+    g0 = -1e-14
+
+    def phi(a):
+        return 800.0 - 1e-11 if 0.9 < a < 1.1 else 800.0
+
+    res = strong_wolfe(phi, lambda a: g0, 1.0)
+    assert res.reason == "rounding_floor"
+    assert res.alpha == 1.0 and res.value == 800.0 - 1e-11
+
+
+def test_wolfe_floor_never_overrides_both_conditions():
+    # a trial passing both tests is accepted, however small its effect
+    res = strong_wolfe(lambda a: 800.0, lambda a: -1e-13 if a == 0 else 0.0,
+                       1.0)
+    assert res.reason == "converged" and res.success and res.alpha == 1.0
+
+
+def test_wolfe_budget_exhaustion_reason_is_max_iters():
+    # phi(0) = 0 puts the rounding floor at zero, so only the budget ends it
+    res = strong_wolfe(lambda a: -1e-12 * a, lambda a: -1e-12, 1.0,
+                       WolfeOptions(max_evals=8))
+    assert res.reason == "max_iters"
+    assert strong_wolfe(lambda a: (a - 2.0) ** 2, lambda a: 2.0 * (a - 2.0),
+                        1.0).reason == "converged"

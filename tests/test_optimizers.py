@@ -267,3 +267,36 @@ def test_run_functions_record_step_wall_time(logistic_obj):
         assert len(recs) == 5
         assert all(r.elapsed_s > 0 for r in recs)
         assert sum(r.elapsed_s for r in recs) <= wall
+
+
+@pytest.mark.parametrize("method,n,d,seed", [
+    *[(m, 200, 20, s) for m in ("gd+m(ls)", "qn(ls)") for s in (1, 2, 3)],
+    ("qn(ls)", 400, 40, 3)])
+def test_wolfe_methods_run_past_the_rounding_floor(method, n, d, seed):
+    # f stalls near iteration 100; past it the Wolfe search must end at
+    # the floor without committing rounding-sized steps, which turned the
+    # next momentum or quasi-Newton direction into noise (margin drift,
+    # ascent directions)
+    obj = LcpObjective("logistic", gen_logistic(n, d, seed), 1.0 / n)
+    state, recs = run(method, obj, 300)
+    assert audit_margin(state, obj) <= 1e-8
+    assert max(r.inner_iters for r in recs) <= 20
+    assert any(r.flag == "rounding_floor" for r in recs)
+
+
+def test_plane_search_stops_at_the_rounding_floor(monkeypatch):
+    # past iteration ~105 f is stuck and the momentum direction exactly
+    # zero; every solve used to spend its whole 100-iteration cap there
+    import subsearch.optimizers as opt
+    orig, reasons = opt.solve, []
+
+    def solve(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        reasons.append(res.reason)
+        return res
+
+    monkeypatch.setattr(opt, "solve", solve)
+    obj = LcpObjective("logistic", gen_logistic(1000, 100, 0), 1e-3)
+    _, recs = run("gd+m(so)", obj, 200)
+    assert "max_iters" not in reasons and "rounding_floor" in reasons
+    assert sum(r.inner_iters for r in recs) <= 1000

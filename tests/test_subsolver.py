@@ -142,3 +142,49 @@ def test_concave_mode_is_descended_not_climbed():
     res = solve(sp)
     assert res.converged
     assert abs(res.theta[0] - 1.0) < 1e-3 and res.theta[1] < -1.0
+
+
+def test_newton_direction_never_divides_by_a_zero_eigenvalue():
+    # two nearly equal logdet rank-2 directions: eigh returns an exactly
+    # zero eigenvalue while the gradient on that mode is above tol
+    from subsearch.subsolver import _newton_direction
+    H = np.array([[488.0308830323563, 488.03088098172606],
+                  [488.03088098172606, 488.03087893109586]])
+    g = np.array([28.334036353772525, 28.334032771122015])
+    step = _newton_direction(H, g, 1.1657373794775867e-07)
+    assert step is None or np.all(np.isfinite(step))
+
+
+def _stalled(f0=800.0):
+    # f has stopped changing: values move down by an ulp or not at all, the
+    # gradient is noise above any tolerance and the Hessian is exactly
+    # singular
+    ulp = np.spacing(f0)
+    return SubProblem(
+        2, lambda t: f0 - ulp * (np.round(1e10 * t[0]) % 2),
+        lambda t: np.array([3e-10, -2e-10]),
+        lambda t: np.zeros((2, 2)))
+
+
+def test_solve_reasons():
+    H = np.array([[2.0, 0.3], [0.3, 1.0]])
+    b = np.array([1.0, -2.0])
+    assert solve(quad(H, b)).reason == "converged"
+    assert solve(quad(H, b), SubSolverOptions(max_iters=2)).reason \
+        == "max_iters"
+    walled = SubProblem(1, lambda t: np.inf if t.any() else 0.0,
+                        lambda t: np.array([1.0]))
+    assert solve(walled).reason == "backtrack_fail"
+    bad = SubProblem(1, lambda t: float(t[0]),
+                     lambda t: np.array([np.nan if t[0] else 1.0]))
+    assert solve(bad).reason == "nonfinite"
+    res = solve(_stalled())
+    assert res.reason == "rounding_floor" and not res.converged
+    assert res.inner_iters <= 3
+    # a gain within the floor is no gain: the zero step comes back
+    assert res.value == 800.0 and not res.theta.any()
+
+
+def test_floor_stop_can_be_turned_off():
+    res = solve(_stalled(), SubSolverOptions(floor_stop=False))
+    assert res.reason == "max_iters" and res.value < 800.0
