@@ -1,11 +1,16 @@
 """Experiment pipeline: configs, reference optima, and CSV trace emission.
 
 A Trace is one method run on one problem: the initial point plus one
-StepRecord per iteration.  LCP and network gradient norms (and the network
-f0) are computed with audit products on the data's own payload, so sparse
+StepRecord per iteration.  Row k's gradient norm is the norm of the full
+gradient that the next step already took at row k's iterate
+(`StepRecord.gnorm` of record k+1), so it costs no product.  Rows whose step took no such gradient (nag(1/l),
+which takes it at its extrapolated point, and every matfact and logdet
+step) and the last row are audited instead.  LCP and network audits (and
+the network f0) use audit products on the data's own payload, so sparse
 inputs stay sparse, instrumentation never touches the per-iteration product
-budget, and its cost shows in the audit counter.  matfact and logdet work on
-a dense copy by design.
+budget, and its cost shows in the audit counter: one gnorm per LCP or
+network run, plus one per row for nag(1/l).  matfact and logdet work on a
+dense copy by design.
 """
 
 from __future__ import annotations
@@ -215,17 +220,22 @@ def parse_csv(text: str) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # model families: each builds its problem once from a config and supplies the
-# initial f and gradient norm, a gradient-norm callback that spends no budget
-# products (LCP and net use audit products), the run call, and the full-space
-# reference problem on raw arrays
+# initial f and iterate, a state's iterate, the audit gradient norm of an
+# iterate (no budget products; LCP and net use audit products) for the last
+# row and the rows whose step records no gnorm, the run call, and the
+# full-space reference problem on raw arrays with its strong convexity
 
 @dataclass
 class _Family:
     f0: float
-    gnorm0: float
-    gnorm: Callable             # state -> float
+    x0: tuple                   # the initial iterate's arrays
+    iterate: Callable           # state -> its iterate's arrays
+    gnorm: Callable             # *iterate arrays -> float
     run: Callable               # callback -> (state, records)
     reference: SubProblem       # raw-array objective over a flat vector
+    # strong convexity modulus of `reference` (lambda for the LCPs), or 0
+    # where none is known and f* cannot be certified
+    convexity: float = 0.0
 
 
 _LOSS = {"logistic": "logistic", "lsq": "least_squares"}
@@ -248,10 +258,10 @@ def _lcp_family(cfg: ExperimentConfig) -> _Family:
 
     state0 = _optimizers.init_state(obj)
     return _Family(
-        state0.f, gnorm(state0.w, state0.m),
-        lambda st: gnorm(st.w, st.m),
+        state0.f, state0.blocks, lambda st: st.blocks, gnorm,
         lambda cb: _optimizers.run(cfg.method, obj, cfg.iters, callback=cb),
-        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad))
+        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad),
+        lam)
 
 
 def _net_family(cfg: ExperimentConfig) -> _Family:
@@ -288,8 +298,8 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
         return np.concatenate([gW.ravel(), gv])
 
     return _Family(
-        obj.value(W0, v0, audit=True), gnorm(W0, v0),
-        lambda st: gnorm(st.W, st.v),
+        obj.value(W0, v0, audit=True), (W0, v0), lambda st: (st.W, st.v),
+        gnorm,
         lambda cb: _network.run(cfg.method, obj, cfg.iters, seed=cfg.seed,
                                 params=(W0, v0), callback=cb),
         SubProblem(d * r + r, ref_value, ref_grad))
@@ -304,8 +314,8 @@ def _matfact_family(cfg: ExperimentConfig) -> _Family:
         G = U @ W.T - X
         return G @ W, G.T @ U
 
-    def gnorm(st):
-        gU, gW = grads(st.U, st.W)
+    def gnorm(U, W):
+        gU, gW = grads(U, W)
         return float(np.sqrt(np.sum(gU ** 2) + np.sum(gW ** 2)))
 
     def unpack(t):
@@ -317,7 +327,7 @@ def _matfact_family(cfg: ExperimentConfig) -> _Family:
         return _matfact.pca_value(U @ W.T, X)
 
     return _Family(
-        st0.f, gnorm(st0), gnorm,
+        st0.f, (st0.U, st0.W), lambda st: (st.U, st.W), gnorm,
         lambda cb: _matfact.run(cfg.method, X, cfg.hidden, cfg.iters,
                                 seed=cfg.seed, callback=cb),
         SubProblem((n + d) * r, ref_value, lambda t: np.concatenate(
@@ -349,9 +359,8 @@ def _logdet_family(cfg: ExperimentConfig) -> _Family:
 
     rank = 1 if cfg.method == "rank1" else 2
     return _Family(
-        _logdet.f_gauss(_logdet.init_state(S)),
-        float(np.linalg.norm(S - eye)),
-        lambda st: float(np.linalg.norm(st.S - np.linalg.inv(st.V))),
+        _logdet.f_gauss(_logdet.init_state(S)), (eye,), lambda st: (st.V,),
+        lambda V: float(np.linalg.norm(S - np.linalg.inv(V))),
         lambda cb: _logdet.run(S, rank, cfg.iters, callback=cb),
         SubProblem(d * d, ref_value, ref_grad))
 
@@ -372,11 +381,23 @@ def _family(cfg: ExperimentConfig) -> _Family:
 
 
 def _run_trace(cfg: ExperimentConfig) -> Trace:
+    """Run the family; row k's gnorm is the norm of the gradient the next
+    step took at row k's iterate, or an audit of that iterate where the
+    step's record has none.  The last row is always an audit."""
     family = _family(cfg)
-    gnorms = []
-    _, records = family.run(
-        lambda k, state, rec: gnorms.append(family.gnorm(state)))
-    return Trace(cfg, family.f0, family.gnorm0, records, gnorms,
+    gnorms = []                 # gnorms[k] is row k's
+    start = [family.x0]         # the iterate the next step starts from
+
+    def on_step(k, state, rec):
+        gnorms.append(family.gnorm(*start[0]) if rec.gnorm is None
+                      else rec.gnorm)
+        # steps replace the iterate's arrays and never write into them, so
+        # holding them keeps this iterate for the next row's audit
+        start[0] = family.iterate(state)
+
+    state, records = family.run(on_step)
+    gnorms.append(family.gnorm(*family.iterate(state)))
+    return Trace(cfg, family.f0, gnorms[0], records, gnorms[1:],
                  fstar=cfg.fstar)
 
 
@@ -387,15 +408,30 @@ _REF_OPTS = SubSolverOptions(max_iters=5000, memory=10, grad_tol=1e-14,
                              theta_cap=1e12, floor_stop=False)
 
 
-def compute_reference(cfg: ExperimentConfig) -> float:
-    """Minimum objective seen by 5000 full-space spectral-step iterations.
+def reference_certificate(cfg: ExperimentConfig
+                          ) -> tuple[float, float | None]:
+    """The minimum objective f(w_ref) seen by 5000 full-space spectral-step
+    iterations, and a bound on f(w_ref) - f*, or None where there is none.
 
-    Instrumentation-free: all linear algebra runs on raw arrays.
+    A mu-strongly convex f (the LCPs with lambda > 0, mu = lambda) has
+    f(w) - f* <= |grad f(w)|^2 / (2 mu) at every w; elsewhere f(w_ref) is
+    only the best value seen.  Instrumentation-free: all linear algebra runs
+    on raw arrays.
     """
-    res = solve(_family(cfg).reference, _REF_OPTS)
+    family = _family(cfg)
+    res = solve(family.reference, _REF_OPTS)
     if not np.isfinite(res.value):
         raise RuntimeError("reference run diverged")
-    return float(res.value)
+    bound = None
+    if family.convexity > 0:
+        g = family.reference.grad(res.theta)
+        bound = float(g @ g) / (2.0 * family.convexity)
+    return float(res.value), bound
+
+
+def compute_reference(cfg: ExperimentConfig) -> float:
+    """The reference optimum f* of `reference_certificate`."""
+    return reference_certificate(cfg)[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:

@@ -39,6 +39,7 @@ to (step, rule), and the budget and monotone method sets derive from them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -74,6 +75,9 @@ class StepRecord:
     flag: str | None = None
     wolfe_verified: bool | None = None
     elapsed_s: float = 0.0
+    # norm of the full gradient the step took at its starting iterate; None
+    # where the step took no gradient there (nag(1/l), matfact, logdet)
+    gnorm: float | None = None
 
 
 def pr_plus(grad, grad_prev, w, w_prev, formula="hs"):
@@ -218,16 +222,28 @@ def _apply(blocks, dirs, theta):
 
 def so_step(state, obj, dirs, slots, method, grad, grad_image,
             warm=None, flag=None):
-    """Solve the restriction to `dirs` and commit the result."""
+    """Solve the restriction to `dirs` and commit the result.
+
+    The recorded f is the value at the committed point, which differs from
+    the restriction's value at theta by rounding.  Where it lies above the
+    iterate's f, the zero step is committed instead (flag `rounding_floor`),
+    so the recorded f of LO and SO never rises.
+    """
     res = state.subspace_solve(obj, dirs, warm)
-    rec = StepRecord(method=method, f=res.value, inner_iters=res.inner_iters,
+    theta = res.theta
+    blocks = _apply(state.blocks, dirs, theta)
+    f = state.value(obj, blocks)
+    if f > state.f:
+        theta, f = np.zeros_like(theta), state.f
+        blocks = [b.copy() for b in state.blocks]
+        flag = flag or "rounding_floor"
+    rec = StepRecord(method=method, f=f, inner_iters=res.inner_iters,
                      flag=flag)
-    for slot, t in zip(slots, res.theta):
+    for slot, t in zip(slots, theta):
         setattr(rec, slot, float(t))
     if "delta" in slots:
         rec.delta = rec.delta + 1.0  # recorded as the actual scaling factor
-    state.advance(_apply(state.blocks, dirs, res.theta), res.value, grad,
-                  grad_image)
+    state.advance(blocks, f, grad, grad_image)
     if rec.alpha1:
         state.alpha_prev = rec.alpha1
     return rec
@@ -286,24 +302,29 @@ def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
     a strong Wolfe search along `dirs[0]` from `alpha_init` (default: the
     last accepted step size, or 1); "lo" optimizes the step size along
     `dirs[0]` and "so" one step size per direction, `slots` naming the
-    record fields.
+    record fields.  `grad` is the full gradient at the iterate, and its
+    norm goes into the record.
     """
+    gnorm = math.sqrt(state.dot(grad, grad))
     if rule == "1/l":
-        return _backtrack(state, obj, method, state.blocks, state.f, grad,
-                          grad_image)
-    if rule == "fixed":
+        rec = _backtrack(state, obj, method, state.blocks, state.f, grad,
+                         grad_image)
+    elif rule == "fixed":
         blocks = _apply(state.blocks, dirs[:1], [FIXED_STEP])
         f = state.value(obj, blocks)
         state.advance(blocks, f, grad, grad_image)
-        return StepRecord(method, f, alpha1=FIXED_STEP, flag=flag)
-    if rule == "ls":
-        return _wolfe_along(state, obj, dirs[0],
-                            alpha_init or state.alpha_prev or 1.0, method,
-                            grad, grad_image, flag)
-    if rule == "lo":
-        dirs, slots = dirs[:1], slots[:1]
-    return so_step(state, obj, dirs, slots, method, grad, grad_image,
-                   warm=warm, flag=flag)
+        rec = StepRecord(method, f, alpha1=FIXED_STEP, flag=flag)
+    elif rule == "ls":
+        rec = _wolfe_along(state, obj, dirs[0],
+                           alpha_init or state.alpha_prev or 1.0, method,
+                           grad, grad_image, flag)
+    else:
+        if rule == "lo":
+            dirs, slots = dirs[:1], slots[:1]
+        rec = so_step(state, obj, dirs, slots, method, grad, grad_image,
+                      warm=warm, flag=flag)
+    rec.gnorm = gnorm
+    return rec
 
 
 def step_gd(state, obj, rule, warm=None):
@@ -477,7 +498,8 @@ def step_adam(state, obj, rule):
     if flag == "no_descent":
         state.advance((state.w.copy(), state.m.copy()), state.f, (grad,),
                       None)
-        return StepRecord(method, state.f, alpha1=0.0, flag=flag)
+        return StepRecord(method, state.f, alpha1=0.0, flag=flag,
+                          gnorm=math.sqrt(state.dot((grad,), (grad,))))
     return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], method,
                       (grad,), None, flag=flag)
 

@@ -2,6 +2,8 @@
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from subsearch.cli import main
 
 
@@ -31,6 +33,27 @@ def test_ref_then_plot_consume_each_other(tmp_path, capsys):
                  "--out", str(fig)]) == 0
     ET.parse(str(fig))
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model,lam,certified", [
+    ("logistic", "1/n", True), ("lsq", "0.5", True),
+    ("logistic", "0", False), ("net2_reg", "1/n", False)])
+def test_ref_certifies_or_labels_fstar(tmp_path, capsys, model, lam,
+                                       certified):
+    out = tmp_path / "fstar.txt"
+    assert main(["ref", "--model", model, "--method", "gd(lo)",
+                 "--iters", "1", "--n", "40", "--d", "6", "--seed", "2",
+                 "--hidden", "3", "--lambda", lam, "--out", str(out)]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert out.read_text() == first + "\n"
+    assert float(first) > 0
+    if certified:
+        head, _, rest = second.partition(", certified by lambda-strong")
+        bound = float(head.split("<=")[1])
+        assert head.startswith("f(w_ref) - f* <=") and rest
+        assert 0 <= bound <= 1e-8
+    else:
+        assert second == "f* is the best value seen, not certified"
 
 
 def test_steps_plot(tmp_path, capsys):

@@ -198,9 +198,10 @@ def test_benchmark_entry_points_stay_patchable(monkeypatch):
 
 
 def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
-    """LCP and net gradient norms go through audit products on the CSR
-    payload, and the reference runs on the raw payload: neither densifies
-    X, budgets stay exact, and gnorms match a dense-payload run."""
+    """LCP and net gradient norms (the steps' own, and the last row's audit
+    product) stay on the CSR payload, and the reference runs on the raw
+    payload: neither densifies X, budgets and audit counts stay exact, and
+    gnorms match a dense-payload run."""
     import scipy.sparse as sp
 
     from subsearch.counted import CountedMatrix
@@ -228,10 +229,11 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
         raise AssertionError("CountedMatrix.dense called")
 
     iters = 8
-    # model, method, products before the first step, audit products per
-    # gnorm and at iteration 0 (net2: f0 costs one more)
-    cases = [("logistic", "gd+m(so)", 0, 1, 1), ("net2", "gd(ls)", 1, 2, 3)]
-    for model, method, init, per_gnorm, at_zero in cases:
+    # model, method, products before the first step, and audit products:
+    # the last row's gnorm (net2: two products, plus one for f0); every
+    # other row's gnorm is the norm of the gradient its step already took
+    cases = [("logistic", "gd+m(so)", 0, 1), ("net2", "gd(ls)", 1, 3)]
+    for model, method, init, audits in cases:
         cfg = hz.ExperimentConfig(model=model, method=method, iters=iters,
                                   data=str(path), hidden=3, seed=1,
                                   lam="1/n")
@@ -244,13 +246,59 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
         assert X.is_sparse
         assert X.counter.read() == init + sum(r.products
                                               for r in trace.records)
-        assert X.audit_counter.read() == at_zero + per_gnorm * iters
+        assert X.audit_counter.read() == audits
         got = np.array([trace.gnorm0] + trace.gnorms)
         want = np.array([dense.gnorm0] + dense.gnorms)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), model
         fstar = hz.compute_reference(cfg)
         assert np.isfinite(fstar) and fstar <= trace.records[-1].f
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("iters", [0, 1, 100])
+@pytest.mark.parametrize("model", ["logistic", "lsq"])
+def test_lcp_gnorms_come_from_the_steps_own_gradients(monkeypatch, model,
+                                                      iters):
+    """Every LCP row's gnorm equals the old per-row audit of the iterate,
+    while only nag(1/l), whose gradient is taken at its extrapolated point,
+    still pays an audit product per row."""
+    from subsearch import optimizers as opt
+
+    run, load, datasets = opt.run, hz.load_dataset, []
+
+    def load_and_keep(cfg):
+        datasets.append(load(cfg))
+        return datasets[-1]
+
+    def audit_gnorm(obj, w, m):
+        return float(np.linalg.norm(obj.f_grad_margin(w, m, audit=True)))
+
+    def run_with_audits(method, obj, iters, callback=None, **kwargs):
+        # the per-row audit the harness used to make; its own audit
+        # products are subtracted below
+        want.append(audit_gnorm(obj, np.zeros(obj.d), np.zeros(obj.n)))
+
+        def audit_then_callback(k, state, rec):
+            want.append(audit_gnorm(obj, state.w, state.m))
+            callback(k, state, rec)
+
+        return run(method, obj, iters, callback=audit_then_callback,
+                   **kwargs)
+
+    monkeypatch.setattr(hz, "load_dataset", load_and_keep)
+    monkeypatch.setattr(opt, "run", run_with_audits)
+    for method in hz.methods_for_model(model):
+        want = []
+        cfg = hz.ExperimentConfig(model=model, method=method, iters=iters,
+                                  n=40, d=6, seed=1, lam="1/n",
+                                  kind="quadratic" if model == "lsq"
+                                  else "logistic")
+        trace = hz.run_experiment(cfg)
+        assert [trace.gnorm0] + trace.gnorms == want, method
+        audits = datasets[-1].X.audit_counter.read() - len(want)
+        per_row = iters if method == "nag(1/l)" else 0
+        # the last row's gnorm and the margin audit every 100 steps
+        assert audits == 1 + per_row + iters // 100, method
 
 
 def test_config_fields_are_type_checked():

@@ -7,8 +7,9 @@ from subsearch.data import gen_logistic, gen_quadratic
 from subsearch.linesearch import fista_momentum
 from subsearch.objectives import LcpObjective
 from subsearch.optimizers import (LCP_METHODS, LO_SO_METHODS,
-                                  MONOTONE_METHODS, audit_margin,
-                                  init_state, pr_plus, run)
+                                  MONOTONE_METHODS, audit_margin, grad_dir,
+                                  init_state, pr_plus, run, so_step)
+from subsearch.subsolver import SubSolveResult
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,37 @@ def test_monotone_methods_never_increase(logistic_obj):
         for r in recs:
             assert r.f <= f_prev + 1e-12 * max(1.0, abs(f_prev)), method
             f_prev = r.f
+
+
+@pytest.mark.parametrize("n,d,seed,lam,iters,methods", [
+    (200, 20, 1, 0.0, 60, MONOTONE_METHODS),
+    (200, 20, 1, 1 / 200, 60, MONOTONE_METHODS),
+    (2000, 200, 4, 1 / 2000, 200, ("snag(so)",))])
+def test_monotone_methods_record_no_rise_at_all(n, d, seed, lam, iters,
+                                                methods):
+    # no slack: the recorded f is the committed point's own value, where the
+    # restriction's value at theta could lie a few ulps above the last one
+    obj = LcpObjective("least_squares", gen_quadratic(n, d, seed), lam)
+    for method in methods:
+        f_prev = init_state(obj).f
+        _, recs = run(method, obj, iters)
+        for k, r in enumerate(recs, 1):
+            assert r.f <= f_prev, f"{method} iteration {k}: {r.f!r} rose"
+            f_prev = r.f
+
+
+def test_so_step_commits_the_zero_step_rather_than_a_rise(logistic_obj):
+    state = init_state(logistic_obj)
+    w0, m0, f0 = state.w, state.m, state.f
+    grad, q = state.gradient(logistic_obj)
+    # a solve that reports a gain for a step up the gradient
+    state.subspace_solve = lambda obj, dirs, warm: SubSolveResult(
+        np.array([-1.0]), f0 - 1.0, 3, "converged")
+    rec = so_step(state, logistic_obj, [grad_dir(grad, q)], ["alpha1"],
+                  "gd(lo)", grad, q)
+    assert (rec.f, rec.alpha1, rec.flag) == (f0, 0.0, "rounding_floor")
+    assert rec.inner_iters == 3 and state.f == f0
+    assert np.array_equal(state.w, w0) and np.array_equal(state.m, m0)
 
 
 def test_margin_drift_stays_small(logistic_obj):
