@@ -28,7 +28,7 @@ from . import network as _network
 from . import optimizers as _optimizers
 from .data import Dataset, gen_logistic, gen_quadratic, parse_libsvm
 from .data import standardize as _standardize
-from .network import NetObjective, NetState, init_params
+from .network import NetObjective, init_params
 from .objectives import LcpObjective
 from .optimizers import StepRecord
 from .subsolver import SubProblem, SubSolverOptions, solve
@@ -275,7 +275,7 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
     d, r = ds.d, cfg.hidden
 
     def grad(W, v, mul, tmul):
-        R, gv = _network.backward(obj, NetState(W, v, mul(W), 0.0))
+        R, gv = _network.backward(obj, v, mul(W))
         gW = tmul(R)
         if lam > 0:
             gW = gW + lam * W

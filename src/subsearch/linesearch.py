@@ -173,28 +173,22 @@ def strong_wolfe(phi: Callable[[float], float],
     return fail()
 
 
-@dataclass
-class LEstimate:
-    L: float = 1.0
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+# backtrack_half gives up once its curvature estimate passes this
+MAX_L = 1e30
 
 
 def backtrack_half(value_at: Callable[[float], float],
                    f0: float, grad_sq: float,
-                   est: LEstimate,
-                   max_L: float = 1e30) -> tuple[float, float, int]:
+                   L: float) -> tuple[float, float, int]:
     """Double L until f(w - (1/L) grad) <= f0 - (1/(2L)) ||grad||^2.
 
-    value_at(L) must return the objective at the step with constant 1/L.
-    Returns (L, accepted value, number of doublings).  The accepted L is the
-    one whose trial evaluation satisfied the inequality directly.
+    value_at(L) must return the objective at the step with constant 1/L,
+    and the search starts from the estimate `L` > 0.  Returns (L, accepted
+    value, number of doublings).  The accepted L is the one whose trial
+    evaluation satisfied the inequality directly.
     """
     if grad_sq <= 0:
         raise LineSearchError("backtrack_half needs a nonzero gradient")
-    L = est.L
     doublings = 0
     while True:
         f_trial = value_at(L)
@@ -202,9 +196,8 @@ def backtrack_half(value_at: Callable[[float], float],
             break
         L *= 2.0
         doublings += 1
-        if L > max_L:
-            raise LineSearchError("curvature estimate exceeded 1e30")
-    est.L = L
+        if L > MAX_L:
+            raise LineSearchError(f"curvature estimate exceeded {MAX_L:g}")
     return L, f_trial, doublings
 
 

@@ -9,15 +9,14 @@ first-layer gradient and X (X^T R) for its image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, _normals, _seed_state
-from .linesearch import LEstimate
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
-                         StepRecord, apply_rule, drive, methods_with_rule,
-                         momentum_dir, pr_plus)
+                         StepRecord, TrackedState, apply_rule, drive,
+                         methods_with_rule, momentum_dir, pr_plus)
 # the tied (both-layer) steps are the shared tracked-state steps
 from .optimizers import step_gd_fixedL, step_gd_lo  # noqa: F401
 from .optimizers import step_memory_gradient as step_mg_so  # noqa: F401
@@ -170,44 +169,24 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     return SubProblem(p, value, grad, hess)
 
 
-def _flat(blocks):
-    return np.concatenate([b.ravel() for b in blocks])
-
-
-@dataclass
-class NetState:
-    """Network iterate; the tracked-state adapter of `optimizers`."""
-    W: np.ndarray               # d x r
-    v: np.ndarray               # r
-    M: np.ndarray               # n x r, tracked XW
-    f: float
-    W_prev: np.ndarray | None = None
-    v_prev: np.ndarray | None = None
-    M_prev: np.ndarray | None = None
-    gW_prev: np.ndarray | None = None
-    gv_prev: np.ndarray | None = None
-    alpha_prev: float | None = None
-    L: LEstimate = field(default_factory=LEstimate)
+class NetState(TrackedState):
+    """Network iterate: blocks (W, v, M), W d x r, v r, M = XW n x r."""
 
     @property
-    def blocks(self):
-        return (self.W, self.v, self.M)
+    def W(self):
+        return self.blocks[0]
 
     @property
-    def prev_blocks(self):
-        if self.M_prev is None:
-            return None
-        return (self.W_prev, self.v_prev, self.M_prev)
+    def v(self):
+        return self.blocks[1]
 
-    def advance(self, blocks, f, grad, grad_image):
-        self.W_prev, self.v_prev, self.M_prev = self.W, self.v, self.M
-        self.gW_prev, self.gv_prev = grad
-        self.W, self.v, self.M = blocks
-        self.f = f
+    @property
+    def M(self):
+        return self.blocks[2]
 
     def gradient(self, obj: NetObjective):
         """Full gradient (gW, gv) and image D = X gW; two counted products."""
-        R, gv = backward(obj, self)
+        R, gv = backward(obj, self.v, self.M)
         gW = obj.X.rmatmat(R)
         if obj.l2_lambda > 0:
             gW = gW + obj.l2_lambda * self.W
@@ -224,14 +203,6 @@ class NetState:
     @staticmethod
     def dot(a, b) -> float:
         return float(np.sum(a[0] * b[0])) + float(a[1] @ b[1])
-
-    def momentum_coef(self, grad) -> float:
-        """PR+ over both layers jointly."""
-        if self.gW_prev is None:
-            return 0.0
-        return pr_plus(_flat(grad), _flat((self.gW_prev, self.gv_prev)),
-                       _flat((self.W, self.v)),
-                       _flat((self.W_prev, self.v_prev)))
 
     def subspace_solve(self, obj: NetObjective, dirs, warm):
         sp = subspace_restrict(obj, self.W, self.v, self.M, dirs)
@@ -267,22 +238,22 @@ def init_state(obj: NetObjective, seed: int = 0,
         W = np.asarray(params[0], dtype=np.float64).copy()
         v = np.asarray(params[1], dtype=np.float64).copy()
     M = obj.X.matmat(W)
-    return NetState(W=W, v=v, M=M, f=obj.value_tracked(W, v, M))
+    return NetState((W, v, M), obj.value_tracked(W, v, M))
 
 
-def backward(obj: NetObjective, state: NetState
+def backward(obj: NetObjective, v: np.ndarray, M: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-rule factors from the tracked M; zero counted products.
+    """Chain-rule factors from the pre-activations M; zero counted products.
 
     Returns (R, grad_v) with R_ij = dg_i (1 - tanh^2(M_ij)) v_j; the full
     first-layer gradient is X^T R (+ lambda W), computed by the caller.
     """
-    H = np.tanh(state.M)
-    gg = 2.0 * (H @ state.v - obj.y)
-    R = gg[:, None] * (1.0 - H * H) * state.v[None, :]
+    H = np.tanh(M)
+    gg = 2.0 * (H @ v - obj.y)
+    R = gg[:, None] * (1.0 - H * H) * v[None, :]
     grad_v = H.T @ gg
     if obj.l2_lambda > 0:
-        grad_v = grad_v + obj.l2_lambda * state.v
+        grad_v = grad_v + obj.l2_lambda * v
     return R, grad_v
 
 
@@ -308,13 +279,14 @@ def step_cgm_sb(state, obj, rule="so"):
     descent test.
     """
     (gW, gv), D = state.gradient(obj)
-    eta1 = eta2 = 0.0
-    if state.gW_prev is not None:
-        eta1 = pr_plus(gW.ravel(), state.gW_prev.ravel(),
-                       state.W.ravel(), state.W_prev.ravel())
-        eta2 = pr_plus(gv, state.gv_prev, state.v, state.v_prev)
-    dW, dv, dM = (momentum_dir(state) if state.M_prev is not None
-                  else (0.0, 0.0, 0.0))
+    eta1 = eta2 = dW = dv = dM = 0.0
+    if state.grad_prev is not None:
+        gW_prev, gv_prev, _ = state.grad_prev
+        W_prev, v_prev, _ = state.prev_blocks
+        eta1 = pr_plus(gW.ravel(), gW_prev.ravel(), state.W.ravel(),
+                       W_prev.ravel())
+        eta2 = pr_plus(gv, gv_prev, state.v, v_prev)
+        dW, dv, dM = momentum_dir(state)
     d1 = (-gW + eta1 * dW, None, -D + eta1 * dM)
     d2 = (None, -gv + eta2 * dv, None)
     flag = None
@@ -332,16 +304,14 @@ def step_cgm_sb(state, obj, rule="so"):
 def step_mg_so_sb(state, obj, rule="so", warm=None):
     """GD+M(SO+SB): per-layer learning and momentum rates via 4-d SO."""
     (gW, gv), D = state.gradient(obj)
-    dirs = [(-gW, None, -D)]
-    slots = ["alpha1"]
-    if state.M_prev is not None:
-        dirs.append((state.W - state.W_prev, None, state.M - state.M_prev))
-        slots.append("beta1")
-    dirs.append((None, -gv, None))
-    slots.append("alpha2")
-    if state.v_prev is not None:
-        dirs.append((None, state.v - state.v_prev, None))
-        slots.append("beta2")
+    if state.prev_blocks is None:
+        dirs = [(-gW, None, -D), (None, -gv, None)]
+        slots = ["alpha1", "alpha2"]
+    else:
+        dW, dv, dM = momentum_dir(state)
+        dirs = [(-gW, None, -D), (dW, None, dM), (None, -gv, None),
+                (None, dv, None)]
+        slots = ["alpha1", "beta1", "alpha2", "beta2"]
     return apply_rule(state, obj, rule, dirs, slots, "gd+m(so+sb)", (gW, gv),
                       D, warm=warm)
 

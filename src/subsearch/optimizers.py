@@ -6,21 +6,30 @@ and subspace candidates are then evaluated from the image alone, and each
 LO/SO iteration performs exactly two counted products: one for the gradient
 and one for the image of the search direction.
 
-The steps are written once against a tracked state (`MarginState` here,
-`network.NetState` for the network), which is the per-model adapter:
+The steps are written once against a tracked state.  `TrackedState` is the
+bookkeeping every model shares, written once here:
 
 - `blocks`: the parameter blocks with the tracked image last, (w, m) or
-  (W, v, M); `prev_blocks` the same one step back, or None;
+  (W, v, M); `prev_blocks` the same one step back, and `grad_prev` the
+  gradient blocks that step took with their image last, or None;
+- `advance` commits a step, and `momentum_coef` is the PR+ coefficient over
+  all parameter blocks jointly;
+- `alpha_prev` and `L` carry the last step size and the 1/L rule's
+  curvature estimate across steps, and `memory` is the running method's own
+  (FISTA's t, Adam's moments, the L-BFGS pairs).
+
+Each model subclasses it with its arithmetic alone (`MarginState` here,
+`network.NetState` for the network):
+
 - `gradient(obj)`: the gradient blocks and the image of the gradient (two
   counted products);
 - `value(obj, blocks)`: f at a tracked point (no products);
 - `recompute(obj, params)`: the image of new parameters (one counted
   product), for a rejected 1/L trial;
+- `dot`: the model's inner product over the parameter blocks;
 - `subspace_solve(obj, dirs, warm)` and `line(obj, direction)`: the
   restriction to a list of directions solved by the subsolver, and the
-  1-d value and slope closures for the Wolfe search;
-- `dot`, `momentum_coef` and `advance`: the model's inner product, its PR+
-  coefficient, and committing a step.
+  1-d value and slope closures for the Wolfe search.
 
 A direction is a tuple shaped like `blocks`; None marks a block it leaves
 alone.  A method is a step function, which builds the method's directions,
@@ -41,12 +50,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .linesearch import LEstimate, backtrack_half, fista_momentum, strong_wolfe
+from .linesearch import backtrack_half, fista_momentum, strong_wolfe
 from .objectives import LcpObjective
 from .subsolver import solve
 
@@ -80,62 +90,66 @@ class StepRecord:
     gnorm: float | None = None
 
 
-def pr_plus(grad, grad_prev, w, w_prev, formula="hs"):
-    """Non-negative momentum coefficient for the (w - w_prev) direction.
+def pr_plus(grad, grad_prev, w, w_prev):
+    """Non-negative PR+ momentum coefficient for the (w - w_prev) direction.
 
-    "hs" divides by (w-w_prev)^T(grad-grad_prev), which reproduces linear CG
-    under exact line optimization; "prp_prev" and "prp_cur" divide by the
-    squared norms of the previous/current gradient respectively.
+    Divides by (w-w_prev)^T(grad-grad_prev) (Hestenes-Stiefel), which
+    reproduces linear CG under exact line optimization.
     """
     yv = grad - grad_prev
-    num = float(grad @ yv)
-    if formula == "hs":
-        den = float((w - w_prev) @ yv)
-    elif formula == "prp_prev":
-        den = float(grad_prev @ grad_prev)
-    elif formula == "prp_cur":
-        den = float(grad @ grad)
-    else:
-        raise ValueError(f"unknown PR+ formula {formula!r}")
+    den = float((w - w_prev) @ yv)
     if den <= 0:
         return 0.0
-    return max(0.0, num / den)
+    return max(0.0, float(grad @ yv) / den)
+
+
+def _flat(blocks):
+    """The blocks as one vector."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate([b.ravel() for b in blocks])
 
 
 @dataclass
-class MarginState:
-    w: np.ndarray
-    m: np.ndarray
+class TrackedState:
+    """The bookkeeping every tracked-image model shares (see above).
+
+    `memory` belongs to the method that runs on the state: only its step
+    reads or writes it.  Subclasses add the model arithmetic alone.
+    """
+    blocks: tuple
     f: float
-    w_prev: np.ndarray | None = None
-    m_prev: np.ndarray | None = None
-    grad_prev: np.ndarray | None = None
-    grad_image_prev: np.ndarray | None = None
+    prev_blocks: tuple | None = None
+    grad_prev: tuple | None = None
     alpha_prev: float | None = None
-    L: LEstimate = field(default_factory=LEstimate)
-    # quasi-Newton memory
-    lbfgs_pairs: list = field(default_factory=list)
-    pending_s: np.ndarray | None = None
-    # Adam accumulators and the last Adam direction
-    adam_mu: np.ndarray | None = None
-    adam_v: np.ndarray | None = None
-    adam_dir_prev: tuple | None = None
-    # NAG/FISTA
-    nag_t: float = 1.0
-
-    @property
-    def blocks(self):
-        return (self.w, self.m)
-
-    @property
-    def prev_blocks(self):
-        return None if self.m_prev is None else (self.w_prev, self.m_prev)
+    L: float = 1.0
+    memory: object = None
 
     def advance(self, blocks, f, grad, grad_image):
-        self.w_prev, self.m_prev = self.w, self.m
-        self.grad_prev, self.grad_image_prev = grad[0], grad_image
-        self.w, self.m = blocks
+        """Commit a step to `blocks`; `grad` was taken at the old iterate."""
+        self.prev_blocks = self.blocks
+        self.grad_prev = (*grad, grad_image)
+        self.blocks = tuple(blocks)
         self.f = f
+
+    def momentum_coef(self, grad) -> float:
+        """PR+ over all parameter blocks jointly."""
+        if self.grad_prev is None:
+            return 0.0
+        return pr_plus(_flat(grad), _flat(self.grad_prev[:-1]),
+                       _flat(self.blocks[:-1]), _flat(self.prev_blocks[:-1]))
+
+
+class MarginState(TrackedState):
+    """Linear-composition iterate: blocks (w, m) with m = Xw."""
+
+    @property
+    def w(self):
+        return self.blocks[0]
+
+    @property
+    def m(self):
+        return self.blocks[1]
 
     def gradient(self, obj: LcpObjective):
         """Full gradient and its margin image; two counted products."""
@@ -154,11 +168,6 @@ class MarginState:
     def dot(a, b) -> float:
         return float(a[0] @ b[0])
 
-    def momentum_coef(self, grad) -> float:
-        if self.grad_prev is None or self.w_prev is None:
-            return 0.0
-        return pr_plus(grad[0], self.grad_prev, self.w, self.w_prev)
-
     def subspace_solve(self, obj: LcpObjective, dirs, warm):
         sp = obj.subspace_restrict(self.w, self.m, [p for p, _ in dirs],
                                    [q for _, q in dirs])
@@ -166,16 +175,16 @@ class MarginState:
 
     def line(self, obj: LcpObjective, direction):
         """Margin-space value and slope along p with image q."""
-        p, q = direction
+        (p, q), (w, m) = direction, self.blocks
         lam = obj.l2_lambda
 
         def phi(a):
-            return obj.f_value_margin(self.w + a * p, self.m + a * q)
+            return obj.f_value_margin(w + a * p, m + a * q)
 
         def dphi(a):
-            g = obj.g_grad(self.m + a * q) @ q
+            g = obj.g_grad(m + a * q) @ q
             if lam > 0:
-                g += lam * float((self.w + a * p) @ p)
+                g += lam * float((w + a * p) @ p)
             return g
 
         return phi, dphi
@@ -188,7 +197,7 @@ def init_state(obj: LcpObjective, w0: np.ndarray | None = None) -> MarginState:
     else:
         w = np.asarray(w0, dtype=np.float64).copy()
         m = obj.X.matvec(w)
-    return MarginState(w=w, m=m, f=obj.f_value_margin(w, m))
+    return MarginState((w, m), obj.f_value_margin(w, m))
 
 
 def audit_margin(state: MarginState, obj: LcpObjective) -> float:
@@ -288,9 +297,10 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
         trial[:] = [*params, image]
         return state.value(obj, trial)
 
-    L, f_t, doublings = backtrack_half(value_at, f0, gsq, state.L)
+    state.L, f_t, doublings = backtrack_half(value_at, f0, gsq, state.L)
     state.advance(trial, f_t, grad, grad_image)
-    return StepRecord(method, f_t, alpha1=1.0 / L, inner_iters=doublings)
+    return StepRecord(method, f_t, alpha1=1.0 / state.L,
+                      inner_iters=doublings)
 
 
 def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
@@ -382,8 +392,8 @@ def step_nag_so(state, obj, rule="so", scaled=False):
     """
     grad, q = state.gradient(obj)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
-    if state.grad_prev is not None and state.grad_image_prev is not None:
-        dirs.append((grad[0] - state.grad_prev, q - state.grad_image_prev))
+    if state.grad_prev is not None:
+        dirs.append((grad[0] - state.grad_prev[0], q - state.grad_prev[-1]))
         slots.append("gamma")
     if scaled:
         dirs.append((state.w.copy(), state.m.copy()))
@@ -396,14 +406,15 @@ def step_nag_fixedL(state, obj, rule="1/l"):
     """NAG(1/L): FISTA-style extrapolation with the same doubling rule.
 
     The 1/L rule backtracks from the extrapolated point, not the iterate.
+    The method's memory is FISTA's t.
     """
-    t_next, mix = fista_momentum(state.nag_t)
-    if state.m_prev is None:
+    t_next, mix = fista_momentum(state.memory or 1.0)
+    if state.prev_blocks is None:
         y = state.blocks
     else:
         y = tuple(b + mix * s for b, s in zip(state.blocks,
                                               momentum_dir(state)))
-    state.nag_t = t_next
+    state.memory = t_next
     grad_y = obj.f_grad_margin(*y)
     return _backtrack(state, obj, "nag(1/l)", y, obj.f_value_margin(*y),
                       (grad_y,), obj.X.matvec(grad_y))
@@ -431,17 +442,18 @@ def lbfgs_direction(pairs, grad):
     return r
 
 
-def _lbfgs_absorb(state, grad):
-    """Fold the pending (s, y) pair into the ring buffer; skip s'y <= 0."""
-    if state.pending_s is not None and state.grad_prev is not None:
-        s = state.pending_s
-        yv = grad - state.grad_prev
+def _lbfgs_pairs(state, grad):
+    """The method's memory, the L-BFGS pairs, with the last step's (s, y)
+    pair folded in; a pair with s'y <= 0 is skipped."""
+    if state.memory is None:
+        state.memory = deque(maxlen=LBFGS_MEMORY)
+    if state.grad_prev is not None:
+        s = state.w - state.prev_blocks[0]
+        yv = grad - state.grad_prev[0]
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv) + 1e-300):
-            state.lbfgs_pairs.append((s, yv, 1.0 / sy))
-            if len(state.lbfgs_pairs) > LBFGS_MEMORY:
-                state.lbfgs_pairs.pop(0)
-    state.pending_s = None
+            state.memory.append((s, yv, 1.0 / sy))
+    return state.memory
 
 
 def step_qn(state, obj, rule):
@@ -450,40 +462,39 @@ def step_qn(state, obj, rule):
     The SO rule adds the momentum direction.
     """
     grad = obj.f_grad_margin(state.w, state.m)
-    _lbfgs_absorb(state, grad)
-    d = lbfgs_direction(state.lbfgs_pairs, grad)
+    d = lbfgs_direction(_lbfgs_pairs(state, grad), grad)
     flag = None
     if float(d @ grad) <= 0:
         d = -d
         flag = "negated_direction"
     q = obj.X.matvec(d)
-    w_old = state.w
     dirs, slots = _with_momentum(state, (-d, -q))
-    rec = apply_rule(state, obj, rule, dirs, slots,
-                     "qn+m(so)" if rule == "so" else f"qn({rule})", (grad,),
-                     None, flag=flag, alpha_init=1.0)
-    state.pending_s = state.w - w_old
-    return rec
+    return apply_rule(state, obj, rule, dirs, slots,
+                      "qn+m(so)" if rule == "so" else f"qn({rule})", (grad,),
+                      None, flag=flag, alpha_init=1.0)
 
 
-def adam_direction(state, grad):
-    """Update the accumulators and return d = mu / (sqrt(v) + eps).
+def adam_direction(mu, v, grad):
+    """The updated accumulators and d = mu / (sqrt(v) + eps).
 
     No bias correction.
     """
-    if state.adam_mu is None:
-        state.adam_mu = np.zeros_like(grad)
-        state.adam_v = np.zeros_like(grad)
-    state.adam_mu = ADAM_BETA1 * state.adam_mu + (1 - ADAM_BETA1) * grad
-    state.adam_v = (ADAM_BETA2 * state.adam_v
-                    + (1 - ADAM_BETA2) * grad * grad)
-    return state.adam_mu / (np.sqrt(state.adam_v) + ADAM_EPS)
+    mu = ADAM_BETA1 * mu + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+    return mu, v, mu / (np.sqrt(v) + ADAM_EPS)
 
 
 def step_adam(state, obj, rule):
-    """Adam/Adam(LS)/Adam(LO)/Adam2(SO); SO adds the last Adam direction."""
+    """Adam/Adam(LS)/Adam(LO)/Adam2(SO); SO adds the last Adam direction.
+
+    The method's memory is (mu, v, last direction).
+    """
     grad = obj.f_grad_margin(state.w, state.m)
-    d = adam_direction(state, grad)
+    if state.memory is None:
+        zero = np.zeros_like(grad)
+        state.memory = (zero, zero, None)
+    mu, v, prev = state.memory
+    mu, v, d = adam_direction(mu, v, grad)
     q = obj.X.matvec(d)
     method = {"fixed": "adam", "so": "adam2(so)"}.get(rule, f"adam({rule})")
     flag = None
@@ -492,11 +503,11 @@ def step_adam(state, obj, rule):
         d, q = -d, -q
         flag = "no_descent" if float(d @ grad) <= 0 else "negated_direction"
     dirs = [(-d, -q)]
-    if state.adam_dir_prev is not None:
-        dirs.append(state.adam_dir_prev)
-    state.adam_dir_prev = dirs[0]
+    if prev is not None:
+        dirs.append(prev)
+    state.memory = (mu, v, dirs[0])
     if flag == "no_descent":
-        state.advance((state.w.copy(), state.m.copy()), state.f, (grad,),
+        state.advance([b.copy() for b in state.blocks], state.f, (grad,),
                       None)
         return StepRecord(method, state.f, alpha1=0.0, flag=flag,
                           gnorm=math.sqrt(state.dot((grad,), (grad,))))

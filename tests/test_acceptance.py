@@ -206,10 +206,8 @@ def _random_lcp_state(obj, rng):
     Xd = obj.X.dense()
     w = rng.standard_normal(obj.d) * 0.5
     w_prev = w - 0.1 * rng.standard_normal(obj.d)
-    state = opt.MarginState(w=w, m=Xd @ w, f=0.0,
-                            w_prev=w_prev, m_prev=Xd @ w_prev)
-    state.f = obj.f_value_margin(state.w, state.m)
-    return state
+    return opt.MarginState((w, Xd @ w), obj.f_value_margin(w, Xd @ w),
+                           prev_blocks=(w_prev, Xd @ w_prev))
 
 
 def test_criterion_5_single_step_dominance_logistic():
@@ -244,10 +242,8 @@ def _random_net_state(obj, rng):
     v = rng.standard_normal(obj.hidden) * 0.2
     W_prev = W - 0.05 * rng.standard_normal(W.shape)
     v_prev = v - 0.05 * rng.standard_normal(v.shape)
-    state = net.NetState(W=W, v=v, M=Xd @ W, f=0.0,
-                         W_prev=W_prev, v_prev=v_prev, M_prev=Xd @ W_prev)
-    state.f = obj.value_tracked(W, v, state.M)
-    return state
+    return net.NetState((W, v, Xd @ W), obj.value_tracked(W, v, Xd @ W),
+                        prev_blocks=(W_prev, v_prev, Xd @ W_prev))
 
 
 def test_criterion_5_single_step_dominance_net():
@@ -322,8 +318,7 @@ def test_criterion_6_gradients():
 
         def net_grad(z, o=nobj, Xd=Xn):
             W, v = z[:15].reshape(5, 3), z[15:]
-            st = net.NetState(W=W, v=v, M=Xd @ W, f=0.0)
-            R, gv = net.backward(o, st)
+            R, gv = net.backward(o, v, Xd @ W)
             gW = Xd.T @ R
             if o.l2_lambda > 0:
                 gW = gW + o.l2_lambda * W

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subsearch.linesearch import (LEstimate, LineSearchError, WolfeOptions,
+from subsearch.linesearch import (LineSearchError, WolfeOptions,
                                   backtrack_half, fista_momentum,
                                   strong_wolfe)
 
@@ -73,16 +73,15 @@ def test_backtrack_half_doubles_until_sufficient_decrease():
         w = 1.0 - grad / L
         return 0.5 * L_true * w * w
 
-    est = LEstimate(1.0)
-    L, f, doublings = backtrack_half(value_at, f0, grad * grad, est)
+    L, f, doublings = backtrack_half(value_at, f0, grad * grad, 1.0)
     assert f <= f0 - grad * grad / (2 * L)
-    assert est.L == L >= L_true / 2
+    assert L == 2.0 ** doublings >= L_true / 2
     assert doublings >= 1
 
 
 def test_backtrack_half_rejects_zero_gradient():
     with pytest.raises(LineSearchError):
-        backtrack_half(lambda L: 0.0, 1.0, 0.0, LEstimate(1.0))
+        backtrack_half(lambda L: 0.0, 1.0, 0.0, 1.0)
 
 
 def test_fista_schedule_matches_reference():

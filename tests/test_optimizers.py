@@ -168,12 +168,8 @@ def test_pr_plus_formulas():
     w, wp = rng.standard_normal(4), rng.standard_normal(4)
     yv = g - gp
     num = float(g @ yv)
-    assert pr_plus(g, gp, w, wp, "hs") == max(
+    assert pr_plus(g, gp, w, wp) == max(
         0.0, num / float((w - wp) @ yv)) if float((w - wp) @ yv) > 0 else True
-    assert pr_plus(g, gp, w, wp, "prp_prev") == max(0.0, num / float(gp @ gp))
-    assert pr_plus(g, g, w, wp, "prp_cur") == 0.0
-    with pytest.raises(ValueError):
-        pr_plus(g, gp, w, wp, "fletcher")
 
 
 def test_gd_lo_never_worse_than_backtracked_single_step(logistic_obj):

@@ -1,0 +1,81 @@
+"""Trace-identity grid: every method of every model, one CSV per run.
+
+Write the grid of the source tree on PYTHONPATH into DIR, then compare two
+grids file by file:
+
+    PYTHONPATH=src python tests/trace_grid.py DIR
+    python tests/trace_grid.py --compare A B
+
+Each run is n=200, d=20, hidden=4, 60 iterations, seed 1, at lambda 1/n
+and 0; lsq runs on the quadratic generator, every other model on the
+logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
+same code are byte-identical, and a run that raises writes the error as
+the file's text.  `--compare` lists the files that differ or exist in one
+grid only, and exits 1 if there are any.  The name keeps pytest from
+collecting this file.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+SHAPE = dict(n=200, d=20, hidden=4, iters=60, seed=1)
+LAMBDAS = ("1/n", "0")
+
+
+def _name(model, method, lam):
+    return re.sub(r"[^\w.+()-]", "_", f"{model}__{method}__lam{lam}") + ".csv"
+
+
+def _csv(model, method, lam):
+    from subsearch import harness
+
+    cfg = harness.ExperimentConfig(
+        model=model, method=method, lam=lam,
+        kind="quadratic" if model == "lsq" else "logistic", **SHAPE)
+    try:
+        text = harness.emit_csv(harness.run_experiment(cfg))
+    except Exception as exc:                    # noqa: BLE001
+        return f"{type(exc).__name__}: {exc}\n"
+    return "".join(line.rsplit(",", 1)[0] + "\n"
+                   for line in text.splitlines())
+
+
+def write_grid(out: Path) -> int:
+    from subsearch import harness
+
+    out.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for model in harness.MODELS:
+        for method in harness.methods_for_model(model):
+            for lam in LAMBDAS:
+                path = out / _name(model, method, lam)
+                path.write_text(_csv(model, method, lam), encoding="utf-8")
+                count += 1
+    return count
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    names = sorted({p.name for p in a.glob("*.csv")}
+                   | {p.name for p in b.glob("*.csv")})
+    return [name for name in names
+            if not ((a / name).is_file() and (b / name).is_file()
+                    and (a / name).read_bytes() == (b / name).read_bytes())]
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        differ = compare(Path(argv[1]), Path(argv[2]))
+        for name in differ:
+            print(name)
+        print(f"{len(differ)} file(s) differ")
+        return 1 if differ else 0
+    if len(argv) == 1 and not argv[0].startswith("-"):
+        print(f"wrote {write_grid(Path(argv[0]))} CSVs to {argv[0]}")
+        return 0
+    sys.exit("usage: python tests/trace_grid.py DIR\n"
+             "       python tests/trace_grid.py --compare A B")
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
