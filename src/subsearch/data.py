@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    labels = []
-    rows, cols, vals = [], [], []
+    # typed buffers hold 8 bytes per entry, where lists hold a Python object
+    labels = array("d")
+    rows, cols, vals = array("q"), array("q"), array("d")
     d = 0
     n = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -83,9 +85,10 @@ def parse_libsvm(text: str | bytes) -> Dataset:
         raise ParseError(0, "empty input")
     import scipy.sparse as sp
     X = sp.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        (np.frombuffer(vals), (np.frombuffer(rows, dtype=np.int64),
+                               np.frombuffer(cols, dtype=np.int64))),
         shape=(n, d))
-    y, kind = _map_binary(np.array(labels, dtype=np.float64))
+    y, kind = _map_binary(np.frombuffer(labels))
     return Dataset(CountedMatrix(X), y, kind)
 
 

@@ -1,9 +1,14 @@
 """Gaussian precision fitting f(V) = Tr(SV) - log|V| over SPD matrices.
 
-Steps move along one or two rank-1 directions u u^T.  The matrix determinant
-lemma turns every candidate step size into scalar arithmetic, so a rank-1
-step costs one metered linear solve and a rank-2 step costs exactly two.
-The log-determinant is tracked additively through the accepted factors and
+Steps move along one or two rank-1 directions u u^T, and each step size is
+exact and in closed form: no subproblem solver runs, and every record has
+`inner_iters` 0.  Rank-2 makes its second direction V^{-1}-orthogonal to the
+first, so by the matrix determinant lemma the step's determinant factor is
+(1 + t1 u'V^{-1}u)(1 + t2 w'V^{-1}w) and the restriction separates into two
+1-d problems, each minimized at t = 1/(x'Sx) - 1/(x'V^{-1}x), whose factor
+(x'V^{-1}x)/(x'Sx) is positive, so V stays positive definite.  A rank-1 step
+costs one metered linear solve and a rank-2 step exactly two.  The
+log-determinant is tracked additively through the accepted factors and
 re-derived from a fresh Cholesky factorization every `refactor_every` steps.
 """
 
@@ -15,7 +20,10 @@ import numpy as np
 
 from .counted import ProductCounter
 from .optimizers import StepRecord, drive
-from .subsolver import SubProblem, solve
+# Every step is in closed form and never calls `solve`.  The name stays so
+# that code patching each model module's `solve` (perfbench/probe.py) finds
+# it here as in the other model modules.
+from .subsolver import solve  # noqa: F401
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -130,13 +138,27 @@ def _sherman_morrison(x_sol, u_sol, u, alpha, denom):
     return x_sol - (alpha * float(u @ x_sol) / denom) * u_sol
 
 
+def _step_size(s: float, a: float) -> float:
+    """argmin over t of t s - log(1 + t a), with s = x'Sx and a = x'V^{-1}x.
+
+    The minimizer is t = 1/s - 1/a, and its factor 1 + t a = a/s is
+    positive, so the step keeps V positive definite.
+    """
+    if not (s > 0 and a > 0):
+        raise NotPositiveDefiniteError(
+            f"no finite step: x'Sx = {s:.3g}, x'V^-1x = {a:.3g}")
+    return 1.0 / s - 1.0 / a
+
+
 def step_rank_so(state: SpdState, rank: int = 2,
                  directions: list[np.ndarray] | None = None) -> StepRecord:
-    """SO over step sizes along one or two rank-1 directions.
+    """Exact SO over step sizes along one or two rank-1 directions.
 
-    Trial points with any non-positive sequential determinant factor are
-    rejected (infinite value), so accepted iterates stay positive definite.
-    Rank-1 performs exactly one metered solve, rank-2 exactly two.
+    Rank-2 replaces its second direction v by w = v - (u'V^{-1}v / a) u,
+    which is V^{-1}-orthogonal to u, so f(V + t1 uu' + t2 ww') separates
+    into two 1-d problems with closed-form minimizers.  A w whose
+    V^{-1}-norm is below 1e-8 of v's is left out (alpha2 = 0).  Rank-1
+    performs exactly one metered solve, rank-2 exactly two.
     """
     if rank not in (1, 2):
         raise ValueError("rank must be 1 or 2")
@@ -151,95 +173,42 @@ def step_rank_so(state: SpdState, rank: int = 2,
     u = dirs[0]
     u_tilde = state.solve_system(u)
     a = float(u @ u_tilde)
-    su = float(u @ (S @ u))
-    f0 = f_gauss(state)
-
-    if rank == 2:
-        if directions is not None:
-            v = dirs[1]
-        else:
-            # residual action on u; exact, reuses the solve just performed
-            v = _normalize(S @ u - u_tilde)
-        v_tilde = state.solve_system(v)
-        b = float(v @ v_tilde)
-        c = float(v @ u_tilde) * float(u @ v_tilde)
-        sv = float(v @ (S @ v))
-
-        def factors(t):
-            f1 = 1.0 + t[0] * a
-            full = (1.0 + t[0] * a) * (1.0 + t[1] * b) - t[0] * t[1] * c
-            return f1, full
-
-        def value(t):
-            f1, full = factors(t)
-            if f1 <= 0 or full <= 0:
-                return np.inf
-            return f0 + t[0] * su + t[1] * sv - np.log(full)
-
-        def grad(t):
-            _, full = factors(t)
-            dfull = np.array([a * (1.0 + t[1] * b) - t[1] * c,
-                              b * (1.0 + t[0] * a) - t[0] * c])
-            return np.array([su, sv]) - dfull / full
-
-        def hess(t):
-            _, full = factors(t)
-            dfull = np.array([a * (1.0 + t[1] * b) - t[1] * c,
-                              b * (1.0 + t[0] * a) - t[0] * c])
-            d2 = a * b - c
-            H = np.outer(dfull, dfull) / full ** 2
-            H[0, 1] -= d2 / full
-            H[1, 0] -= d2 / full
-            return H
-
-        sp = SubProblem(2, value, grad, hess)
-    else:
-        def value(t):
-            f1 = 1.0 + t[0] * a
-            if f1 <= 0:
-                return np.inf
-            return f0 + t[0] * su - np.log(f1)
-
-        def grad(t):
-            return np.array([su - a / (1.0 + t[0] * a)])
-
-        def hess(t):
-            return np.array([[(a / (1.0 + t[0] * a)) ** 2]])
-
-        sp = SubProblem(1, value, grad, hess)
-
-    res = solve(sp)
-    t = res.theta
-    a1 = float(t[0])
-    a2 = float(t[1]) if rank == 2 else None
-
+    a1 = _step_size(float(u @ (S @ u)), a)
+    factor1, _ = rank1_det_factor(state, u, a1, u_tilde)
     V_new = V + a1 * np.outer(u, u)
-    factor1 = 1.0 + a1 * a
-    if rank == 2:
-        full = (1.0 + a1 * a) * (1.0 + a2 * b) - a1 * a2 * c
-        V_new = V_new + a2 * np.outer(v, v)
-    else:
-        full = factor1
-    V_new = 0.5 * (V_new + V_new.T)
+    full, a2 = factor1, None
 
-    state.V = V_new
+    if rank == 2:
+        # residual action on u; exact, reuses the solve just performed
+        v = dirs[1] if directions is not None else _normalize(S @ u - u_tilde)
+        v_tilde = state.solve_system(v)
+        r = float(u_tilde @ v) / a
+        w, w_tilde = v - r * u, v_tilde - r * u_tilde
+        b = float(w @ w_tilde)
+        a2 = 0.0
+        if b > 1e-16 * float(v @ v_tilde):      # ||w|| > 1e-8 ||v||, in V^-1
+            a2 = _step_size(float(w @ (S @ w)), b)
+            V_new += a2 * np.outer(w, w)
+        full = rank2_det_factor(state, u, w, a1, a2, u_tilde, w_tilde)
+
+    state.V = 0.5 * (V_new + V_new.T)
     state.logdet_V += float(np.log(full))
     state.k += 1
     if state.refactor_every and state.k % state.refactor_every == 0:
         state.logdet_V = _chol_logdet(state.V)
 
-    # update cached solves for the next proposal (Sherman-Morrison, exact)
-    if rank == 2:
-        v_sol1 = _sherman_morrison(v_tilde, u_tilde, u, a1, factor1)
-        denom2 = 1.0 + a2 * float(v @ v_sol1)
-        state.u_prev, state.u_prev_tilde = v, _sherman_morrison(
-            v_sol1, v_sol1, v, a2, denom2)
-    else:
-        state.u_prev, state.u_prev_tilde = u, _sherman_morrison(
-            u_tilde, u_tilde, u, a1, factor1)
+    # the next proposal starts from u (rank-1) or the unorthogonalized v
+    # (rank-2); its solve at the new iterate by Sherman-Morrison, exact
+    x, x_sol = (u, u_tilde) if rank == 1 else (v, v_tilde)
+    x_sol = _sherman_morrison(x_sol, u_tilde, u, a1, factor1)
+    if a2:
+        w_sol = _sherman_morrison(w_tilde, u_tilde, u, a1, factor1)
+        x_sol = _sherman_morrison(x_sol, w_sol, w, a2,
+                                  1.0 + a2 * float(w @ w_sol))
+    state.u_prev, state.u_prev_tilde = x, x_sol
 
-    return StepRecord("logdet-rank%d" % rank, res.value,
-                      inner_iters=res.inner_iters, alpha1=a1, alpha2=a2)
+    return StepRecord("logdet-rank%d" % rank, f_gauss(state),
+                      alpha1=a1, alpha2=a2)
 
 
 def run(S: np.ndarray, rank: int, iters: int,

@@ -102,6 +102,30 @@ def test_rank2_converges_toward_inverse_covariance():
     assert recs[-1].f >= fstar - 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_rank2_on_nearly_collinear_proposals_stays_exact(monkeypatch, seed):
+    """On these covariances the proposal v = S u - V^{-1}u becomes nearly
+    collinear with u in the V^{-1} inner product; a joint step over u and v
+    used to drift off Tr(SV) - log|V| or leave the PD cone by step 49."""
+    from subsearch import harness
+
+    run, states = ld.run, []
+
+    def run_and_keep(*args, **kwargs):
+        state, recs = run(*args, **kwargs)
+        states.append(state)
+        return state, recs
+
+    monkeypatch.setattr(ld, "run", run_and_keep)
+    cfg = harness.ExperimentConfig(model="logdet", method="rank2", iters=50,
+                                   kind="logistic", n=200, d=20, seed=seed)
+    trace = harness.run_experiment(cfg)
+    V, S = states[-1].V, states[-1].S
+    true = (float(np.sum(S * V))
+            - 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(V))))))
+    assert abs(trace.records[-1].f - true) <= 1e-10 * abs(true)
+
+
 def test_tracked_logdet_drift():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((10, 30))
@@ -118,6 +142,20 @@ def test_nonpositive_factor_candidates_are_rejected():
     for _ in range(20):
         ld.step_rank_so(state, rank=1, directions=[np.array([0.0, 1.0])])
         np.linalg.cholesky(state.V)
+
+
+def test_rank2_leaves_out_a_dependent_second_direction():
+    # v = 2u is V^{-1}-collinear with u: the step is the rank-1 step along
+    # u, still spends two solves, and records alpha2 = 0
+    rng = np.random.default_rng(7)
+    S, u = random_spd(rng, 5) / 5, rng.standard_normal(5)
+    one, two = ld.init_state(S), ld.init_state(S)
+    r1 = ld.step_rank_so(one, rank=1, directions=[u])
+    r2 = ld.step_rank_so(two, rank=2, directions=[u, 2.0 * u])
+    assert r2.alpha2 == 0.0 and r2.alpha1 == r1.alpha1
+    assert two.solver.read() == 2
+    np.testing.assert_array_equal(two.V, one.V)
+    assert r2.f == r1.f
 
 
 def test_init_validation():

@@ -8,6 +8,9 @@ hypothesis profile (tests/conftest.py).
   rounding-sized steps.
 - The monotone net2 methods spend exactly two products per step and their
   recorded f never rises, on random sizes, seeds, lambda and generators.
+- logdet steps spend exactly `rank` solves, and their recorded f is the
+  value of the iterate and never rises past rounding, on random
+  covariances.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subsearch.counted import CountedMatrix
-from subsearch import network
+from subsearch import logdet, network
 from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.linesearch import rounding_floor
 from subsearch.objectives import LcpObjective
@@ -78,3 +81,32 @@ def test_net2_monotone_methods_spend_two_products_and_never_rise(
     for r in recs:
         assert r.f <= f_prev
         f_prev = r.f
+
+
+LOGDET_ITERS = 60
+
+
+@given(rank=st.sampled_from((1, 2)), n=st.integers(5, 200),
+       d=st.integers(1, 20), seed=st.integers(0, 10 ** 6),
+       quadratic=st.booleans())
+def test_logdet_steps_spend_rank_solves_and_record_the_true_value(
+        rank, n, d, seed, quadratic):
+    """The recorded f is checked against Tr(SV) - log|V| from a fresh
+    Cholesky factorization after every step.  f may rise by rounding: the
+    refactor every 50 steps replaces the tracked log-determinant with the
+    fresh one, which can differ in the last place."""
+    X = (gen_quadratic if quadratic else gen_logistic)(n, d, seed).X.dense()
+    S = X.T @ X / n + np.eye(d)
+    f_prev = logdet.f_gauss(logdet.init_state(S))
+
+    def check(k, state, rec):
+        nonlocal f_prev
+        L = np.linalg.cholesky(state.V)
+        true = (float(np.sum(S * state.V))
+                - 2.0 * float(np.sum(np.log(np.diag(L)))))
+        assert abs(rec.f - true) <= 1e-12 * abs(true), k
+        assert rec.f <= f_prev + rounding_floor(f_prev), k
+        f_prev = rec.f
+
+    _, recs = logdet.run(S, rank, LOGDET_ITERS, callback=check)
+    assert all(r.products == rank for r in recs)
