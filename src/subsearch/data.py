@@ -42,11 +42,16 @@ def _map_binary(labels: np.ndarray) -> tuple[np.ndarray, str]:
     return labels, "real"
 
 
+# the largest feature index the int64 index buffers hold
+_MAX_INDEX = 2 ** 63 - 1
+
+
 def parse_libsvm(text: str | bytes) -> Dataset:
     """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
 
-    The feature dimension is the maximum index seen.  When exactly two
-    distinct label values occur they are mapped to {-1,+1} (smaller -> -1).
+    Labels and values must be finite.  The feature dimension is the maximum
+    index seen.  When exactly two distinct label values occur they are
+    mapped to {-1,+1} (smaller -> -1).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -61,9 +66,12 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             continue
         tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise ParseError(lineno, f"bad label token {tokens[0]!r}")
+        if not math.isfinite(label):
+            raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
+        labels.append(label)
         prev_idx = 0
         for tok in tokens[1:]:
             try:
@@ -75,6 +83,10 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             if idx <= prev_idx:
                 raise ParseError(
                     lineno, f"indices must be strictly increasing, got {idx}")
+            if idx > _MAX_INDEX:
+                raise ParseError(lineno, f"feature index {idx} above 2^63 - 1")
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"value {val_s!r} is not finite")
             prev_idx = idx
             rows.append(n)
             cols.append(idx - 1)

@@ -2,18 +2,32 @@
 
 Five update schemes with exact counted-product budgets.  The bottleneck here
 is any O(ndr) product (a rank-r factor or the dense gradient times a factor),
-so the module meters those itself: every call to the internal product helper
-costs one unit.  The tracked M = U W^T and the Gram form of the SO
-restriction (see `_poly_subproblem`) keep each candidate evaluation at
-O(k^2) scalar work for the k <= 9 expansion terms, after O(nd k^2) set-up
-per step, with no products at all.
+so the module meters those itself: every call to `MfState.prod` costs one
+unit.
 
-Scheme budgets per iteration:
-  alternating (LO/SO on one factor)       2
-  simultaneous, two learning rates        5
-  momentum on U (3-d SO)                  7
-  momentum on both, exact 4-d SO          9
-  momentum on both, inexact candidates    2 + len(candidates)
+Each SO scheme is a list of slots.  A slot moves one factor along a fixed
+combination of that factor's anchors, (U, U_prev, Gu) or (W, W_prev, Gw),
+by its own step size theta_s:
+
+    U(theta) = U + sum_{s on U} theta_s A_s
+    W(theta) = W + sum_{t on W} theta_t B_t
+
+so M(theta) = U(theta) W(theta)^T is M plus one image per slot (A_s W^T or
+U B_t^T) and one bilinear image A_s B_t^T per pair of a U slot and a W slot.
+Every image is a combination of anchor pair products u_i w_j^T, each taken
+once per step, and its coefficient is theta_s or theta_s theta_t, so the
+restriction (`_restriction`) has a known Jacobian and constant curvature:
+after O(nd k^2) set-up for its k images, each candidate value, gradient or
+Hessian costs at most O(p k^2) scalar work for p step sizes, and no
+products at all.
+
+Scheme slots and budgets per iteration:
+  altmin          [-Gu] or [-Gw], plus momentum on that factor    2
+  simul           [-Gu, -Gw]                                      5
+  momentum-u      [-Gu, U - U_prev, -Gw]                          7
+  momentum-both   [-Gu, U - U_prev, -Gw, W - W_prev]              9
+  momentum-both-inexact: the momentum-both factor step at each
+                  explicit candidate                   2 + len(candidates)
 """
 
 from __future__ import annotations
@@ -49,8 +63,8 @@ class MfState:
     M_prev: np.ndarray | None = None    # tracked U_prev W_prev^T
     counter: ProductCounter = field(default_factory=ProductCounter)
     audit_counter: ProductCounter = field(default_factory=ProductCounter)
-    # snapshot of (factor, M) from the last alternating update
-    alt_prev: tuple | None = None
+    # the factor ("u" or "w") the last alternating update moved
+    alt_prev: str | None = None
     last_theta: tuple = (0.0, 0.0, 0.0, 0.0)
     # momentum schemes multiply the tracked-M error by (1+beta) factors each
     # step, so on this cadence they re-form U W^T (one counted product) and
@@ -86,49 +100,106 @@ def audit_product(state: MfState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# polynomial restrictions: M(theta) = M + sum_i c_i(theta) T_i
+# slots: (factor, StepRecord field, coefficients over the factor's anchors
+# (X, X_prev, G), where X is U or W and G its gradient)
 
-def _poly_subproblem(X, M, terms, dim):
-    """SO restriction of the PCA loss to a polynomial family of M updates.
+GRAD = (0.0, 0.0, -1.0)             # -G
+MOMENTUM = (1.0, -1.0, 0.0)         # X - X_prev
+_SELF = (1.0, 0.0, 0.0)             # the factor a slot's image leaves alone
 
-    `terms` is a list of (coef, dcoef, T): a coefficient c_i(theta), its
-    gradient in theta, and an n x d matrix T_i, so that
-    M(theta) = M + sum_i c_i(theta) T_i.  The loss is quadratic in M, so
-    with R = M - X, b_i = <R, T_i> and the Gram matrix G_ij = <T_i, T_j>,
-    formed once in O(nd k^2) for k terms,
+ALTMIN = {f: ((f, "alpha1", GRAD), (f, "beta1", MOMENTUM)) for f in "uw"}
+SIMUL = (("u", "alpha1", GRAD), ("w", "alpha2", GRAD))
+MOMENTUM_U = (("u", "alpha1", GRAD), ("u", "beta1", MOMENTUM),
+              ("w", "alpha2", GRAD))
+MOMENTUM_BOTH = MOMENTUM_U + (("w", "beta2", MOMENTUM),)
+_FIELDS = tuple(name for _, name, _ in MOMENTUM_BOTH)
+
+
+def _comb(terms):
+    """The sum of c * A over the (c, A) with c nonzero; every coefficient
+    here is 0 or +-1, so no term is multiplied."""
+    out = None
+    for c, A in terms:
+        if c:
+            out = ((A if c > 0 else -A) if out is None
+                   else out + A if c > 0 else out - A)
+    return out
+
+
+def _outer(a, b):
+    """The nonzero entries (i, j, a_i b_j) of the outer product of a and b,
+    row by row."""
+    return [(i, j, x * y) for i, x in enumerate(a) if x
+            for j, y in enumerate(b) if y]
+
+
+def _directions(state, slots):
+    """The anchors of each factor and each slot's direction.
+
+    A gradient costs one counted product and is taken only for a factor
+    that some slot moves along it.
+    """
+    G = pca_grad(state.M, state.X)
+    grads = {f for f, _, c in slots if c[2]}
+    anchors = {
+        "u": (state.U, state.U_prev,
+              state.prod(G, state.W) if "u" in grads else None),
+        "w": (state.W, state.W_prev,
+              state.prod(G.T, state.U) if "w" in grads else None)}
+    return anchors, [_comb(zip(c, anchors[f])) for f, _, c in slots]
+
+
+def _factor_step(state, slots, dirs, theta):
+    """U and W moved by theta_s along each slot's direction; a factor that
+    no slot moves by a nonzero step stays the same array."""
+    new = {"u": state.U, "w": state.W}
+    for (f, _, _), D, t in zip(slots, dirs, theta):
+        if t:
+            new[f] = new[f] + t * D
+    return new["u"], new["w"]
+
+
+def _restriction(X, M, images, bilinear):
+    """SO restriction of the PCA loss to the bilinear family
+
+        M(theta) = M + sum_s theta_s I_s + sum_(s,t) theta_s theta_t B_st,
+
+    with `images` the I_s of the p step sizes and `bilinear` the triples
+    (s, t, B_st).  The loss is quadratic in M, so with R = M - X, the terms
+    T_k (the images, then the B_st) with coefficients c_k(theta),
+    b_k = <R, T_k> and the Gram matrix G_kl = <T_k, T_l>, formed once in
+    O(nd k^2),
 
         f(theta)    = ||R||^2 / 2 + c.b + c^T G c / 2
-        grad f      = J^T (b + G c)
-        hess f      = J^T G J + sum_i (b + G c)_i hess c_i
+        grad f      = J^T r,    r = b + G c
+        hess f      = J^T G J + sum_(s,t) r_st (e_s e_t^T + e_t e_s^T)
 
-    where J stacks the dcoef rows.  Every coefficient must have degree <= 2
-    in theta: each dcoef is then affine, and the constant hess c_i is read
-    exactly from dcoef at zero and at the p unit vectors.  A value, gradient
-    or Hessian costs O(k^2 + k p^2) scalar work and zero counted products;
-    only `m_at` forms an n x d matrix.
+    where J = dc/dtheta has the unit row e_s for I_s and the row
+    theta_t e_s + theta_s e_t for B_st.  A value costs O(k^2) scalar work,
+    a gradient or Hessian O(p k^2), and none a counted product; only `m_at`
+    forms an n x d matrix.
     """
+    p = len(images)
+    terms = images + [B for _, _, B in bilinear]
+    pairs = [(s, t) for s, t, _ in bilinear]
     R = M - X
-    S = np.stack([T.ravel() for _, _, T in terms])
+    S = np.array([T.ravel() for T in terms]).reshape(len(terms), R.size)
     b = S @ R.ravel()
     G = S @ S.T
     f0 = 0.5 * float(np.sum(R * R))
 
     def coefs(theta):
-        return np.array([coef(theta) for coef, _, _ in terms],
-                        dtype=np.float64)
+        return np.concatenate([theta, [theta[s] * theta[t] for s, t in pairs]])
 
     def jac(theta):
-        return np.array([dcoef(theta) for _, dcoef, _ in terms],
-                        dtype=np.float64)
-
-    J0 = jac(np.zeros(dim))
-    # curv[i, :, l] = d(dcoef_i)/d theta_l, constant by the degree bound
-    curv = np.stack([jac(e) - J0 for e in np.eye(dim)], axis=2)
+        J = np.eye(len(terms), p)
+        for k, (s, t) in enumerate(pairs, start=p):
+            J[k, s], J[k, t] = theta[t], theta[s]
+        return J
 
     def m_at(theta):
         M_c = M.copy()
-        for coef, _, T in terms:
-            c = coef(theta)
+        for c, T in zip(coefs(theta), terms):
             if c != 0.0:
                 M_c += c * T
         return M_c
@@ -142,12 +213,52 @@ def _poly_subproblem(X, M, terms, dim):
 
     def hess(theta):
         J = jac(theta)
-        return J.T @ G @ J + np.tensordot(b + G @ coefs(theta), curv, 1)
+        H = J.T @ G @ J
+        r = b + G @ coefs(theta)
+        for k, (s, t) in enumerate(pairs, start=p):
+            H[s, t] += r[k]
+            H[t, s] += r[k]
+        return H
 
-    return SubProblem(dim, value, grad, hess), m_at
+    return SubProblem(p, value, grad, hess), m_at
 
 
-def _commit(state, U_new, W_new, M_new, rec, theta4, restart=False):
+def _expand(state, slots, free=None):
+    """The restriction of f to `slots`: (subproblem, m_at, live, dirs).
+
+    The images come from anchor pair products u_i w_j^T, one counted
+    product per pair, except the tracked U W^T = M, U_prev W_prev^T = M_prev
+    and the pairs in `free`.  A slot whose direction is exactly zero (a
+    momentum slot at the start and after a refresh restart) is left out of
+    the subproblem, whose variables are the step sizes of the `live` slots;
+    its products are still taken, so each step of a scheme spends the same.
+    """
+    anchors, dirs = _directions(state, slots)
+    live = [k for k, D in enumerate(dirs) if np.any(D)]
+    sides = [(c, _SELF) if f == "u" else (_SELF, c) for f, _, c in slots]
+    images = [_outer(*side) for side in sides]
+    bilinear = {(s, t): _outer(sides[s][0], sides[t][1])
+                for s, (f, _, _) in enumerate(slots) if f == "u"
+                for t, (g, _, _) in enumerate(slots) if g == "w"}
+    P = {(0, 0): state.M, (1, 1): state.M_prev, **(free or {})}
+    u, w = anchors["u"], anchors["w"]
+    for C in images + list(bilinear.values()):
+        for i, j, _ in C:
+            if (i, j) not in P:
+                P[i, j] = state.prod(u[i], w[j].T)
+
+    def image(C):
+        return _comb((c, P[i, j]) for i, j, c in C)
+
+    pos = {k: n for n, k in enumerate(live)}
+    sp, m_at = _restriction(
+        state.X, state.M, [image(images[k]) for k in live],
+        [(pos[s], pos[t], image(C)) for (s, t), C in bilinear.items()
+         if s in pos and t in pos])
+    return sp, m_at, live, dirs
+
+
+def _commit(state, U_new, W_new, M_new, rec, restart=False):
     if restart:
         # momentum anchors coincide with the fresh iterate, so the next
         # step's momentum directions vanish and every anchor is exact
@@ -158,167 +269,9 @@ def _commit(state, U_new, W_new, M_new, rec, theta4, restart=False):
         state.M_prev = state.M
     state.U, state.W, state.M = U_new, W_new, M_new
     state.f = rec.f
-    state.last_theta = theta4
+    state.last_theta = tuple(getattr(rec, name) or 0.0 for name in _FIELDS)
     state.k += 1
     return rec
-
-
-# ---------------------------------------------------------------------------
-# scheme 1: alternating minimization (one factor per iteration, LCP-style)
-
-def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:
-    """Update one factor by LO/SO; exactly 2 counted products.
-
-    The momentum direction is included only when the immediately preceding
-    update touched the same factor, which keeps the tracked-M arithmetic
-    exact (the other factor acts as the fixed data matrix of an LCP).
-    """
-    if which is None:
-        # paired schedule U,U,W,W,... so momentum is exercised
-        which = "u" if (state.k // 2) % 2 == 0 else "w"
-    which = which.lower()
-    if which not in ("u", "w"):
-        raise ValueError("which must be 'u' or 'w'")
-    G = pca_grad(state.M, state.X)
-    if which == "u":
-        grad_f = state.prod(G, state.W)             # n x r
-        D = state.prod(grad_f, state.W.T)           # image of grad_f
-    else:
-        grad_f = state.prod(G.T, state.U)           # d x r
-        D = state.prod(state.U, grad_f.T)           # image, n x d
-
-    images = [-D]
-    slots = ["alpha1"]
-    if state.alt_prev is not None and state.alt_prev[0] == which:
-        images.append(state.M - state.alt_prev[1])
-        slots.append("beta1")
-
-    terms = []
-    for j, T in enumerate(images):
-        e = np.zeros(len(images))
-        e[j] = 1.0
-        terms.append((lambda th, j=j: float(th[j]),
-                      lambda th, e=e: e, T))
-    sp, m_at = _poly_subproblem(state.X, state.M, terms, len(images))
-    res = solve(sp)
-    alpha = float(res.theta[0])
-    beta = float(res.theta[1]) if len(res.theta) > 1 else None
-    if which == "u":
-        U_new = state.U - alpha * grad_f
-        if beta is not None:
-            U_new = U_new + beta * (state.U - state.U_prev)
-        W_new = state.W.copy()
-    else:
-        W_new = state.W - alpha * grad_f
-        if beta is not None:
-            W_new = W_new + beta * (state.W - state.W_prev)
-        U_new = state.U.copy()
-    M_new = m_at(res.theta)
-    rec = StepRecord("mf-altmin", res.value, inner_iters=res.inner_iters,
-                     alpha1=alpha, beta1=beta, flag=which)
-    state.alt_prev = (which, state.M)
-    return _commit(state, U_new, W_new, M_new, rec,
-                   (alpha, beta or 0.0, 0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# schemes 2-4: simultaneous updates on the bilinear expansion
-
-def _core_blocks(state):
-    """Gu, Gw and the three shared expansion blocks; 5 counted products."""
-    G = pca_grad(state.M, state.X)
-    Gu = state.prod(G, state.W)                     # n x r, grad wrt U
-    Gw = state.prod(G.T, state.U)                   # d x r, grad wrt W
-    D1 = state.prod(Gu, state.W.T)                  # n x d
-    D2 = state.prod(state.U, Gw.T)                  # n x d
-    D3 = state.prod(Gu, Gw.T)                       # n x d
-    return Gu, Gw, D1, D2, D3
-
-
-def _simul_terms(D1, D2, D3):
-    # theta = (a1, a2)
-    return [
-        (lambda t: -t[0], lambda t: (-1.0, 0.0), D1),
-        (lambda t: -t[1], lambda t: (0.0, -1.0), D2),
-        (lambda t: t[0] * t[1], lambda t: (t[1], t[0]), D3),
-    ]
-
-
-def step_simul_so2(state: MfState) -> StepRecord:
-    """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
-    Gu, Gw, D1, D2, D3 = _core_blocks(state)
-    sp, m_at = _poly_subproblem(state.X, state.M, _simul_terms(D1, D2, D3), 2)
-    res = solve(sp)
-    a1, a2 = (float(t) for t in res.theta)
-    rec = StepRecord("mf-simul", res.value, inner_iters=res.inner_iters,
-                     alpha1=a1, alpha2=a2)
-    return _commit(state, state.U - a1 * Gu, state.W - a2 * Gw,
-                   m_at(res.theta), rec, (a1, 0.0, a2, 0.0))
-
-
-def _one_terms(state, D1, D2, D3, E1, E2):
-    # theta = (a1, b, a2)
-    return [
-        (lambda t: t[1], lambda t: (0.0, 1.0, 0.0), state.M),
-        (lambda t: -t[0], lambda t: (-1.0, 0.0, 0.0), D1),
-        (lambda t: -t[2] * (1.0 + t[1]),
-         lambda t: (0.0, -t[2], -(1.0 + t[1])), D2),
-        (lambda t: t[0] * t[2], lambda t: (t[2], 0.0, t[0]), D3),
-        (lambda t: -t[1], lambda t: (0.0, -1.0, 0.0), E1),
-        (lambda t: t[2] * t[1], lambda t: (0.0, t[2], t[1]), E2),
-    ]
-
-
-def step_momentum_one(state: MfState) -> StepRecord:
-    """Momentum on U only: 3-d SO over (alpha1, beta, alpha2); 7 products."""
-    Gu, Gw, D1, D2, D3 = _core_blocks(state)
-    E1 = state.prod(state.U_prev, state.W.T)        # n x d
-    E2 = state.prod(state.U_prev, Gw.T)             # n x d
-    terms = _one_terms(state, D1, D2, D3, E1, E2)
-    sp, m_at = _poly_subproblem(state.X, state.M, terms, 3)
-    res = solve(sp, _MOMENTUM_OPTS)
-    a1, b, a2 = (float(t) for t in res.theta)
-    U_new = (1.0 + b) * state.U - b * state.U_prev - a1 * Gu
-    W_new = state.W - a2 * Gw
-    M_new, f_new, restart = _tracked_or_refreshed(state, U_new, W_new,
-                                                  m_at(res.theta), res.value)
-    rec = StepRecord("mf-momentum-u", f_new, inner_iters=res.inner_iters,
-                     alpha1=a1, beta1=b, alpha2=a2)
-    return _commit(state, U_new, W_new, M_new, rec, (a1, b, a2, 0.0),
-                   restart=restart)
-
-
-def _both_terms(state, D1, D2, D3, E1, E2, E3, E4, E5):
-    # theta = (a1, b1, a2, b2)
-    return [
-        (lambda t: t[1] + t[3] + t[1] * t[3],
-         lambda t: (0.0, 1.0 + t[3], 0.0, 1.0 + t[1]), state.M),
-        (lambda t: -t[0] * (1.0 + t[3]),
-         lambda t: (-(1.0 + t[3]), 0.0, 0.0, -t[0]), D1),
-        (lambda t: -t[2] * (1.0 + t[1]),
-         lambda t: (0.0, -t[2], -(1.0 + t[1]), 0.0), D2),
-        (lambda t: t[0] * t[2], lambda t: (t[2], 0.0, t[0], 0.0), D3),
-        (lambda t: t[1] * t[3], lambda t: (0.0, t[3], 0.0, t[1]), E3),
-        (lambda t: -t[1] * (1.0 + t[3]),
-         lambda t: (0.0, -(1.0 + t[3]), 0.0, -t[1]), E1),
-        (lambda t: -t[3] * (1.0 + t[1]),
-         lambda t: (0.0, -t[3], 0.0, -(1.0 + t[1])), E4),
-        (lambda t: t[2] * t[1], lambda t: (0.0, t[2], t[1], 0.0), E2),
-        (lambda t: t[0] * t[3], lambda t: (t[3], 0.0, 0.0, t[0]), E5),
-    ]
-
-
-def _tracked_or_refreshed(state, U_new, W_new, M_tracked, f_tracked):
-    """Re-form U W^T (one counted product) on the refresh cadence.
-
-    The committed value is re-evaluated from the fresh product but never
-    allowed above the tracked value, so recorded objectives stay monotone.
-    Returns (M, f, refreshed).
-    """
-    if state.refresh_every and (state.k + 1) % state.refresh_every == 0:
-        M_new = state.prod(U_new, W_new.T)
-        return M_new, min(f_tracked, pca_value(M_new, state.X)), True
-    return M_tracked, f_tracked, False
 
 
 # the factor-rescaling direction (beta1 up, beta2 down) is nearly flat, so
@@ -327,35 +280,71 @@ def _tracked_or_refreshed(state, U_new, W_new, M_tracked, f_tracked):
 _MOMENTUM_OPTS = SubSolverOptions(theta_cap=10.0)
 
 
-def _commit_both(state, Gu, Gw, theta, f_new, M_new, method, inner,
-                 refresh=True):
-    a1, b1, a2, b2 = (float(t) for t in theta)
-    U_new = (1.0 + b1) * state.U - b1 * state.U_prev - a1 * Gu
-    W_new = (1.0 + b2) * state.W - b2 * state.W_prev - a2 * Gw
-    restart = False
-    if refresh:
-        M_new, f_new, restart = _tracked_or_refreshed(state, U_new, W_new,
-                                                      M_new, f_new)
-    rec = StepRecord(method, f_new, inner_iters=inner,
-                     alpha1=a1, beta1=b1, alpha2=a2, beta2=b2)
-    return _commit(state, U_new, W_new, M_new, rec, (a1, b1, a2, b2),
-                   restart=restart)
+def _so_step(state, method, slots, free=None, refresh=False, flag=None):
+    """Solve the restriction to `slots`, step each factor along its slots
+    and commit; a left-out slot records 0.  M comes from the expansion.
+
+    With `refresh` (the exact momentum schemes) the solve stays in the
+    `_MOMENTUM_OPTS` box, and on the refresh cadence M is re-formed as
+    U W^T (one counted product) and f re-evaluated from it, but never
+    allowed above the tracked value, so recorded objectives stay monotone.
+    """
+    sp, m_at, live, dirs = _expand(state, slots, free)
+    res = solve(sp, _MOMENTUM_OPTS if refresh else None)
+    theta = np.zeros(len(slots))
+    theta[live] = res.theta
+    U_new, W_new = _factor_step(state, slots, dirs, theta)
+    M_new, f_new = m_at(res.theta), res.value
+    restart = bool(refresh and state.refresh_every
+                   and (state.k + 1) % state.refresh_every == 0)
+    if restart:
+        M_new = state.prod(U_new, W_new.T)
+        f_new = min(f_new, pca_value(M_new, state.X))
+    rec = StepRecord(method, f_new, inner_iters=res.inner_iters, flag=flag,
+                     **{name: float(t)
+                        for (_, name, _), t in zip(slots, theta)})
+    return _commit(state, U_new, W_new, M_new, rec, restart)
+
+
+def _altmin_slots(state, which):
+    """altmin's slots on factor `which`, and the pair products they get free.
+
+    The momentum slot is listed only when the last update moved the same
+    factor.  The other factor then equals its previous value (it acts as
+    the fixed data matrix of an LCP), so U_prev W^T, or U W_prev^T, is the
+    tracked M_prev, and the step takes 2 counted products either way.
+    """
+    if state.alt_prev != which:
+        return ALTMIN[which][:1], None
+    return ALTMIN[which], {(1, 0) if which == "u" else (0, 1): state.M_prev}
+
+
+def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:
+    """Update one factor by LO/SO; exactly 2 counted products."""
+    if which is None:
+        # paired schedule U,U,W,W,... so momentum is exercised
+        which = "u" if (state.k // 2) % 2 == 0 else "w"
+    which = which.lower()
+    if which not in ("u", "w"):
+        raise ValueError("which must be 'u' or 'w'")
+    slots, free = _altmin_slots(state, which)
+    state.alt_prev = which
+    return _so_step(state, "mf-altmin", slots, free, flag=which)
+
+
+def step_simul_so2(state: MfState) -> StepRecord:
+    """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
+    return _so_step(state, "mf-simul", SIMUL)
+
+
+def step_momentum_one(state: MfState) -> StepRecord:
+    """Momentum on U only: 3-d SO over (alpha1, beta1, alpha2); 7 products."""
+    return _so_step(state, "mf-momentum-u", MOMENTUM_U, refresh=True)
 
 
 def step_momentum_both_exact(state: MfState) -> StepRecord:
     """Momentum on both factors: exact 4-d SO; 9 products."""
-    Gu, Gw, D1, D2, D3 = _core_blocks(state)
-    E1 = state.prod(state.U_prev, state.W.T)
-    E2 = state.prod(state.U_prev, Gw.T)
-    E3 = state.M_prev                           # tracked U_prev W_prev^T
-    E4 = state.prod(state.U, state.W_prev.T)
-    E5 = state.prod(Gu, state.W_prev.T)
-    terms = _both_terms(state, D1, D2, D3, E1, E2, E3, E4, E5)
-    sp, m_at = _poly_subproblem(state.X, state.M, terms, 4)
-    res = solve(sp, _MOMENTUM_OPTS)
-    return _commit_both(state, Gu, Gw, res.theta, res.value,
-                        m_at(res.theta), "mf-momentum-both",
-                        res.inner_iters)
+    return _so_step(state, "mf-momentum-both", MOMENTUM_BOTH, refresh=True)
 
 
 def default_candidates(state: MfState) -> list[tuple]:
@@ -376,7 +365,8 @@ def default_candidates(state: MfState) -> list[tuple]:
 
 def step_momentum_both_inexact(state: MfState,
                                candidates=None) -> StepRecord:
-    """Try explicit candidates, one product each; 2 + len(candidates)."""
+    """Try explicit (alpha1, beta1, alpha2, beta2) candidates of the
+    momentum-both factor step, one product each; 2 + len(candidates)."""
     if candidates is None:
         candidates = default_candidates(state)
     candidates = [tuple(float(x) for x in c) for c in candidates]
@@ -384,22 +374,18 @@ def step_momentum_both_inexact(state: MfState,
         raise ValueError("candidate list must be nonempty")
     if (0.0, 0.0, 0.0, 0.0) not in candidates:
         raise ValueError("candidates must include the zero step")
-    G = pca_grad(state.M, state.X)
-    Gu = state.prod(G, state.W)
-    Gw = state.prod(G.T, state.U)
+    _, dirs = _directions(state, MOMENTUM_BOTH)
     best = None
     for c in candidates:
-        a1, b1, a2, b2 = c
-        U_c = (1.0 + b1) * state.U - b1 * state.U_prev - a1 * Gu
-        W_c = (1.0 + b2) * state.W - b2 * state.W_prev - a2 * Gw
+        U_c, W_c = _factor_step(state, MOMENTUM_BOTH, dirs, c)
         M_c = state.prod(U_c, W_c.T)
         f_c = pca_value(M_c, state.X)
         if best is None or f_c < best[0]:
-            best = (f_c, c, M_c)
-    f_new, theta, M_new = best
-    return _commit_both(state, Gu, Gw, theta, f_new, M_new,
-                        "mf-momentum-inexact", len(candidates),
-                        refresh=False)
+            best = (f_c, c, U_c, W_c, M_c)
+    f_new, theta, U_new, W_new, M_new = best
+    rec = StepRecord("mf-momentum-inexact", f_new,
+                     inner_iters=len(candidates), **dict(zip(_FIELDS, theta)))
+    return _commit(state, U_new, W_new, M_new, rec)
 
 
 MF_SCHEMES = {

@@ -66,26 +66,29 @@ def test_criterion_2_mf_budgets_and_expansions():
             assert r.products == expected, (
                 f"criterion 2 FAIL: {scheme} iter {k} used {r.products}")
 
-    # expansion oracle: polynomial restriction equals explicitly formed
-    # candidates for the 4-d momentum-both family
-    st = mf.init_state(X, 5, seed=1)
-    mf.step_momentum_both_exact(st)
-    mf.step_momentum_both_exact(st)
-    Gu, Gw, D1, D2, D3 = mf._core_blocks(st)
-    E1, E2, E3 = st.U_prev @ st.W.T, st.U_prev @ Gw.T, st.M_prev
-    E4, E5 = st.U @ st.W_prev.T, Gu @ st.W_prev.T
-    terms = mf._both_terms(st, D1, D2, D3, E1, E2, E3, E4, E5)
-    sp, _ = mf._poly_subproblem(st.X, st.M, terms, 4)
+    # expansion oracle: after two steps of each SO scheme (altmin on U, so
+    # its momentum slot is listed), the restriction equals f at the factors
+    # the step would commit
     rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(30):
-        t = rng.uniform(-0.5, 0.5, 4)
-        a1, b1, a2, b2 = t
-        U_c = (1 + b1) * st.U - b1 * st.U_prev - a1 * Gu
-        W_c = (1 + b2) * st.W - b2 * st.W_prev - a2 * Gw
-        explicit = mf.pca_value(U_c @ W_c.T, st.X)
-        worst = max(worst, abs(sp.value(t) - explicit)
-                    / max(1.0, abs(explicit)))
+    for step, slots in ((lambda s: mf.step_altmin_so(s, "u"), None),
+                        (mf.step_simul_so2, mf.SIMUL),
+                        (mf.step_momentum_one, mf.MOMENTUM_U),
+                        (mf.step_momentum_both_exact, mf.MOMENTUM_BOTH)):
+        st = mf.init_state(X, 5, seed=1)
+        step(st)
+        step(st)
+        slots, free = mf._altmin_slots(st, "u") if slots is None else (
+            slots, None)
+        sp, _, live, dirs = mf._expand(st, slots, free)
+        for _ in range(10):
+            t = rng.uniform(-0.5, 0.5, len(live))
+            theta = np.zeros(len(slots))
+            theta[live] = t
+            U_c, W_c = mf._factor_step(st, slots, dirs, theta)
+            explicit = mf.pca_value(U_c @ W_c.T, st.X)
+            worst = max(worst, abs(sp.value(t) - explicit)
+                        / max(1.0, abs(explicit)))
     assert worst <= 1e-10, f"criterion 2 FAIL: expansion error {worst:.2e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"criterion 2 FAIL: took {elapsed:.1f}s"

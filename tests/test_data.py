@@ -46,6 +46,19 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("+1 1:1\n-1 99999999999999999999:1\n", 2),     # index above 2^63 - 1
+    ("+1 1:1\n-1 2:nan\n", 2),
+    ("+1 1:inf\n-1 1:1\n", 1),
+    ("nan 1:1\n1 1:2\n", 1),                         # was read as y = +1
+    ("+1 1:1\n-inf 1:2\n", 2),
+])
+def test_parse_rejects_out_of_range_values_with_line_numbers(text, lineno):
+    with pytest.raises(ParseError) as e:
+        parse_libsvm(text)
+    assert e.value.lineno == lineno
+
+
 def test_round_trip():
     ds = gen_logistic(20, 5, seed=3)
     again = parse_libsvm(write_libsvm(ds))

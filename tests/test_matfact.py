@@ -1,5 +1,7 @@
 """Matrix factorization schemes: expansion oracles, budgets, drift."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -38,80 +40,59 @@ def test_gradient_matches_central_differences(state):
         assert abs(gW[i, j] - fd) / max(1.0, abs(fd)) < 1e-5
 
 
-def test_simul_expansion_matches_explicit_candidates(state):
-    # drive one step to populate _prev, then compare the polynomial
-    # restriction against explicitly formed candidates
-    mf.step_simul_so2(state)
-    Gu, Gw, D1, D2, D3 = mf._core_blocks(state)
-    terms = [
-        (lambda t: -t[0], lambda t: (-1.0, 0.0), D1),
-        (lambda t: -t[1], lambda t: (0.0, -1.0), D2),
-        (lambda t: t[0] * t[1], lambda t: (t[1], t[0]), D3),
-    ]
-    sp, m_at = mf._poly_subproblem(state.X, state.M, terms, 2)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        t = rng.uniform(-1, 1, size=2)
-        U_c = state.U - t[0] * Gu
-        W_c = state.W - t[1] * Gw
-        explicit = mf.pca_value(U_c @ W_c.T, state.X)
-        assert abs(sp.value(t) - explicit) <= 1e-10 * max(1.0, explicit)
+# every SO scheme: its step, and the slots and free pair products of its
+# next step; altmin runs on one fixed factor so its momentum slot is listed
+SO_SCHEMES = {
+    "altmin-u": (partial(mf.step_altmin_so, which="u"),
+                 lambda st: mf._altmin_slots(st, "u")),
+    "altmin-w": (partial(mf.step_altmin_so, which="w"),
+                 lambda st: mf._altmin_slots(st, "w")),
+    "simul": (mf.step_simul_so2, lambda st: (mf.SIMUL, None)),
+    "momentum-u": (mf.step_momentum_one, lambda st: (mf.MOMENTUM_U, None)),
+    "momentum-both": (mf.step_momentum_both_exact,
+                      lambda st: (mf.MOMENTUM_BOTH, None)),
+}
 
 
-def test_momentum_both_expansion_matches_explicit_candidates(state):
-    mf.step_momentum_both_exact(state)       # populate momentum anchors
-    mf.step_momentum_both_exact(state)
-    Gu, Gw, D1, D2, D3 = mf._core_blocks(state)
-    E1 = state.U_prev @ state.W.T
-    E2 = state.U_prev @ Gw.T
-    E3 = state.M_prev
-    E4 = state.U @ state.W_prev.T
-    E5 = Gu @ state.W_prev.T
-    terms = mf._both_terms(state, D1, D2, D3, E1, E2, E3, E4, E5)
-    sp, _ = mf._poly_subproblem(state.X, state.M, terms, 4)
+@pytest.mark.parametrize("warm", [0, 2])
+@pytest.mark.parametrize("scheme", SO_SCHEMES)
+def test_expansion_matches_explicit_factors(state, scheme, warm):
+    """After `warm` steps of the scheme, its restriction equals f at
+    explicitly formed factors and m_at is their product; its gradient and
+    Hessian match central differences.  With no warm-up every momentum
+    direction is exactly zero and its slot is left out of the solve."""
+    step, next_slots = SO_SCHEMES[scheme]
+    for _ in range(warm):
+        step(state)
+    slots, free = next_slots(state)
+    sp, m_at, live, _ = mf._expand(state, slots, free)
+    assert live == [k for k, (_, _, c) in enumerate(slots)
+                    if warm or c is mf.GRAD]
+    assert sp.dim == len(live)
+    X, U, W = state.X, state.U, state.W
+    G = U @ W.T - X
+    anchors = {"u": (U, state.U_prev, G @ W), "w": (W, state.W_prev, G.T @ U)}
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        t = rng.uniform(-0.5, 0.5, size=4)
-        a1, b1, a2, b2 = t
-        U_c = (1 + b1) * state.U - b1 * state.U_prev - a1 * Gu
-        W_c = (1 + b2) * state.W - b2 * state.W_prev - a2 * Gw
-        explicit = mf.pca_value(U_c @ W_c.T, state.X)
-        assert abs(sp.value(t) - explicit) <= 1e-10 * max(1.0, explicit)
-
-
-def _scheme_terms(state):
-    """(name, terms, dim) of the simul, momentum-u and momentum-both
-    restrictions at the current state."""
-    Gu, Gw, D1, D2, D3 = mf._core_blocks(state)
-    E1 = state.U_prev @ state.W.T
-    E2 = state.U_prev @ Gw.T
-    E4 = state.U @ state.W_prev.T
-    E5 = Gu @ state.W_prev.T
-    return [("simul", mf._simul_terms(D1, D2, D3), 2),
-            ("momentum-u", mf._one_terms(state, D1, D2, D3, E1, E2), 3),
-            ("momentum-both", mf._both_terms(state, D1, D2, D3, E1, E2,
-                                             state.M_prev, E4, E5), 4)]
-
-
-def test_gram_restriction_matches_finite_differences(state):
-    mf.step_momentum_both_exact(state)       # populate momentum anchors
-    mf.step_momentum_both_exact(state)
-    rng = np.random.default_rng(3)
     h = 1e-5
-    for name, terms, dim in _scheme_terms(state):
-        sp, _ = mf._poly_subproblem(state.X, state.M, terms, dim)
-        for _ in range(3):
-            t = rng.uniform(-0.5, 0.5, size=dim)
-            E = np.eye(dim) * h
-            g_fd = np.array([(sp.value(t + e) - sp.value(t - e)) / (2 * h)
-                             for e in E])
-            H_fd = np.array([(sp.grad(t + e) - sp.grad(t - e)) / (2 * h)
-                             for e in E])
-            g, H = sp.grad(t), sp.hess(t)
-            assert np.linalg.norm(g - g_fd) <= 1e-6 * max(
-                1.0, np.linalg.norm(g)), name
-            assert np.max(np.abs(H - H_fd)) <= 1e-6 * max(
-                1.0, np.max(np.abs(H))), name
+    for _ in range(5):
+        t = rng.uniform(-0.5, 0.5, size=sp.dim)
+        theta = np.zeros(len(slots))
+        theta[live] = t
+        new = {"u": U.copy(), "w": W.copy()}
+        for (f, _, c), th in zip(slots, theta):
+            new[f] += th * sum(ci * a for ci, a in zip(c, anchors[f]) if ci)
+        M_c = new["u"] @ new["w"].T
+        explicit = mf.pca_value(M_c, X)
+        assert abs(sp.value(t) - explicit) <= 1e-10 * max(1.0, explicit)
+        assert np.max(np.abs(m_at(t) - M_c)) <= 1e-10 * np.max(np.abs(M_c))
+        E = np.eye(sp.dim) * h
+        g_fd = np.array([(sp.value(t + e) - sp.value(t - e)) / (2 * h)
+                         for e in E])
+        H_fd = np.array([(sp.grad(t + e) - sp.grad(t - e)) / (2 * h)
+                         for e in E])
+        g, H = sp.grad(t), sp.hess(t)
+        assert np.linalg.norm(g - g_fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
+        assert np.max(np.abs(H - H_fd)) <= 1e-6 * max(1.0, np.max(np.abs(H)))
 
 
 def test_momentum_both_subsolves_take_few_newton_iterations():

@@ -11,6 +11,9 @@ hypothesis profile (tests/conftest.py).
 - logdet steps spend exactly `rank` solves, and their recorded f is the
   value of the iterate and never rises past rounding, on random
   covariances.
+- Every matfact scheme spends exactly its counted budget per step, its
+  recorded f never rises, and its tracked product stays within the audit,
+  on random sizes, ranks, seeds and generators.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subsearch.counted import CountedMatrix
-from subsearch import logdet, network
+from subsearch import logdet, matfact, network
 from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.linesearch import rounding_floor
 from subsearch.objectives import LcpObjective
@@ -110,3 +113,29 @@ def test_logdet_steps_spend_rank_solves_and_record_the_true_value(
 
     _, recs = logdet.run(S, rank, LOGDET_ITERS, callback=check)
     assert all(r.products == rank for r in recs)
+
+
+MF_ITERS = 30
+
+
+@given(scheme=st.sampled_from(tuple(matfact.MF_SCHEMES)),
+       n=st.integers(1, 30), d=st.integers(1, 12), rank=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6), quadratic=st.booleans())
+def test_matfact_schemes_spend_their_budget_and_never_rise(
+        scheme, n, d, rank, seed, quadratic):
+    """The exact momentum schemes spend one more product on each refresh
+    step, where they re-form U W^T.  f may rise by rounding, within 1e-12
+    of max(1, |f|): the recorded f is the restriction's Gram-form value,
+    not the committed point's own (a 1 x 1 altmin run records 0.0, then
+    2.5e-32)."""
+    X = (gen_quadratic if quadratic else gen_logistic)(n, d, seed).X.dense()
+    rank = min(rank, n, d)
+    f_prev = matfact.init_state(X, rank, seed).f
+    state, recs = matfact.run(scheme, X, rank, MF_ITERS, seed=seed)
+    refreshes = scheme in ("momentum-u", "momentum-both")
+    for k, r in enumerate(recs, start=1):
+        extra = refreshes and k % state.refresh_every == 0
+        assert r.products == matfact.MF_BUDGETS[scheme] + extra, k
+        assert r.f <= f_prev + 1e-12 * max(1.0, abs(f_prev)), k
+        f_prev = r.f
+    assert matfact.audit_product(state) <= 1e-8

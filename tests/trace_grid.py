@@ -11,8 +11,9 @@ and 0; lsq runs on the quadratic generator, every other model on the
 logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
 same code are byte-identical, and a run that raises writes the error as
 the file's text.  `--compare` lists the files that differ or exist in one
-grid only, and exits 1 if there are any.  The name keeps pytest from
-collecting this file.
+grid only, each with the largest relative difference of f and whether
+`products_cum` matches row for row, and exits 1 if there are any.  The
+name keeps pytest from collecting this file.
 """
 
 import re
@@ -63,11 +64,41 @@ def compare(a: Path, b: Path) -> list[str]:
                     and (a / name).read_bytes() == (b / name).read_bytes())]
 
 
+def _columns(path: Path):
+    """The f and products_cum columns of a grid CSV, or None when the file
+    is missing or holds no trace."""
+    if not path.is_file():
+        return None
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",") if lines else []
+    if "f" not in header or "products_cum" not in header:
+        return None
+    rows = [line.split(",") for line in lines[1:]]
+    f, cum = header.index("f"), header.index("products_cum")
+    return [float(r[f]) for r in rows], [r[cum] for r in rows]
+
+
+def describe(a: Path, b: Path) -> str:
+    """How two differing grid CSVs differ: the largest relative f
+    difference and whether products_cum matches on every row."""
+    ca, cb = _columns(a), _columns(b)
+    if ca is None or cb is None:
+        return "no trace in " + " and ".join(
+            str(p.parent) for p, c in ((a, ca), (b, cb)) if c is None)
+    (fa, pa), (fb, pb) = ca, cb
+    rel = max((abs(x - y) / max(abs(x), abs(y), 1e-300)
+               for x, y in zip(fa, fb)), default=0.0)
+    rows = "" if len(fa) == len(fb) else f", {len(fa)} vs {len(fb)} rows"
+    same = "matches" if pa == pb else "differs"
+    return f"max rel f diff {rel:.3g}, products_cum {same}{rows}"
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--compare":
-        differ = compare(Path(argv[1]), Path(argv[2]))
+        a, b = Path(argv[1]), Path(argv[2])
+        differ = compare(a, b)
         for name in differ:
-            print(name)
+            print(f"{name}: {describe(a / name, b / name)}")
         print(f"{len(differ)} file(s) differ")
         return 1 if differ else 0
     if len(argv) == 1 and not argv[0].startswith("-"):
