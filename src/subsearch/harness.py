@@ -367,8 +367,8 @@ def _logdet_family(cfg: ExperimentConfig) -> _Family:
 
 # model -> (family builder, method names)
 _FAMILIES = {
-    "logistic": (_lcp_family, _optimizers.LCP_METHODS),
-    "lsq": (_lcp_family, _optimizers.LCP_METHODS),
+    "logistic": (_lcp_family, _optimizers.TRACKED_METHODS),
+    "lsq": (_lcp_family, _optimizers.TRACKED_METHODS),
     "net2": (_net_family, _network.NET_METHODS),
     "net2_reg": (_net_family, _network.NET_METHODS),
     "matfact": (_matfact_family, _matfact.MF_SCHEMES),

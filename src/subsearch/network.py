@@ -3,8 +3,10 @@
 The objective is f(W, v) = ||tanh(XW) v - y||^2, optionally plus
 (lambda/2)(||W||_F^2 + ||v||^2).  Tracking the hidden pre-activations
 M = XW lets every candidate step be evaluated in O(nr) without touching X,
-so each iteration performs exactly two counted products: X^T R for the
-first-layer gradient and X (X^T R) for its image.
+so each LS, LO or SO iteration performs exactly two counted products: X^T R
+for the first-layer gradient and X D for the image of the search direction.
+The shared tracked-state steps of `optimizers` run here unchanged, and the
+per-layer (stepsize-block) steps are the network's own.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from .data import Dataset, _normals, _seed_state
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
                          StepRecord, TrackedState, apply_rule, drive,
                          methods_with_rule, momentum_dir, pr_plus)
-# the tied (both-layer) steps are the shared tracked-state steps
-from .optimizers import step_gd_fixedL, step_gd_lo  # noqa: F401
-from .optimizers import step_memory_gradient as step_mg_so  # noqa: F401
 from .subsolver import SubProblem, solve
 
 
@@ -184,21 +183,24 @@ class NetState(TrackedState):
     def M(self):
         return self.blocks[2]
 
-    def gradient(self, obj: NetObjective):
-        """Full gradient (gW, gv) and image D = X gW; two counted products."""
-        R, gv = backward(obj, self.v, self.M)
+    def gradient(self, obj: NetObjective, blocks=None):
+        """Full gradient (gW, gv) at the iterate or at `blocks`; one counted
+        product."""
+        W, v, M = self.blocks if blocks is None else blocks
+        R, gv = backward(obj, v, M)
         gW = obj.X.rmatmat(R)
         if obj.l2_lambda > 0:
-            gW = gW + obj.l2_lambda * self.W
-        return (gW, gv), obj.X.matmat(gW)
+            gW = gW + obj.l2_lambda * W
+        return gW, gv
+
+    @staticmethod
+    def image(obj: NetObjective, params) -> np.ndarray:
+        """The pre-activation image X dW; one counted product."""
+        return obj.X.matmat(params[0])
 
     @staticmethod
     def value(obj: NetObjective, blocks) -> float:
         return obj.value_tracked(*blocks)
-
-    @staticmethod
-    def recompute(obj: NetObjective, params) -> np.ndarray:
-        return obj.X.matmat(params[0])
 
     @staticmethod
     def dot(a, b) -> float:
@@ -266,7 +268,8 @@ def audit_activations(state: NetState, obj: NetObjective) -> float:
 
 def step_gd_sb(state, obj, rule="so"):
     """GD(SB): separate per-layer learning rates, set jointly by 2-d SO."""
-    (gW, gv), D = state.gradient(obj)
+    gW, gv = state.gradient(obj)
+    D = state.image(obj, (gW, gv))
     dirs = [(-gW, None, -D), (None, -gv, None)]
     return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], "gd(sb)",
                       (gW, gv), D)
@@ -278,7 +281,8 @@ def step_cgm_sb(state, obj, rule="so"):
     Both coefficients reset only if the combined direction fails the
     descent test.
     """
-    (gW, gv), D = state.gradient(obj)
+    gW, gv = state.gradient(obj)
+    D = state.image(obj, (gW, gv))
     eta1 = eta2 = dW = dv = dM = 0.0
     if state.grad_prev is not None:
         gW_prev, gv_prev, _ = state.grad_prev
@@ -303,7 +307,8 @@ def step_cgm_sb(state, obj, rule="so"):
 
 def step_mg_so_sb(state, obj, rule="so", warm=None):
     """GD+M(SO+SB): per-layer learning and momentum rates via 4-d SO."""
-    (gW, gv), D = state.gradient(obj)
+    gW, gv = state.gradient(obj)
+    D = state.image(obj, (gW, gv))
     if state.prev_blocks is None:
         dirs = [(-gW, None, -D), (None, -gv, None)]
         slots = ["alpha1", "alpha2"]

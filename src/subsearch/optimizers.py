@@ -6,12 +6,14 @@ and subspace candidates are then evaluated from the image alone, and each
 LO/SO iteration performs exactly two counted products: one for the gradient
 and one for the image of the search direction.
 
-The steps are written once against a tracked state.  `TrackedState` is the
-bookkeeping every model shares, written once here:
+Each step is written once against a tracked state, so every method runs on
+every tracked model.  `TrackedState` is the bookkeeping every model shares,
+written once here:
 
 - `blocks`: the parameter blocks with the tracked image last, (w, m) or
   (W, v, M); `prev_blocks` the same one step back, and `grad_prev` the
-  gradient blocks that step took with their image last, or None;
+  gradient blocks that step took with their image last (None where the
+  step took no image of its gradient), or None;
 - `advance` commits a step, and `momentum_coef` is the PR+ coefficient over
   all parameter blocks jointly;
 - `alpha_prev` and `L` carry the last step size and the 1/L rule's
@@ -21,11 +23,11 @@ bookkeeping every model shares, written once here:
 Each model subclasses it with its arithmetic alone (`MarginState` here,
 `network.NetState` for the network):
 
-- `gradient(obj)`: the gradient blocks and the image of the gradient (two
-  counted products);
+- `gradient(obj, blocks=None)`: the gradient blocks at the iterate, or at
+  the tracked point `blocks` (one counted product);
+- `image(obj, params)`: the image of parameter blocks, such as a search
+  direction or a rejected 1/L trial's point (one counted product);
 - `value(obj, blocks)`: f at a tracked point (no products);
-- `recompute(obj, params)`: the image of new parameters (one counted
-  product), for a rejected 1/L trial;
 - `dot`: the model's inner product over the parameter blocks;
 - `subspace_solve(obj, dirs, warm)` and `line(obj, direction)`: the
   restriction to a list of directions solved by the subsolver, and the
@@ -110,6 +112,15 @@ def _flat(blocks):
     return np.concatenate([b.ravel() for b in blocks])
 
 
+def _unflat(vec, like):
+    """`vec` split back into blocks shaped like `like`; undoes `_flat`."""
+    blocks, start = [], 0
+    for b in like:
+        blocks.append(vec[start:start + b.size].reshape(b.shape))
+        start += b.size
+    return tuple(blocks)
+
+
 @dataclass
 class TrackedState:
     """The bookkeeping every tracked-image model shares (see above).
@@ -151,18 +162,19 @@ class MarginState(TrackedState):
     def m(self):
         return self.blocks[1]
 
-    def gradient(self, obj: LcpObjective):
-        """Full gradient and its margin image; two counted products."""
-        g = obj.f_grad_margin(self.w, self.m)
-        return (g,), obj.X.matvec(g)
+    def gradient(self, obj: LcpObjective, blocks=None):
+        """Full gradient at the iterate or at `blocks`; one counted product."""
+        w, m = self.blocks if blocks is None else blocks
+        return (obj.f_grad_margin(w, m),)
+
+    @staticmethod
+    def image(obj: LcpObjective, params) -> np.ndarray:
+        """The margin image X p; one counted product."""
+        return obj.X.matvec(params[0])
 
     @staticmethod
     def value(obj: LcpObjective, blocks) -> float:
         return obj.f_value_margin(*blocks)
-
-    @staticmethod
-    def recompute(obj: LcpObjective, params) -> np.ndarray:
-        return obj.X.matvec(params[0])
 
     @staticmethod
     def dot(a, b) -> float:
@@ -211,7 +223,8 @@ def audit_margin(state: MarginState, obj: LcpObjective) -> float:
 # tracked-state steps, shared by the LCPs and the network
 
 def grad_dir(grad, grad_image):
-    """The negative gradient as a direction."""
+    """The negative of parameter blocks with their image, as a direction:
+    the negative gradient, or the negative of a method's own direction."""
     return (*(-g for g in grad), -grad_image)
 
 
@@ -282,7 +295,7 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
 
     The test is sigma = 1/2 and L persists across steps in state.L.  The
     first trial's image comes from the tracked one; each later trial
-    recomputes it, one counted product per doubling.
+    takes its own, one counted product per doubling.
     """
     gsq = state.dot(grad, grad)
     if gsq == 0:
@@ -292,7 +305,7 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
 
     def value_at(L):
         params = [b - g / L for b, g in zip(base[:-1], grad)]
-        image = (state.recompute(obj, params) if trial
+        image = (state.image(obj, params) if trial
                  else base[-1] - grad_image / L)
         trial[:] = [*params, image]
         return state.value(obj, trial)
@@ -339,19 +352,16 @@ def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
 
 def step_gd(state, obj, rule, warm=None):
     """GD: the negative gradient with the 1/L, LS or LO step size."""
-    grad, q = state.gradient(obj)
+    grad = state.gradient(obj)
+    q = state.image(obj, grad)
     return apply_rule(state, obj, rule, [grad_dir(grad, q)], ["alpha1"],
                       f"gd({rule})", grad, q, warm=warm)
 
 
-# GD(1/L) and GD(LO) as single steps, for comparisons from one state
-step_gd_fixedL = partial(step_gd, rule="1/l")
-step_gd_lo = partial(step_gd, rule="lo")
-
-
 def step_cg_prp(state, obj, rule):
     """GD+M(LS)/GD+M(LO): nonlinear CG direction, Wolfe or LO step size."""
-    grad, q = state.gradient(obj)
+    grad = state.gradient(obj)
+    q = state.image(obj, grad)
     eta = state.momentum_coef(grad)
     direction = grad_dir(grad, q)
     if eta:
@@ -376,27 +386,27 @@ def _with_momentum(state, direction):
 
 def step_memory_gradient(state, obj, rule="so", warm=None):
     """GD+M(SO): 2-d plane search over learning and momentum rates."""
-    grad, q = state.gradient(obj)
+    grad = state.gradient(obj)
+    q = state.image(obj, grad)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
     return apply_rule(state, obj, rule, dirs, slots, "gd+m(so)", grad, q,
                       warm=warm)
 
-
-# ---------------------------------------------------------------------------
-# LCP-only steps
 
 def step_nag_so(state, obj, rule="so", scaled=False):
     """3-d SO over gradient, momentum, and gradient-momentum directions.
 
     `scaled` (SNAG) adds a scaling of the iterate (delta = 1 + theta).
     """
-    grad, q = state.gradient(obj)
+    grad = state.gradient(obj)
+    q = state.image(obj, grad)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
     if state.grad_prev is not None:
-        dirs.append((grad[0] - state.grad_prev[0], q - state.grad_prev[-1]))
+        dirs.append(tuple(g - gp for g, gp in zip((*grad, q),
+                                                  state.grad_prev)))
         slots.append("gamma")
     if scaled:
-        dirs.append((state.w.copy(), state.m.copy()))
+        dirs.append(tuple(b.copy() for b in state.blocks))
         slots.append("delta")
     return apply_rule(state, obj, rule, dirs, slots,
                       "snag(so)" if scaled else "nag(so)", grad, q)
@@ -415,9 +425,9 @@ def step_nag_fixedL(state, obj, rule="1/l"):
         y = tuple(b + mix * s for b, s in zip(state.blocks,
                                               momentum_dir(state)))
     state.memory = t_next
-    grad_y = obj.f_grad_margin(*y)
-    return _backtrack(state, obj, "nag(1/l)", y, obj.f_value_margin(*y),
-                      (grad_y,), obj.X.matvec(grad_y))
+    grad_y = state.gradient(obj, y)
+    return _backtrack(state, obj, "nag(1/l)", y, state.value(obj, y),
+                      grad_y, state.image(obj, grad_y))
 
 
 def lbfgs_direction(pairs, grad):
@@ -443,13 +453,14 @@ def lbfgs_direction(pairs, grad):
 
 
 def _lbfgs_pairs(state, grad):
-    """The method's memory, the L-BFGS pairs, with the last step's (s, y)
-    pair folded in; a pair with s'y <= 0 is skipped."""
+    """The method's memory, the L-BFGS pairs over the flattened parameter
+    blocks, with the last step's (s, y) pair folded in; a pair with
+    s'y <= 0 is skipped.  `grad` is the flattened gradient."""
     if state.memory is None:
         state.memory = deque(maxlen=LBFGS_MEMORY)
     if state.grad_prev is not None:
-        s = state.w - state.prev_blocks[0]
-        yv = grad - state.grad_prev[0]
+        s = _flat(state.blocks[:-1]) - _flat(state.prev_blocks[:-1])
+        yv = grad - _flat(state.grad_prev[:-1])
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv) + 1e-300):
             state.memory.append((s, yv, 1.0 / sy))
@@ -461,16 +472,17 @@ def step_qn(state, obj, rule):
 
     The SO rule adds the momentum direction.
     """
-    grad = obj.f_grad_margin(state.w, state.m)
-    d = lbfgs_direction(_lbfgs_pairs(state, grad), grad)
+    grad = state.gradient(obj)
+    g = _flat(grad)
+    d = lbfgs_direction(_lbfgs_pairs(state, g), g)
     flag = None
-    if float(d @ grad) <= 0:
+    if float(d @ g) <= 0:
         d = -d
         flag = "negated_direction"
-    q = obj.X.matvec(d)
-    dirs, slots = _with_momentum(state, (-d, -q))
+    d = _unflat(d, grad)
+    dirs, slots = _with_momentum(state, grad_dir(d, state.image(obj, d)))
     return apply_rule(state, obj, rule, dirs, slots,
-                      "qn+m(so)" if rule == "so" else f"qn({rule})", (grad,),
+                      "qn+m(so)" if rule == "so" else f"qn({rule})", grad,
                       None, flag=flag, alpha_init=1.0)
 
 
@@ -487,39 +499,40 @@ def adam_direction(mu, v, grad):
 def step_adam(state, obj, rule):
     """Adam/Adam(LS)/Adam(LO)/Adam2(SO); SO adds the last Adam direction.
 
-    The method's memory is (mu, v, last direction).
+    The method's memory is (mu, v, last direction), the moments kept per
+    parameter block.
     """
-    grad = obj.f_grad_margin(state.w, state.m)
+    grad = state.gradient(obj)
     if state.memory is None:
-        zero = np.zeros_like(grad)
+        zero = tuple(np.zeros_like(g) for g in grad)
         state.memory = (zero, zero, None)
     mu, v, prev = state.memory
-    mu, v, d = adam_direction(mu, v, grad)
-    q = obj.X.matvec(d)
+    mu, v, d = zip(*map(adam_direction, mu, v, grad))
+    q = state.image(obj, d)
     method = {"fixed": "adam", "so": "adam2(so)"}.get(rule, f"adam({rule})")
     flag = None
-    if rule == "ls" and float(d @ grad) <= 0:
+    if rule == "ls" and state.dot(d, grad) <= 0:
         # -d is not a descent direction; search along +d instead
-        d, q = -d, -q
-        flag = "no_descent" if float(d @ grad) <= 0 else "negated_direction"
-    dirs = [(-d, -q)]
+        d, q = tuple(-b for b in d), -q
+        flag = ("no_descent" if state.dot(d, grad) <= 0
+                else "negated_direction")
+    dirs = [grad_dir(d, q)]
     if prev is not None:
         dirs.append(prev)
     state.memory = (mu, v, dirs[0])
     if flag == "no_descent":
-        state.advance([b.copy() for b in state.blocks], state.f, (grad,),
-                      None)
+        state.advance([b.copy() for b in state.blocks], state.f, grad, None)
         return StepRecord(method, state.f, alpha1=0.0, flag=flag,
-                          gnorm=math.sqrt(state.dot((grad,), (grad,))))
+                          gnorm=math.sqrt(state.dot(grad, grad)))
     return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], method,
-                      (grad,), None, flag=flag)
+                      grad, None, flag=flag)
 
 
 # ---------------------------------------------------------------------------
 # method tables and the step driver
 
 # each method is a step function, which builds its directions, and a
-# step-size rule; the network registers these same entries
+# step-size rule; every tracked model runs these entries
 TRACKED_METHODS = {
     "gd(1/l)": (step_gd, "1/l"),
     "gd(ls)": (step_gd, "ls"),
@@ -527,10 +540,6 @@ TRACKED_METHODS = {
     "gd+m(ls)": (step_cg_prp, "ls"),
     "gd+m(lo)": (step_cg_prp, "lo"),
     "gd+m(so)": (step_memory_gradient, "so"),
-}
-
-LCP_METHODS = {
-    **TRACKED_METHODS,
     "nag(1/l)": (step_nag_fixedL, "1/l"),
     "nag(so)": (step_nag_so, "so"),
     "snag(so)": (partial(step_nag_so, scaled=True), "so"),
@@ -554,8 +563,8 @@ def methods_with_rule(table, rules) -> tuple[str, ...]:
     return tuple(name for name, (_, rule) in table.items() if rule in rules)
 
 
-LO_SO_METHODS = methods_with_rule(LCP_METHODS, TWO_PRODUCT_RULES)
-MONOTONE_METHODS = methods_with_rule(LCP_METHODS, MONOTONE_RULES)
+LO_SO_METHODS = methods_with_rule(TRACKED_METHODS, TWO_PRODUCT_RULES)
+MONOTONE_METHODS = methods_with_rule(TRACKED_METHODS, MONOTONE_RULES)
 
 
 def drive(name, step, state, iters, meter, audit, audit_every,
@@ -594,9 +603,9 @@ def run(method: str, obj: LcpObjective, iters: int,
         w0: np.ndarray | None = None, audit_every: int = 100,
         callback=None) -> tuple[MarginState, list[StepRecord]]:
     """Apply `method` for `iters` steps, recording products per iteration."""
-    if method not in LCP_METHODS:
+    if method not in TRACKED_METHODS:
         raise KeyError(f"unknown method {method!r}")
-    step, rule = LCP_METHODS[method]
+    step, rule = TRACKED_METHODS[method]
     return drive(method, lambda st: step(st, obj, rule), init_state(obj, w0),
                  iters, obj.X.counter_read,
                  lambda st: ("margin", audit_margin(st, obj), 1e-8),

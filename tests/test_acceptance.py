@@ -224,9 +224,9 @@ def test_criterion_5_single_step_dominance_logistic():
             return copy.deepcopy(seed_state)
 
         st = fresh()
-        rec_bt = opt.step_gd_fixedL(st, obj)
+        rec_bt = opt.step_gd(st, obj, "1/l")
         st = fresh()
-        rec_lo = opt.step_gd_lo(st, obj, warm=np.array([rec_bt.alpha1]))
+        rec_lo = opt.step_gd(st, obj, "lo", warm=np.array([rec_bt.alpha1]))
         st = fresh()
         rec_so = opt.step_memory_gradient(
             st, obj, warm=np.array([rec_lo.alpha1, 0.0]))
@@ -260,12 +260,12 @@ def test_criterion_5_single_step_dominance_net():
             return copy.deepcopy(seed_state)
 
         st = fresh()
-        rec_bt = net.step_gd_fixedL(st, obj)
+        rec_bt = opt.step_gd(st, obj, "1/l")
         st = fresh()
-        rec_lo = net.step_gd_lo(st, obj, warm=np.array([rec_bt.alpha1]))
+        rec_lo = opt.step_gd(st, obj, "lo", warm=np.array([rec_bt.alpha1]))
         st = fresh()
-        rec_so = net.step_mg_so(st, obj,
-                                warm=np.array([rec_lo.alpha1, 0.0]))
+        rec_so = opt.step_memory_gradient(
+            st, obj, warm=np.array([rec_lo.alpha1, 0.0]))
         st = fresh()
         a, b = rec_so.alpha1, rec_so.beta1
         rec_sb = net.step_mg_so_sb(st, obj, warm=np.array([a, b, a, b]))

@@ -168,8 +168,8 @@ def test_init_params_deterministic_and_scaled():
     assert np.max(np.abs(W1)) < 1.0 / (5 * 11) * 10  # scale 1/(r(d+1))
 
 
-def test_registry_covers_all_nine_methods():
-    assert len(NET_METHODS) == 9
+def test_registry_covers_all_nineteen_methods():
+    assert len(NET_METHODS) == 19
     for name in NET_LO_SO_METHODS + NET_MONOTONE_METHODS:
         assert name in NET_METHODS
 

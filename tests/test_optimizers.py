@@ -6,8 +6,8 @@ import pytest
 from subsearch.data import gen_logistic, gen_quadratic
 from subsearch.linesearch import fista_momentum
 from subsearch.objectives import LcpObjective
-from subsearch.optimizers import (LCP_METHODS, LO_SO_METHODS,
-                                  MONOTONE_METHODS, audit_margin, grad_dir,
+from subsearch.optimizers import (LO_SO_METHODS, MONOTONE_METHODS,
+                                  TRACKED_METHODS, audit_margin, grad_dir,
                                   init_state, pr_plus, run, so_step)
 from subsearch.subsolver import SubSolveResult
 
@@ -53,7 +53,8 @@ def test_monotone_methods_record_no_rise_at_all(n, d, seed, lam, iters,
 def test_so_step_commits_the_zero_step_rather_than_a_rise(logistic_obj):
     state = init_state(logistic_obj)
     w0, m0, f0 = state.w, state.m, state.f
-    grad, q = state.gradient(logistic_obj)
+    grad = state.gradient(logistic_obj)
+    q = state.image(logistic_obj, grad)
     # a solve that reports a gain for a step up the gradient
     state.subspace_solve = lambda obj, dirs, warm: SubSolveResult(
         np.array([-1.0]), f0 - 1.0, 3, "converged")
@@ -62,6 +63,26 @@ def test_so_step_commits_the_zero_step_rather_than_a_rise(logistic_obj):
     assert (rec.f, rec.alpha1, rec.flag) == (f0, 0.0, "rounding_floor")
     assert rec.inner_iters == 3 and state.f == f0
     assert np.array_equal(state.w, w0) and np.array_equal(state.m, m0)
+
+
+@pytest.mark.parametrize("method", ["gd(1/l)", "nag(1/l)"])
+@pytest.mark.parametrize("model", ["logistic", "lsq", "net2"])
+def test_one_over_l_steps_spend_two_products_plus_their_doublings(model,
+                                                                  method):
+    # the gradient and its image, then one image per rejected trial
+    from subsearch import network
+
+    if model == "net2":
+        obj = network.NetObjective(gen_quadratic(40, 6, seed=3), hidden=4)
+        _, recs = network.run(method, obj, 30, seed=0)
+    elif model == "lsq":
+        _, recs = run(method, LcpObjective(
+            "least_squares", gen_quadratic(60, 8, seed=2), 1 / 60), 30)
+    else:
+        _, recs = run(method, LcpObjective(
+            "logistic", gen_logistic(60, 8, seed=2), 1 / 60), 30)
+    assert [r.products for r in recs] == [2 + r.inner_iters for r in recs]
+    assert any(r.inner_iters for r in recs)
 
 
 def test_margin_drift_stays_small(logistic_obj):
@@ -76,7 +97,7 @@ def test_unknown_method_raises(logistic_obj):
 
 def test_registry_has_no_orphans():
     for name in LO_SO_METHODS + MONOTONE_METHODS:
-        assert name in LCP_METHODS
+        assert name in TRACKED_METHODS
 
 
 def test_method_sets_derive_from_rule_tables():
@@ -90,12 +111,14 @@ def test_method_sets_derive_from_rule_tables():
         "gd(lo)", "gd+m(lo)", "gd+m(so)", "nag(so)", "snag(so)", "qn(lo)",
         "qn+m(so)", "adam(lo)", "adam2(so)"}
     assert set(network.NET_LO_SO_METHODS) == {
-        "gd(ls)", "gd(lo)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)", "gd(sb)",
-        "gd+m(sb)", "gd+m(so+sb)"}
+        "gd(ls)", "gd(lo)", "gd+m(ls)", "gd+m(lo)", "gd+m(so)", "nag(so)",
+        "snag(so)", "qn(ls)", "qn(lo)", "qn+m(so)", "adam(ls)", "adam(lo)",
+        "adam2(so)", "gd(sb)", "gd+m(sb)", "gd+m(so+sb)"}
     assert set(network.NET_MONOTONE_METHODS) == {
-        "gd(lo)", "gd+m(lo)", "gd+m(so)", "gd(sb)", "gd+m(sb)",
+        "gd(lo)", "gd+m(lo)", "gd+m(so)", "nag(so)", "snag(so)", "qn(lo)",
+        "qn+m(so)", "adam(lo)", "adam2(so)", "gd(sb)", "gd+m(sb)",
         "gd+m(so+sb)"}
-    for table in (LCP_METHODS, network.NET_METHODS):
+    for table in (TRACKED_METHODS, network.NET_METHODS):
         for name, (step, rule) in table.items():
             assert callable(step), name
             assert rule in ("1/l", "fixed", "ls", "lo", "so"), name

@@ -6,8 +6,9 @@ hypothesis profile (tests/conftest.py).
   runs long enough for f to stall at rounding level on most draws, which is
   where the inner searches used to run to their caps and commit
   rounding-sized steps.
-- The monotone net2 methods spend exactly two products per step and their
-  recorded f never rises, on random sizes, seeds, lambda and generators.
+- The monotone methods spend exactly two products per step and their
+  recorded f never rises, on logistic, lsq and net2, on random sizes,
+  seeds, lambda and generators.
 - logdet steps spend exactly `rank` solves, and their recorded f is the
   value of the iterate and never rises past rounding, on random
   covariances.
@@ -26,7 +27,8 @@ from subsearch import logdet, matfact, network
 from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.linesearch import rounding_floor
 from subsearch.objectives import LcpObjective
-from subsearch.optimizers import audit_margin, init_state, run
+from subsearch.optimizers import (MONOTONE_METHODS, audit_margin,
+                                  init_state, run)
 
 ITERS = 150
 # Wolfe evaluations or subsolver iterations per step once f has stalled
@@ -63,23 +65,38 @@ def test_searches_past_the_rounding_floor(method, n, d, seed, lam, sparse):
     assert all(r.inner_iters <= STALLED_INNER for r in tail)
 
 
-NET_ITERS = 30
+MONOTONE_ITERS = 30
+MONOTONE_CASES = tuple(
+    [(model, method) for model in ("logistic", "lsq")
+     for method in MONOTONE_METHODS]
+    + [("net2", method) for method in network.NET_MONOTONE_METHODS])
 
 
-@given(method=st.sampled_from(network.NET_MONOTONE_METHODS),
+@given(case=st.sampled_from(MONOTONE_CASES),
        n=st.integers(5, 60), d=st.integers(1, 10), hidden=st.integers(1, 5),
        seed=st.integers(0, 10 ** 6), lam=st.booleans(),
        quadratic=st.booleans())
-def test_net2_monotone_methods_spend_two_products_and_never_rise(
-        method, n, d, hidden, seed, lam, quadratic):
-    """Drift is not asserted: runs this short end before the first audit,
-    and tiny problems with one hidden unit can drift past it; the xfail
+def test_monotone_methods_spend_two_products_and_never_rise(
+        case, n, d, hidden, seed, lam, quadratic):
+    """lsq runs on the quadratic generator and logistic on the logistic one;
+    net2 draws its generator.  Drift is not asserted: runs this short end
+    before the first audit, and tiny problems with one hidden unit can
+    drift past it; the xfail
     test_tracked_activations_stay_within_the_audit_on_one_hidden_unit in
     test_network.py pins one such case."""
-    ds = (gen_quadratic if quadratic else gen_logistic)(n, d, seed)
-    obj = network.NetObjective(ds, hidden, 1.0 / n if lam else 0.0)
-    f_prev = network.init_state(obj, seed=seed).f
-    _, recs = network.run(method, obj, NET_ITERS, seed=seed)
+    model, method = case
+    lam = 1.0 / n if lam else 0.0
+    if model == "net2":
+        ds = (gen_quadratic if quadratic else gen_logistic)(n, d, seed)
+        obj = network.NetObjective(ds, hidden, lam)
+        f_prev = network.init_state(obj, seed=seed).f
+        _, recs = network.run(method, obj, MONOTONE_ITERS, seed=seed)
+    else:
+        obj = (LcpObjective("logistic", gen_logistic(n, d, seed), lam)
+               if model == "logistic" else
+               LcpObjective("least_squares", gen_quadratic(n, d, seed), lam))
+        f_prev = init_state(obj).f
+        _, recs = run(method, obj, MONOTONE_ITERS)
     assert all(r.products == 2 for r in recs)
     for r in recs:
         assert r.f <= f_prev

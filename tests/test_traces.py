@@ -99,7 +99,7 @@ def fixture():
 
 def test_fixture_covers_every_method(fixture):
     assert sorted(fixture) == sorted(f"{m} {n}" for m, n in _pairs())
-    assert len(fixture) == 57
+    assert len(fixture) == 77
 
 
 @pytest.mark.parametrize("model,method", _pairs())

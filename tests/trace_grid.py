@@ -10,10 +10,11 @@ Each run is n=200, d=20, hidden=4, 60 iterations, seed 1, at lambda 1/n
 and 0; lsq runs on the quadratic generator, every other model on the
 logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
 same code are byte-identical, and a run that raises writes the error as
-the file's text.  `--compare` lists the files that differ or exist in one
-grid only, each with the largest relative difference of f and whether
-`products_cum` matches row for row, and exits 1 if there are any.  The
-name keeps pytest from collecting this file.
+the file's text.  `--compare` lists the files that differ, each with the
+largest relative difference of f and whether `products_cum` matches row for
+row, and the files that exist in one grid only, as `only in A` or `only in
+B`; it exits 1 if there are any.  The name keeps pytest from collecting
+this file.
 """
 
 import re
@@ -66,9 +67,7 @@ def compare(a: Path, b: Path) -> list[str]:
 
 def _columns(path: Path):
     """The f and products_cum columns of a grid CSV, or None when the file
-    is missing or holds no trace."""
-    if not path.is_file():
-        return None
+    holds no trace."""
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     if "f" not in header or "products_cum" not in header:
@@ -79,8 +78,11 @@ def _columns(path: Path):
 
 
 def describe(a: Path, b: Path) -> str:
-    """How two differing grid CSVs differ: the largest relative f
-    difference and whether products_cum matches on every row."""
+    """How two differing grid CSVs differ: which grid alone holds the file,
+    or the largest relative f difference and whether products_cum matches
+    on every row."""
+    if not (a.is_file() and b.is_file()):
+        return "only in " + ("A" if a.is_file() else "B")
     ca, cb = _columns(a), _columns(b)
     if ca is None or cb is None:
         return "no trace in " + " and ".join(
