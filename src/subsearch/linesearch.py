@@ -109,7 +109,10 @@ def strong_wolfe(phi: Callable[[float], float],
             best_armijo = (a, fa)
 
     def finish(a, fa):
-        # re-verify by direct evaluation, not from loop bookkeeping
+        # re-verify by direct evaluation, not from loop bookkeeping: phi and
+        # dphi are read again at a, and since the closures are pure, a
+        # closure that keeps its last point (the tracked models' do) serves
+        # both from memory
         va = phi(a)
         da = dphi(a)
         ok = (va <= phi0 + c1 * a * g0 + 1e-12 * max(1.0, abs(phi0))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _normals, _seed_state
+from .objectives import memo_last
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
                          StepRecord, TrackedState, apply_rule, drive,
                          methods_with_rule, momentum_dir, pr_plus)
@@ -73,7 +74,11 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
 
     Candidate values and gradients cost O(nrp) (plus O(drp) for the weight
     decay term), and the exact p x p Hessian O(nrp^2); all are analytic
-    through tanh and use no counted products.  With u = tanh(M_c) v_c - y
+    through tanh and use no counted products.  One trial point builds its
+    combined blocks, one tanh of the n x r pre-activations and the residual
+    once, shared by the value and the gradient at that theta (and so by the
+    Wolfe search's phi and dphi at one step size); the Hessian forms its own
+    image.  With u = tanh(M_c) v_c - y
     and a_j = du/dtheta_j = (H' o dM_j) v_c + H dv_j, where H = tanh(M_c),
     the Hessian is
 
@@ -87,7 +92,7 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     p = len(dirs)
     n, r = M.shape
 
-    def combine(theta):
+    def point(theta):
         M_c = M.copy()
         v_c = v.copy()
         W_c = W.copy() if lam > 0 else None
@@ -98,20 +103,21 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
                 v_c += t * dv
             if lam > 0 and dW is not None:
                 W_c += t * dW
-        return W_c, v_c, M_c
+        H = np.tanh(M_c)
+        return W_c, v_c, H, H @ v_c - y
+
+    at = memo_last(point)
 
     def value(theta):
-        W_c, v_c, M_c = combine(theta)
-        resid = np.tanh(M_c) @ v_c - y
+        W_c, v_c, _, resid = at(theta)
         val = float(resid @ resid)
         if lam > 0:
             val += 0.5 * lam * (float(np.sum(W_c * W_c)) + float(v_c @ v_c))
         return val
 
     def grad(theta):
-        W_c, v_c, M_c = combine(theta)
-        H = np.tanh(M_c)
-        gg = 2.0 * (H @ v_c - y)
+        W_c, v_c, H, resid = at(theta)
+        gg = 2.0 * resid
         Hp = 1.0 - H * H
         out = np.empty(p)
         for j, (dW, dv, dM) in enumerate(dirs):

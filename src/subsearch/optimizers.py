@@ -59,7 +59,7 @@ from functools import partial
 import numpy as np
 
 from .linesearch import backtrack_half, fista_momentum, strong_wolfe
-from .objectives import LcpObjective
+from .objectives import LcpObjective, MarginLoss, memo_last
 from .subsolver import solve
 
 # L-BFGS keeps this many (s, y) pairs
@@ -186,15 +186,20 @@ class MarginState(TrackedState):
         return solve(sp, theta0=warm)
 
     def line(self, obj: LcpObjective, direction):
-        """Margin-space value and slope along p with image q."""
+        """Margin-space value and slope along p with image q.
+
+        Both closures share the last step size's margin m + a q and its
+        exponentials, so phi and dphi at one a build them once.
+        """
         (p, q), (w, m) = direction, self.blocks
         lam = obj.l2_lambda
+        at = memo_last(lambda a: MarginLoss(obj, m + a * q))
 
         def phi(a):
-            return obj.f_value_margin(w + a * p, m + a * q)
+            return obj.plus_l2(at(a).value, w + a * p)
 
         def dphi(a):
-            g = obj.g_grad(m + a * q) @ q
+            g = at(a).grad @ q
             if lam > 0:
                 g += lam * float((w + a * p) @ p)
             return g

@@ -164,7 +164,11 @@ def test_trace_from_csv_reemits_identically():
 def test_benchmark_entry_points_stay_patchable(monkeypatch):
     """perfbench/probe.py replaces these module attributes to take its
     step clock and per-layer spans, and perfbench/checks.py reads the
-    objective as the second positional argument of each model's run."""
+    objective as the second positional argument of each model's run.  The
+    probe wraps the value, grad and hess of each SubProblem handed to
+    `solve` separately to count their calls, and `optimizers.strong_wolfe`
+    to time and count the Wolfe search; it would silently record nothing if
+    either stopped holding."""
     import inspect
 
     from subsearch import logdet, matfact, network, optimizers
@@ -172,29 +176,36 @@ def test_benchmark_entry_points_stay_patchable(monkeypatch):
     for mod in (optimizers, network, matfact, logdet):
         assert "run" in vars(mod) and "solve" in vars(mod), mod.__name__
         assert "callback" in inspect.signature(mod.run).parameters
+    assert "strong_wolfe" in vars(optimizers)
     for name in ("gen_logistic", "gen_quadratic", "parse_libsvm",
                  "emit_csv"):
         assert name in vars(hz), name
 
-    runs, solves = [], []
-    run, solve = network.run, network.solve
+    def spy(mod, attr):
+        calls, orig = [], getattr(mod, attr)
 
-    def run_spy(*args, **kwargs):
-        runs.append(args)
-        return run(*args, **kwargs)
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
 
-    def solve_spy(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+        monkeypatch.setattr(mod, attr, wrapped)
+        return calls
 
-    monkeypatch.setattr(network, "run", run_spy)
-    monkeypatch.setattr(network, "solve", solve_spy)
-    cfg = hz.ExperimentConfig(model="net2", method="gd(lo)", iters=3,
-                              kind="quadratic", n=20, d=4, hidden=2)
-    trace = hz.run_experiment(cfg)
-    assert len(trace.records) == 3
-    assert len(runs) == 1 and isinstance(runs[0][1], network.NetObjective)
-    assert len(solves) == 3      # network restrictions solve in network.py
+    for mod, model, kind, objective in (
+            (network, "net2", "quadratic", network.NetObjective),
+            (optimizers, "logistic", "logistic", optimizers.LcpObjective)):
+        runs, solves = spy(mod, "run"), spy(mod, "solve")
+        cfg = hz.ExperimentConfig(model=model, method="gd(lo)", iters=3,
+                                  kind=kind, n=20, d=4, hidden=2)
+        trace = hz.run_experiment(cfg)
+        assert len(trace.records) == 3
+        assert len(runs) == 1 and isinstance(runs[0][1], objective)
+        # each model's restrictions solve in its own module
+        assert len(solves) == 3, model
+        for sp, *_ in solves:
+            fns = (sp.value, sp.grad, sp.hess)
+            assert all(map(callable, fns)), model
+            assert len(set(map(id, fns))) == 3, model
 
 
 def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from subsearch.data import gen_logistic, gen_quadratic
-from subsearch.objectives import LcpObjective
+from subsearch.network import NetObjective, subspace_restrict
+from subsearch.objectives import LcpObjective, _sigmoid, _softplus
+from subsearch.optimizers import MarginState, init_state
 
 
 def fd_grad(f, w, h=1e-6):
@@ -115,9 +117,145 @@ def test_rejects_bad_construction():
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_rejects_nonfinite_lambda(lam):
-    from subsearch.network import NetObjective
     ds = gen_logistic(5, 2, seed=0)
     with pytest.raises(ValueError):
         LcpObjective("logistic", ds, lam)
     with pytest.raises(ValueError):
         NetObjective(ds, hidden=2, l2_lambda=lam)
+
+
+# the masked forms the branch-free _softplus/_sigmoid replaced: the oracle
+def _softplus_masked(z):
+    out = np.empty_like(z)
+    pos = z > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def _sigmoid_masked(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64),
+                               b[~nan].view(np.int64)))
+
+
+def test_branch_free_softplus_and_sigmoid_match_masked_forms_bitwise():
+    edges = np.array([0.0, 1e-300, 36.0, 37.0, 709.0, 745.0, 1e4, np.inf])
+    rng = np.random.default_rng(3)
+    z = np.concatenate([edges, -edges, [np.nan, -np.nan],
+                        rng.standard_normal(3000)
+                        * np.repeat([1.0, 30.0, 800.0], 1000)])
+    e = np.exp(-np.abs(z))
+    assert _same_bits(_softplus(z, e), _softplus_masked(z))
+    assert _same_bits(_sigmoid(z, e), _sigmoid_masked(z))
+
+
+def _restrictions(loss, lam_scale):
+    """A builder of fresh SubProblems: the LCP or net2 restriction at
+    lambda = lam_scale / n, over two directions."""
+    ds = (gen_logistic if loss != "least_squares" else gen_quadratic)(
+        30, 5, seed=6)
+    lam = lam_scale / ds.n
+    rng = np.random.default_rng(8)
+    Xd = ds.X.dense()
+    if loss == "net2":
+        net = NetObjective(ds, hidden=3, l2_lambda=lam)
+        W = rng.standard_normal((5, 3)) * 0.3
+        v = rng.standard_normal(3) * 0.3
+        dW = rng.standard_normal((5, 3))
+        dv = rng.standard_normal(3)
+        dirs = [(dW, None, Xd @ dW), (dW, dv, Xd @ dW)]
+        return lambda: subspace_restrict(net, W, v, Xd @ W, dirs)
+    obj = LcpObjective(loss, ds, lam)
+    w = rng.standard_normal(5)
+    P = [rng.standard_normal(5) for _ in range(2)]
+    return lambda: obj.subspace_restrict(w, Xd @ w, P, [Xd @ p for p in P])
+
+
+def _equal(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least_squares", "net2"])
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_restriction_memo_never_goes_stale(loss, lam_scale):
+    fresh = _restrictions(loss, lam_scale)
+    sp = fresh()
+    t1, t2 = np.array([0.3, -0.2]), np.array([-0.7, 0.4])
+    calls = [("value", t1), ("grad", t1), ("hess", t1), ("grad", t2),
+             ("value", t2), ("hess", t1), ("value", t1), ("hess", t2),
+             ("grad", t1), ("value", t2)]
+    for name, theta in calls:
+        got = getattr(sp, name)(theta)
+        assert _equal(got, getattr(fresh(), name)(theta)), (name, theta)
+    # a trial array mutated in place after its first call is a new point
+    theta = t1.copy()
+    sp.value(theta)
+    for name in ("grad", "value", "hess"):
+        theta += np.array([0.25, -0.5])
+        got = getattr(sp, name)(theta)
+        assert _equal(got, getattr(fresh(), name)(theta.copy())), name
+
+
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_margin_line_memo_never_goes_stale(lam_scale):
+    ds = gen_logistic(30, 5, seed=6)
+    obj = LcpObjective("logistic", ds, lam_scale / ds.n)
+    rng = np.random.default_rng(9)
+    w, p = rng.standard_normal(5), rng.standard_normal(5)
+    Xd = ds.X.dense()
+    state = MarginState((w, Xd @ w), obj.f_value_margin(w, Xd @ w))
+    direction = (p, Xd @ p)
+    phi, dphi = state.line(obj, direction)
+    for name, a in [("phi", 0.5), ("dphi", 0.5), ("dphi", 2.0),
+                    ("phi", 0.5), ("phi", 2.0), ("dphi", 0.5),
+                    ("phi", 0.0), ("dphi", 2.0)]:
+        fresh = dict(zip(("phi", "dphi"), state.line(obj, direction)))
+        got = (phi if name == "phi" else dphi)(a)
+        assert got == fresh[name](a), (name, a)
+
+
+def _spy(monkeypatch, name):
+    """Count calls of numpy's `name` and the elements they evaluate."""
+    real, seen = getattr(np, name), []
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, spy)
+    return seen
+
+
+def test_one_exponential_per_logistic_trial_point(monkeypatch):
+    sp = _restrictions("logistic", 1.0)()
+    line_obj = LcpObjective("logistic", gen_logistic(30, 5, seed=6))
+    p = np.ones(5)
+    phi, dphi = init_state(line_obj).line(line_obj,
+                                          (p, line_obj.X.dense() @ p))
+    seen = _spy(monkeypatch, "exp")
+    theta = np.array([0.3, -0.2])
+    sp.value(theta), sp.grad(theta), sp.hess(theta)
+    assert seen == [30]
+    # the Wolfe search's re-check at an evaluated step size is free
+    seen.clear()
+    phi(0.5), dphi(0.5), phi(0.5), dphi(0.5)
+    assert seen == [30]
+
+
+def test_one_tanh_per_net_trial_point(monkeypatch):
+    sp = _restrictions("net2", 1.0)()
+    seen = _spy(monkeypatch, "tanh")
+    theta = np.array([0.3, -0.2])
+    sp.value(theta), sp.grad(theta), sp.value(theta)
+    assert seen == [30 * 3]
