@@ -1,8 +1,9 @@
 """Command-line entry point: `subsearch run|ref|plot|gen`.
 
-`ref` prints f* (one %.17g number, also what --out holds) and a second line:
-the certified bound on f(w_ref) - f* for the LCPs with lambda > 0, or that
-f* is only the best value seen.
+`ref` prints f* (one %.17g number, also what --out holds) and a second line
+saying how f* is known: exact in closed form (matfact, logdet), within a
+certified bound on f(w_ref) - f* (the LCPs with lambda > 0), or only the
+best value seen.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown method), 2 runtime
 failure (IO errors, diverged runs).
@@ -84,13 +85,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_ref(args) -> int:
     cfg = _build_config(args)
-    fstar, bound = harness.reference_certificate(cfg)
+    fstar, how = harness.reference_certificate(cfg)
     print("%.17g" % fstar)
-    if bound is None:
-        print("f* is the best value seen, not certified")
-    else:
-        print("f(w_ref) - f* <= %.3g, certified by lambda-strong "
-              "convexity: |grad f(w_ref)|^2 / (2 lambda)" % bound)
+    print(how)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("%.17g\n" % fstar)

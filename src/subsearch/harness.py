@@ -223,7 +223,7 @@ def parse_csv(text: str) -> list[dict]:
 # initial f and iterate, a state's iterate, the audit gradient norm of an
 # iterate (no budget products; LCP and net use audit products) for the last
 # row and the rows whose step records no gnorm, the run call, and the
-# full-space reference problem on raw arrays with its strong convexity
+# reference optimum
 
 @dataclass
 class _Family:
@@ -232,10 +232,35 @@ class _Family:
     iterate: Callable           # state -> its iterate's arrays
     gnorm: Callable             # *iterate arrays -> float
     run: Callable               # callback -> (state, records)
-    reference: SubProblem       # raw-array objective over a flat vector
-    # strong convexity modulus of `reference` (lambda for the LCPs), or 0
-    # where none is known and f* cannot be certified
-    convexity: float = 0.0
+    reference: Callable         # () -> (f*, how f* is known)
+
+
+EXACT = "f* is exact (closed form)"
+BEST_SEEN = "f* is the best value seen, not certified"
+
+# full-space non-monotone Barzilai-Borwein, 5000 iterations
+_REF_OPTS = SubSolverOptions(max_iters=5000, grad_tol=1e-14,
+                             floor_stop=False)
+
+
+def _spectral_reference(dim: int, value: Callable, grad: Callable,
+                        lam: float = 0.0) -> tuple[float, str]:
+    """The minimum f(w_ref) that 5000 full-space spectral-step iterations
+    see on a raw-array objective over a flat vector, and how it is known.
+
+    A lambda-strongly convex f (the LCPs with lambda > 0) has
+    f(w) - f* <= |grad f(w)|^2 / (2 lambda) at every w; elsewhere f(w_ref)
+    is only the best value seen.
+    """
+    res = solve(SubProblem(dim, value, grad), _REF_OPTS)
+    if not np.isfinite(res.value):
+        raise RuntimeError("reference run diverged")
+    if lam == 0:
+        return float(res.value), BEST_SEEN
+    g = grad(res.theta)
+    return float(res.value), (
+        "f(w_ref) - f* <= %.3g, certified by lambda-strong convexity: "
+        "|grad f(w_ref)|^2 / (2 lambda)" % (float(g @ g) / (2.0 * lam)))
 
 
 _LOSS = {"logistic": "logistic", "lsq": "least_squares"}
@@ -260,8 +285,8 @@ def _lcp_family(cfg: ExperimentConfig) -> _Family:
     return _Family(
         state0.f, state0.blocks, lambda st: st.blocks, gnorm,
         lambda cb: _optimizers.run(cfg.method, obj, cfg.iters, callback=cb),
-        SubProblem(ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad),
-        lam)
+        lambda: _spectral_reference(
+            ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad, lam))
 
 
 def _net_family(cfg: ExperimentConfig) -> _Family:
@@ -302,67 +327,46 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
         gnorm,
         lambda cb: _network.run(cfg.method, obj, cfg.iters, seed=cfg.seed,
                                 params=(W0, v0), callback=cb),
-        SubProblem(d * r + r, ref_value, ref_grad))
+        lambda: _spectral_reference(d * r + r, ref_value, ref_grad))
 
 
 def _matfact_family(cfg: ExperimentConfig) -> _Family:
     X = load_dataset(cfg).X.dense()
     st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
-    (n, d), r = X.shape, cfg.hidden
-
-    def grads(U, W):
-        G = U @ W.T - X
-        return G @ W, G.T @ U
 
     def gnorm(U, W):
-        gU, gW = grads(U, W)
-        return float(np.sqrt(np.sum(gU ** 2) + np.sum(gW ** 2)))
+        G = U @ W.T - X
+        return float(np.sqrt(np.sum((G @ W) ** 2) + np.sum((G.T @ U) ** 2)))
 
-    def unpack(t):
-        return (st0.U + t[:n * r].reshape(n, r),
-                st0.W + t[n * r:].reshape(d, r))
-
-    def ref_value(t):
-        U, W = unpack(t)
-        return _matfact.pca_value(U @ W.T, X)
+    def reference():
+        # Eckart-Young: the best rank-r fit leaves the trailing spectrum
+        tail = np.linalg.svd(X, compute_uv=False)[cfg.hidden:]
+        return 0.5 * float(np.sum(tail * tail)), EXACT
 
     return _Family(
         st0.f, (st0.U, st0.W), lambda st: (st.U, st.W), gnorm,
         lambda cb: _matfact.run(cfg.method, X, cfg.hidden, cfg.iters,
                                 seed=cfg.seed, callback=cb),
-        SubProblem((n + d) * r, ref_value, lambda t: np.concatenate(
-            [g.ravel() for g in grads(*unpack(t))])))
+        reference)
 
 
 def _logdet_family(cfg: ExperimentConfig) -> _Family:
     ds = load_dataset(cfg)
     Xd = ds.X.dense()
-    d = ds.d
-    eye = np.eye(d)
+    eye = np.eye(ds.d)
     S = (Xd.T @ Xd) / ds.n + eye
 
-    def unpack(t):
-        V = eye + t.reshape(d, d)
-        return 0.5 * (V + V.T)
-
-    def ref_value(t):
-        V = unpack(t)
-        try:
-            L = np.linalg.cholesky(V)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return float(np.sum(S * V)) - 2.0 * float(np.sum(np.log(np.diag(L))))
-
-    def ref_grad(t):
-        g = S - np.linalg.inv(unpack(t))
-        return 0.5 * (g + g.T).ravel()
+    def reference():
+        # the minimizer is V = S^-1, so f* = Tr(I) + log det S
+        L = np.linalg.cholesky(S)
+        return ds.d + 2.0 * float(np.sum(np.log(np.diag(L)))), EXACT
 
     rank = 1 if cfg.method == "rank1" else 2
     return _Family(
         _logdet.f_gauss(_logdet.init_state(S)), (eye,), lambda st: (st.V,),
         lambda V: float(np.linalg.norm(S - np.linalg.inv(V))),
         lambda cb: _logdet.run(S, rank, cfg.iters, callback=cb),
-        SubProblem(d * d, ref_value, ref_grad))
+        reference)
 
 
 # model -> (family builder, method names)
@@ -401,32 +405,15 @@ def _run_trace(cfg: ExperimentConfig) -> Trace:
                  fstar=cfg.fstar)
 
 
-# ---------------------------------------------------------------------------
-# reference optimum: full-space non-monotone Barzilai-Borwein, 5000 iters
+def reference_certificate(cfg: ExperimentConfig) -> tuple[float, str]:
+    """The reference optimum f* and one line saying how it is known.
 
-_REF_OPTS = SubSolverOptions(max_iters=5000, memory=10, grad_tol=1e-14,
-                             theta_cap=1e12, floor_stop=False)
-
-
-def reference_certificate(cfg: ExperimentConfig
-                          ) -> tuple[float, float | None]:
-    """The minimum objective f(w_ref) seen by 5000 full-space spectral-step
-    iterations, and a bound on f(w_ref) - f*, or None where there is none.
-
-    A mu-strongly convex f (the LCPs with lambda > 0, mu = lambda) has
-    f(w) - f* <= |grad f(w)|^2 / (2 mu) at every w; elsewhere f(w_ref) is
-    only the best value seen.  Instrumentation-free: all linear algebra runs
-    on raw arrays.
+    matfact and logdet have closed forms (`EXACT`); the other models take
+    the best value of a full-space spectral run, certified within a bound
+    for the LCPs with lambda > 0 and otherwise `BEST_SEEN`.
+    Instrumentation-free: all linear algebra runs on raw arrays.
     """
-    family = _family(cfg)
-    res = solve(family.reference, _REF_OPTS)
-    if not np.isfinite(res.value):
-        raise RuntimeError("reference run diverged")
-    bound = None
-    if family.convexity > 0:
-        g = family.reference.grad(res.theta)
-        bound = float(g @ g) / (2.0 * family.convexity)
-    return float(res.value), bound
+    return _family(cfg).reference()
 
 
 def compute_reference(cfg: ExperimentConfig) -> float:

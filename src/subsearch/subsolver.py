@@ -46,16 +46,17 @@ class SubProblem:
     hess: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+_MEMORY = 10                # values in the non-monotone Armijo reference
+_ARMIJO = 1e-4
+_BB_MIN, _BB_MAX = 1e-10, 1e10
+_MAX_BACKTRACKS = 60
+
+
 @dataclass
 class SubSolverOptions:
     max_iters: int = 100
-    memory: int = 10                 # non-monotone reference window
-    armijo: float = 1e-4
     grad_tol: float = 1e-10
-    bb_min: float = 1e-10
-    bb_max: float = 1e10
     theta_cap: float = 1e8           # reject trial points beyond this box
-    max_backtracks: int = 60
     # stop at the rounding floor; the full-space reference run turns this
     # off, since over thousands of spectral steps rounding-sized gains
     # still add up
@@ -177,7 +178,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
                 sy = float(s @ yv)
                 if sy > 0:
                     t = float(s @ s) / sy
-                    t = min(max(t, opts.bb_min), opts.bb_max)
+                    t = min(max(t, _BB_MIN), _BB_MAX)
                 else:
                     t = 1.0
 
@@ -188,10 +189,10 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
             break
         f_ref = max(recent)
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = theta + t * direction
             f_trial = _safe_value(sp.value, trial, opts.theta_cap)
-            if f_trial <= f_ref + opts.armijo * t * slope:
+            if f_trial <= f_ref + _ARMIJO * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -204,7 +205,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
         theta, f = trial, f_trial
         g = np.asarray(sp.grad(theta), dtype=np.float64)
         recent.append(f)
-        if len(recent) > opts.memory:
+        if len(recent) > _MEMORY:
             recent.pop(0)
         if f < best_f:
             best_theta, best_f = theta.copy(), f

@@ -37,11 +37,13 @@ def test_ref_then_plot_consume_each_other(tmp_path, capsys):
 
 @pytest.mark.parametrize("model,lam,certified", [
     ("logistic", "1/n", True), ("lsq", "0.5", True),
-    ("logistic", "0", False), ("net2_reg", "1/n", False)])
+    ("logistic", "0", False), ("net2_reg", "1/n", False),
+    ("matfact", "0", False), ("logdet", "0", False)])
 def test_ref_certifies_or_labels_fstar(tmp_path, capsys, model, lam,
                                        certified):
     out = tmp_path / "fstar.txt"
-    assert main(["ref", "--model", model, "--method", "gd(lo)",
+    method = {"matfact": "altmin", "logdet": "rank1"}.get(model, "gd(lo)")
+    assert main(["ref", "--model", model, "--method", method,
                  "--iters", "1", "--n", "40", "--d", "6", "--seed", "2",
                  "--hidden", "3", "--lambda", lam, "--out", str(out)]) == 0
     first, second = capsys.readouterr().out.splitlines()
@@ -52,6 +54,8 @@ def test_ref_certifies_or_labels_fstar(tmp_path, capsys, model, lam,
         bound = float(head.split("<=")[1])
         assert head.startswith("f(w_ref) - f* <=") and rest
         assert 0 <= bound <= 1e-8
+    elif model in ("matfact", "logdet"):
+        assert second == "f* is exact (closed form)"
     else:
         assert second == "f* is the best value seen, not certified"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subsearch import harness as hz
-from subsearch.data import gen_quadratic
+from subsearch.data import gen_logistic, gen_quadratic
 
 
 def test_config_validation():
@@ -71,7 +71,33 @@ def test_reference_matches_normal_equations():
     X, y = ds.X.dense(), ds.y
     w = np.linalg.solve(X.T @ X, X.T @ y)
     fopt = 0.5 * float(np.sum((X @ w - y) ** 2))
-    assert abs(fstar - fopt) <= 1e-8
+    assert abs(fstar - fopt) <= 1e-12
+
+
+# (n, d, seed, rank) and the spectral run's best value for matfact and
+# logdet before their closed forms replaced it
+@pytest.mark.parametrize("n,d,seed,rank,spectral_mf,spectral_ld", [
+    (40, 6, 2, 3, 156.15464367712374, 20.574495195482505),
+    (200, 20, 1, 4, 17044.068511432917, 69.126265781152952),
+    (1000, 100, 1, 5, 861365.00238527532, 344.78003428088437)])
+def test_closed_form_references(n, d, seed, rank, spectral_mf, spectral_ld):
+    """matfact's f* is Eckart-Young's trailing spectrum and logdet's is
+    d + log det S, each labelled exact and within 1e-12 of the spectral
+    run's value."""
+    X = gen_logistic(n, d, seed).X.dense()
+    G = X.T @ X
+    # the eigenvalues of X^T X are the squared singular values, ascending
+    tail = np.linalg.eigvalsh(G)[:d - rank]
+    cases = {"matfact": (0.5 * np.sum(tail), spectral_mf),
+             "logdet": (d + np.linalg.slogdet(G / n + np.eye(d))[1],
+                        spectral_ld)}
+    for model, (want, spectral) in cases.items():
+        cfg = hz.ExperimentConfig(model=model, method=hz.methods_for_model(
+            model)[0], iters=1, n=n, d=d, seed=seed, hidden=rank)
+        fstar, how = hz.reference_certificate(cfg)
+        assert how == hz.EXACT, model
+        assert abs(fstar - want) <= 1e-12 * abs(want), model
+        assert abs(fstar - spectral) <= 1e-12 * abs(spectral), model
 
 
 def test_reference_dominates_method_traces():
@@ -171,12 +197,18 @@ def test_benchmark_entry_points_stay_patchable(monkeypatch):
     either stopped holding."""
     import inspect
 
-    from subsearch import logdet, matfact, network, optimizers
+    from subsearch import logdet, matfact, network, optimizers, subsolver
 
     for mod in (optimizers, network, matfact, logdet):
         assert "run" in vars(mod) and "solve" in vars(mod), mod.__name__
         assert "callback" in inspect.signature(mod.run).parameters
     assert "strong_wolfe" in vars(optimizers)
+    # the probe passes opts positionally and reads its iteration cap
+    params = list(inspect.signature(subsolver.solve).parameters.values())
+    assert params[1].name == "opts" and params[1].kind in (
+        params[1].POSITIONAL_ONLY, params[1].POSITIONAL_OR_KEYWORD)
+    assert "theta0" in inspect.signature(subsolver.solve).parameters
+    assert subsolver.SubSolverOptions().max_iters > 0
     for name in ("gen_logistic", "gen_quadratic", "parse_libsvm",
                  "emit_csv"):
         assert name in vars(hz), name

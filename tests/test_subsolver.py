@@ -84,8 +84,7 @@ def test_bb_step_matches_reference_recurrence():
     H = np.diag([1.0, 2.0])
     b = np.array([1.0, 1.0])
     sp = quad(H, b)
-    res = solve(sp, SubSolverOptions(max_iters=10, armijo=1e-12,
-                                     memory=10))
+    res = solve(sp, SubSolverOptions(max_iters=10))
     # scripted recurrence: first step 1/max(1,||g||), then BB1
     theta = np.zeros(2)
     g = b.copy()
