@@ -73,6 +73,8 @@ class CountedMatrix:
 
     def __init__(self, payload, counter: ProductCounter | None = None):
         self.payload = _as_payload(payload)
+        # a view: a CSR payload's transpose is a CSC over the same arrays
+        self._transpose = self.payload.T
         self.counter = counter if counter is not None else ProductCounter()
         self.audit_counter = ProductCounter()
 
@@ -103,7 +105,7 @@ class CountedMatrix:
             raise DimensionError(
                 f"rmatvec: {self.shape}.T @ {y.shape}")
         self._bump(audit)
-        return np.asarray(self.payload.T @ y, dtype=np.float64)
+        return np.asarray(self._transpose @ y, dtype=np.float64)
 
     def matmat(self, b, audit: bool = False) -> np.ndarray:
         """A @ B; counts 1 no matter how many columns B has."""
@@ -124,7 +126,7 @@ class CountedMatrix:
             raise DimensionError(
                 f"rmatmat: {self.shape}.T @ {b.shape}")
         self._bump(audit)
-        out = self.payload.T @ b
+        out = self._transpose @ b
         if _issparse(out):
             out = out.toarray()
         return np.asarray(out, dtype=np.float64)

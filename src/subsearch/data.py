@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,34 +45,26 @@ def _map_binary(labels: np.ndarray) -> tuple[np.ndarray, str]:
 
 # the largest feature index the int64 index buffers hold
 _MAX_INDEX = 2 ** 63 - 1
+# lines per block: enough that a block's work runs in a few C-level calls,
+# few enough that its token strings stay small next to the CSR
+_PARSE_LINES = 256
+# every byte but the space and the colon, which separate and split tokens
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
 
-def parse_libsvm(text: str | bytes) -> Dataset:
-    """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
-
-    Labels and values must be finite.  The feature dimension is the maximum
-    index seen.  When exactly two distinct label values occur they are
-    mapped to {-1,+1} (smaller -> -1).
-    """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    # typed buffers hold 8 bytes per entry, where lists hold a Python object
-    labels = array("d")
-    rows, cols, vals = array("q"), array("q"), array("d")
-    d = 0
-    n = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+def _check_lines(lines: list[str], lineno: int) -> None:
+    """Raise the ParseError of the first malformed line in `lines`, whose
+    first line is line `lineno` of the input."""
+    for lineno, line in enumerate(lines, start=lineno):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(lineno, f"bad label token {tokens[0]!r}")
         if not math.isfinite(label):
             raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
-        labels.append(label)
         prev_idx = 0
         for tok in tokens[1:]:
             try:
@@ -88,19 +81,96 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             if not math.isfinite(val):
                 raise ParseError(lineno, f"value {val_s!r} is not finite")
             prev_idx = idx
-            rows.append(n)
-            cols.append(idx - 1)
-            vals.append(val)
-            d = max(d, idx)
-        n += 1
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
+    """A block's labels, features per row, 0-based indices and values, or
+    None when any line in it is malformed.
+
+    Each field is converted by one map over the block's tokens, and every
+    check is an array operation.
+    """
+    if "#" in "".join(lines):
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    rows = [t for t in map(str.split, lines) if t]
+    cnt = np.fromiter(map(len, rows), np.int64, len(rows))
+    cnt -= 1
+    n_feats = int(cnt.sum())
+    try:
+        lab = np.fromiter(map(float, [t[0] for t in rows]), np.float64,
+                          len(rows))
+    except ValueError:
+        return None
+    feats = " ".join(chain.from_iterable(t[1:] for t in rows))
+    del rows        # a block holds its tokens in one form at a time
+    # exactly one colon per feature token: the separators alternate
+    seps = feats.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_SEPARATOR)
+    if seps != (b": " * n_feats)[:-1]:
+        return None
+    fields = feats.replace(":", " ").split(" ") if n_feats else []
+    del feats
+    try:
+        idx = np.fromiter(map(int, fields[0::2]), np.int64, n_feats)
+        val = np.fromiter(map(float, fields[1::2]), np.float64, n_feats)
+    except (ValueError, OverflowError):     # OverflowError: |idx| >= 2^63
+        return None
+    # each index must exceed the one before it in its row, or 0 at a row start
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    prev[(np.cumsum(cnt) - cnt)[cnt > 0]] = 0
+    if not (np.all(idx > prev) and np.all(np.isfinite(lab))
+            and np.all(np.isfinite(val))):
+        return None
+    idx -= 1
+    return lab, cnt, idx, val
+
+
+def parse_libsvm(text: str | bytes) -> Dataset:
+    """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
+
+    Labels and values must be finite.  The feature dimension is the maximum
+    index seen.  When exactly two distinct label values occur they are
+    mapped to {-1,+1} (smaller -> -1).  Bytes are decoded as UTF-8.
+
+    Lines are read in blocks of _PARSE_LINES.  Each block's labels, indices
+    and values are converted by one call per field and checked as arrays,
+    then appended to typed buffers of 8 bytes per entry, from which the CSR
+    is built with no COO step; so the parse holds the text's lines and those
+    buffers, not a Python object per token.  A block that fails a check is
+    walked line by line, which raises the first error as a ParseError with
+    its line number (invalid UTF-8 included).
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = text[:e.start].decode("utf-8")
+            raise ParseError(len((head + ".").splitlines()),
+                             "not valid UTF-8") from None
+    # labels, features per row, indices, values
+    buffers = array("d"), array("q"), array("q"), array("d")
+    lines = text.splitlines()
+    for start in range(0, len(lines), _PARSE_LINES):
+        block = lines[start:start + _PARSE_LINES]
+        parts = _parse_block(block)
+        if parts is None:
+            _check_lines(block, start + 1)
+            raise AssertionError("line check passed a refused block")
+        for buf, part in zip(buffers, parts):
+            buf.frombytes(part.tobytes())
+    del lines
+    labels, counts, cols, vals = (np.frombuffer(buf, dtype=buf.typecode)
+                                  for buf in buffers)
+    n = labels.size
     if n == 0:
         raise ParseError(0, "empty input")
     import scipy.sparse as sp
-    X = sp.csr_matrix(
-        (np.frombuffer(vals), (np.frombuffer(rows, dtype=np.int64),
-                               np.frombuffer(cols, dtype=np.int64))),
-        shape=(n, d))
-    y, kind = _map_binary(np.frombuffer(labels))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    d = int(cols.max()) + 1 if cols.size else 0
+    X = sp.csr_matrix((vals, cols, indptr), shape=(n, d))
+    y, kind = _map_binary(labels)
     return Dataset(CountedMatrix(X), y, kind)
 
 
@@ -112,14 +182,14 @@ def write_libsvm(ds: Dataset) -> str:
         X = sp.csr_matrix(X)
     else:
         X = X.tocsr()
-    lines = []
-    for i in range(X.shape[0]):
-        start, stop = X.indptr[i], X.indptr[i + 1]
-        feats = " ".join(
-            "%d:%.17g" % (j + 1, v)
-            for j, v in zip(X.indices[start:stop], X.data[start:stop]))
-        label = "%.17g" % ds.y[i]
-        lines.append(f"{label} {feats}".rstrip())
+    # Python scalars format faster than numpy ones, to the same digits
+    feats = list(map("%d:%.17g".__mod__,
+                     zip((X.indices.astype(np.int64) + 1).tolist(),
+                         X.data.tolist())))
+    indptr = X.indptr.tolist()
+    lines = [" ".join(["%.17g" % label, *feats[start:stop]])
+             for label, start, stop in zip(ds.y.tolist(), indptr,
+                                           indptr[1:])]
     return "\n".join(lines) + "\n"
 
 

@@ -145,7 +145,7 @@ def resolve_lambda(lam: str | float, n: int) -> float:
 def load_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.data is not None:
         try:
-            with open(cfg.data, "r", encoding="utf-8") as fh:
+            with open(cfg.data, "rb") as fh:
                 ds = parse_libsvm(fh.read())
         except OSError as e:
             raise ConfigError(f"cannot read {cfg.data}: {e}")

@@ -98,6 +98,15 @@ def test_missing_data_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_utf8_data_names_its_line(tmp_path, capsys):
+    data = tmp_path / "bad.libsvm"
+    data.write_bytes(b"+1 1:0.5\n-1 2:\xff\n")
+    code = main(["run", "--data", str(data), "--model", "logistic",
+                 "--method", "gd(lo)", "--iters", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
+
 def test_json_config(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     out = tmp_path / "t.csv"

@@ -1,10 +1,15 @@
 """Dataset parsing, standardization, and synthetic generators."""
 
 import hashlib
+import math
 import warnings
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subsearch import data
 from subsearch.data import (Dataset, ParseError, gen_logistic, gen_quadratic,
@@ -64,6 +69,232 @@ def test_round_trip():
     again = parse_libsvm(write_libsvm(ds))
     assert np.allclose(again.X.dense(), ds.X.dense(), atol=0)
     assert np.array_equal(again.y, ds.y)
+
+
+def _loop_parse(text):
+    """The per-line parse that the block parser replaced: the oracle for
+    its results and its errors."""
+    import scipy.sparse as sp
+    from subsearch.counted import CountedMatrix
+
+    labels = array("d")
+    rows, cols, vals = array("q"), array("q"), array("d")
+    d = 0
+    n = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(lineno, f"bad label token {tokens[0]!r}")
+        if not math.isfinite(label):
+            raise ParseError(lineno, f"label {tokens[0]!r} is not finite")
+        labels.append(label)
+        prev_idx = 0
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(lineno, f"bad feature token {tok!r}")
+            if idx <= prev_idx:
+                raise ParseError(
+                    lineno, f"indices must be strictly increasing, got {idx}")
+            if idx > 2 ** 63 - 1:
+                raise ParseError(lineno, f"feature index {idx} above 2^63 - 1")
+            if not math.isfinite(val):
+                raise ParseError(lineno, f"value {val_s!r} is not finite")
+            prev_idx = idx
+            rows.append(n)
+            cols.append(idx - 1)
+            vals.append(val)
+            d = max(d, idx)
+        n += 1
+    if n == 0:
+        raise ParseError(0, "empty input")
+    X = sp.csr_matrix(
+        (np.frombuffer(vals), (np.frombuffer(rows, dtype=np.int64),
+                               np.frombuffer(cols, dtype=np.int64))),
+        shape=(n, d))
+    y, kind = data._map_binary(np.frombuffer(labels))
+    return Dataset(CountedMatrix(X), y, kind)
+
+
+def _loop_write(ds):
+    """The numpy-scalar formatter that write_libsvm replaced."""
+    import scipy.sparse as sp
+    X = ds.X.payload
+    X = X.tocsr() if sp.issparse(X) else sp.csr_matrix(X)
+    lines = []
+    for i in range(X.shape[0]):
+        start, stop = X.indptr[i], X.indptr[i + 1]
+        feats = " ".join(
+            "%d:%.17g" % (j + 1, v)
+            for j, v in zip(X.indices[start:stop], X.data[start:stop]))
+        label = "%.17g" % ds.y[i]
+        lines.append(f"{label} {feats}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+# blocks of 1, 2 and 3 lines put every line next to a block edge, and 256
+# is the parser's own size
+BLOCK_SIZES = (1, 2, 3, data._PARSE_LINES)
+BIG_INDEX = 2 ** 63 - 1
+
+
+def _parse_each_block_size(text):
+    """parse_libsvm at every block size: the Dataset, or the ParseError's
+    message and line number."""
+    out = []
+    for size in BLOCK_SIZES:
+        with mock.patch.object(data, "_PARSE_LINES", size):
+            try:
+                out.append(parse_libsvm(text))
+            except ParseError as e:
+                out.append((str(e), e.lineno))
+    return out
+
+
+def _same_dataset(got, want):
+    P, Q = got.X.payload, want.X.payload
+    assert P.shape == Q.shape
+    for field in ("data", "indices", "indptr"):
+        a, b = getattr(P, field), getattr(Q, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.label_kind == want.label_kind
+
+
+def _digits(i):
+    """Spellings int() reads as i: plain, signed, zero-padded, grouped."""
+    s = str(i)
+    grouped = s[0] + "_" + s[1:] if len(s) > 1 else s
+    return st.sampled_from([s, "+" + s, "00" + s, grouped])
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map("%.17g".__mod__),
+    st.sampled_from(["+1", "-1", "1", "0", "-0", "1e3", "2.5E-2", "1_0",
+                     ".5", "5.", "1e-320", "+.5e+3"]))
+_spaces = st.sampled_from([" ", "\t", "  ", " \t "])
+_ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                         "\x85", "\u2028"])
+
+
+@st.composite
+def _row(draw):
+    label = draw(_numbers)
+    idx = sorted(draw(st.sets(st.one_of(st.integers(1, 40),
+                                        st.just(BIG_INDEX),
+                                        st.integers(2 ** 31, 2 ** 40)),
+                              max_size=6)))
+    tokens = [label] + [draw(_digits(i)) + ":" + draw(_numbers) for i in idx]
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for tok in tokens:
+        line += tok + draw(_spaces)
+    return line + draw(st.sampled_from(["", "# note", "#1:2 x"]))
+
+
+_line = st.one_of(_row(), _row(), _row(),
+                  st.sampled_from(["", "   ", "\t", "# comment", " #: 1"]))
+
+
+def _join(draw, lines):
+    text = "".join(line + draw(_ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@given(st.data())
+def test_block_parse_matches_line_loop_on_valid_text(draw):
+    """Blank and comment lines, every line ending splitlines knows, tabs,
+    label-only rows, signs, exponents, digit groups and indices up to
+    2^63 - 1: the CSR's bytes and dtypes, y and label kind all equal the
+    line loop's, at every block size."""
+    lines = draw.draw(st.lists(_line, max_size=12))
+    text = _join(draw.draw, lines)
+    try:
+        want = _loop_parse(text)
+    except ParseError as e:                     # no rows: empty input
+        assert _parse_each_block_size(text) == [
+            (str(e), e.lineno)] * len(BLOCK_SIZES)
+        return
+    for got in _parse_each_block_size(text):
+        _same_dataset(got, want)
+
+
+BAD_ROWS = [
+    "1 5", "1 1:2:3", "1 :5", "1 5:", "1 1.5:2", "1 a:1", "1 0:1",
+    "1 3:1 3:2", "1 5:1 2:1", "1 -1:1", "1 9223372036854775808:1",
+    "1 99999999999999999999:1", "1 -9223372036854775809:1", "1 1:nan",
+    "1 2:inf", "1 1:-Infinity", "nan 1:1", "inf", "-inf 2:1", "x 1:1",
+    "1:1 2:1", "1 1:1e999", "1 2:1 1:x", "1 1:x 1:1"]
+
+
+@given(st.data())
+def test_block_parse_raises_the_line_loops_errors(draw):
+    """Missing or extra colons, non-integer, zero, repeated or too-large
+    indices, non-finite labels and values, bad labels, each placed anywhere,
+    near block edges and in later blocks, some after another bad line: the
+    first error's message and line number equal the line loop's."""
+    lines = draw.draw(st.lists(_line, max_size=10))
+    at = draw.draw(st.integers(0, len(lines)))
+    if draw.draw(st.booleans()):
+        lines.insert(draw.draw(st.integers(0, len(lines))),
+                     draw.draw(st.sampled_from(BAD_ROWS)))
+    ends = draw.draw(st.lists(_ends, min_size=len(lines) + 1,
+                              max_size=len(lines) + 1))
+    for bad in BAD_ROWS:
+        text = "".join(map(str.__add__, lines[:at] + [bad] + lines[at:],
+                           ends))
+        with pytest.raises(ParseError) as e:
+            _loop_parse(text)
+        want = (str(e.value), e.value.lineno)
+        assert _parse_each_block_size(text) == [want] * len(BLOCK_SIZES)
+
+
+@given(st.data())
+def test_write_matches_numpy_scalar_formatter(draw):
+    """Dense and CSR payloads, int32 and int64 indices, label-only rows,
+    explicit zeros and any finite values: the same bytes as the old
+    formatter."""
+    import scipy.sparse as sp
+    from subsearch.counted import CountedMatrix
+
+    n = draw.draw(st.integers(1, 6))
+    d = draw.draw(st.sampled_from([1, 4, 2 ** 40]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, min(d, 50) - 1),
+                                         finite), max_size=12))
+    cells = {(i, j if d < 2 ** 40 else d - 1 - j): v for i, j, v in cells}
+    rows = np.array([k[0] for k in cells], dtype=np.int64)
+    cols = np.array([k[1] for k in cells], dtype=np.int64)
+    X = sp.csr_matrix((np.array(list(cells.values()), dtype=float),
+                       (rows, cols)), shape=(n, d))
+    if d < 2 ** 40 and draw.draw(st.booleans()):
+        X = X.toarray()
+    y = np.array(draw.draw(st.lists(finite, min_size=n, max_size=n)))
+    ds = Dataset(CountedMatrix(X), y, "real")
+    assert write_libsvm(ds) == _loop_write(ds)
+
+
+@pytest.mark.parametrize("raw, lineno", [
+    (b"\xff", 1),
+    (b"+1 1:1\n-1 2:1\xff\n", 2),
+    (b"+1 1:1\r\n\xff 1:1", 2),
+    (b"+1 1:1\r\xfe", 2),
+    (b"# \xc3\xa9t\xc3\xa9\n\n+1 1:\xc3", 3),   # cut inside a character
+])
+def test_invalid_utf8_names_its_line(raw, lineno):
+    with pytest.raises(ParseError) as e:
+        parse_libsvm(raw)
+    assert e.value.lineno == lineno
+    assert str(e.value) == f"line {lineno}: not valid UTF-8"
 
 
 def test_parse_peak_memory_stays_near_the_csr():
