@@ -11,6 +11,10 @@ inputs stay sparse, instrumentation never touches the per-iteration product
 budget, and its cost shows in the audit counter: one gnorm per LCP or
 network run, plus one per row for nag(1/l).  matfact and logdet work on a
 dense copy by design.
+
+Reference optima are closed forms for matfact and logdet; logistic, lsq
+and net2 take the best value of this module's own full-space
+Barzilai-Borwein run (`_spectral_reference`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .data import standardize as _standardize
 from .network import NetObjective, init_params
 from .objectives import LcpObjective
 from .optimizers import StepRecord
-from .subsolver import SubProblem, SubSolverOptions, solve
 
 MODELS = ("logistic", "lsq", "net2", "net2_reg", "matfact", "logdet")
 
@@ -238,27 +241,56 @@ class _Family:
 EXACT = "f* is exact (closed form)"
 BEST_SEEN = "f* is the best value seen, not certified"
 
-# full-space non-monotone Barzilai-Borwein, 5000 iterations
-_REF_OPTS = SubSolverOptions(max_iters=5000, grad_tol=1e-14,
-                             floor_stop=False)
-
 
 def _spectral_reference(dim: int, value: Callable, grad: Callable,
                         lam: float = 0.0) -> tuple[float, str]:
-    """The minimum f(w_ref) that 5000 full-space spectral-step iterations
-    see on a raw-array objective over a flat vector, and how it is known.
+    """The minimum f(w_ref) that 5000 full-space Barzilai-Borwein steps see
+    on a raw-array objective over a flat vector, and how it is known.
 
-    A lambda-strongly convex f (the LCPs with lambda > 0) has
+    The run starts at zero with the step 1/max(1, |g|), then takes BB1 steps
+    clamped to [1e-10, 1e10], each halved up to 60 times until it passes a
+    non-monotone Armijo test against the largest of the last 10 values.  It
+    stops at |g| <= 1e-14 max(1, |g(0)|) and has no rounding-floor stop:
+    over thousands of steps rounding-sized gains still add up.  A
+    lambda-strongly convex f (the LCPs with lambda > 0) has
     f(w) - f* <= |grad f(w)|^2 / (2 lambda) at every w; elsewhere f(w_ref)
     is only the best value seen.
     """
-    res = solve(SubProblem(dim, value, grad), _REF_OPTS)
-    if not np.isfinite(res.value):
-        raise RuntimeError("reference run diverged")
+    w = np.zeros(dim)
+    f = float(value(w))
+    if not np.isfinite(f):
+        raise RuntimeError("reference value at zero is not finite")
+    best_w, best_f = w, f
+    g = grad(w)
+    gnorm = float(np.linalg.norm(g))
+    tol = 1e-14 * max(1.0, gnorm)
+    t = 1.0 / max(1.0, gnorm)
+    recent = [f]
+    for _ in range(5000):
+        if not gnorm > tol:             # converged, or g is not finite
+            break
+        f_ref, slope = max(recent), -float(g @ g)
+        for _ in range(60):
+            trial = w - t * g
+            f_trial = float(value(trial))
+            if np.isfinite(f_trial) and f_trial <= f_ref + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break                       # no halving passes the Armijo test
+        g_trial = grad(trial)
+        s, y = trial - w, g_trial - g
+        sy = float(s @ y)
+        t = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1.0
+        w, f, g = trial, f_trial, g_trial
+        gnorm = float(np.linalg.norm(g))
+        recent = recent[-9:] + [f]
+        if f < best_f:
+            best_w, best_f = w, f
     if lam == 0:
-        return float(res.value), BEST_SEEN
-    g = grad(res.theta)
-    return float(res.value), (
+        return best_f, BEST_SEEN
+    g = grad(best_w)
+    return best_f, (
         "f(w_ref) - f* <= %.3g, certified by lambda-strong convexity: "
         "|grad f(w_ref)|^2 / (2 lambda)" % (float(g @ g) / (2.0 * lam)))
 

@@ -74,6 +74,38 @@ def test_reference_matches_normal_equations():
     assert abs(fstar - fopt) <= 1e-12
 
 
+def test_spectral_reference_takes_bb1_steps():
+    # on a quadratic with no backtracking pressure the reference run's
+    # iterates are the plain BB1 recurrence: first step 1/max(1, |g|),
+    # then s.s / s.y, until |g| <= 1e-14 max(1, |g(0)|)
+    H = np.diag([1.0, 2.0])
+    b = np.array([1.0, 1.0])
+
+    def value(t):
+        return 0.5 * float(t @ H @ t) + float(b @ t)
+
+    seen = []
+
+    def grad(t):
+        seen.append(t)
+        return H @ t + b
+
+    fstar, how = hz._spectral_reference(2, value, grad)
+    theta, g = np.zeros(2), b
+    t = 1.0 / max(1.0, np.linalg.norm(g))
+    want = [theta]
+    while np.linalg.norm(g) > 1e-14 * np.linalg.norm(b) and len(want) < 50:
+        new = theta - t * g
+        g_new = H @ new + b
+        s, y = new - theta, g_new - g
+        t = float(s @ s) / float(s @ y)
+        theta, g = new, g_new
+        want.append(theta)
+    assert 2 < len(seen) == len(want) < 50
+    assert all(np.array_equal(a, c) for a, c in zip(seen, want))
+    assert fstar == min(value(a) for a in want) and how == hz.BEST_SEEN
+
+
 # (n, d, seed, rank) and the spectral run's best value for matfact and
 # logdet before their closed forms replaced it
 @pytest.mark.parametrize("n,d,seed,rank,spectral_mf,spectral_ld", [

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from subsearch.data import gen_logistic, gen_quadratic
+from subsearch.objectives import LcpObjective
 from subsearch.subsolver import SubProblem, SubSolverOptions, solve
 
 
@@ -11,6 +13,7 @@ def quad(H, b):
         b.size,
         lambda t: 0.5 * float(t @ H @ t) + float(b @ t),
         lambda t: H @ t + b,
+        lambda t: H,
     )
 
 
@@ -27,9 +30,7 @@ def test_newton_path_is_exact_on_quadratics():
     A = rng.standard_normal((2, 2))
     H = A @ A.T + 1e-4 * np.eye(2)   # condition ~1e4
     b = rng.standard_normal(2)
-    sp = quad(H, b)
-    sp.hess = lambda t: H
-    res = solve(sp)
+    res = solve(quad(H, b))
     assert np.linalg.norm(res.theta - np.linalg.solve(H, -b)) < 1e-8
 
 
@@ -40,6 +41,7 @@ def test_never_worse_than_zero():
         lambda t: float((t[0] - 0.01) ** 2 + 100 * np.sin(10 * t[0]) ** 2),
         lambda t: np.array([2 * (t[0] - 0.01)
                             + 2000 * np.sin(10 * t[0]) * np.cos(10 * t[0])]),
+        lambda t: np.array([[2 + 20000 * np.cos(20 * t[0])]]),
     )
     res = solve(sp, SubSolverOptions(max_iters=3))
     assert res.value <= sp.value(np.zeros(1)) + 1e-15
@@ -49,14 +51,16 @@ def test_infinite_values_are_rejected_not_fatal():
     def value(t):
         return np.inf if t[0] > 1.0 else float((t[0] - 5.0) ** 2)
 
-    sp = SubProblem(1, value, lambda t: np.array([2 * (t[0] - 5.0)]))
+    sp = SubProblem(1, value, lambda t: np.array([2 * (t[0] - 5.0)]),
+                    lambda t: np.array([[2.0]]))
     res = solve(sp)
     assert res.theta[0] <= 1.0
     assert np.isfinite(res.value)
 
 
 def test_theta_cap_boxes_the_search():
-    sp = SubProblem(1, lambda t: float(-t[0]), lambda t: np.array([-1.0]))
+    sp = SubProblem(1, lambda t: float(-t[0]), lambda t: np.array([-1.0]),
+                    lambda t: np.zeros((1, 1)))
     res = solve(sp, SubSolverOptions(max_iters=200, theta_cap=10.0))
     assert abs(res.theta[0]) <= 10.0
     assert not res.converged        # no trial past the box is accepted
@@ -66,40 +70,18 @@ def test_warm_start_can_only_help():
     H = np.diag([1.0, 4.0])
     b = np.array([-1.0, 2.0])
     sp = quad(H, b)
-    cold = solve(sp, SubSolverOptions(max_iters=2))
-    warm = solve(sp, SubSolverOptions(max_iters=2),
+    cold = solve(sp, SubSolverOptions(max_iters=1))
+    warm = solve(sp, SubSolverOptions(max_iters=1),
                  theta0=np.linalg.solve(H, -b))
     assert warm.value <= cold.value + 1e-15
     assert warm.converged and not cold.converged    # cold hit the cap
 
 
 def test_nonfinite_at_zero_is_an_error():
-    sp = SubProblem(1, lambda t: np.inf, lambda t: np.zeros(1))
+    sp = SubProblem(1, lambda t: np.inf, lambda t: np.zeros(1),
+                    lambda t: np.zeros((1, 1)))
     with pytest.raises(ValueError):
         solve(sp)
-
-
-def test_bb_step_matches_reference_recurrence():
-    # plain BB1 on a quadratic with no backtracking pressure
-    H = np.diag([1.0, 2.0])
-    b = np.array([1.0, 1.0])
-    sp = quad(H, b)
-    res = solve(sp, SubSolverOptions(max_iters=10))
-    # scripted recurrence: first step 1/max(1,||g||), then BB1
-    theta = np.zeros(2)
-    g = b.copy()
-    t = 1.0 / max(1.0, np.linalg.norm(g))
-    for _ in range(10):
-        new = theta - t * g
-        g_new = H @ new + b
-        s, y = new - theta, g_new - g
-        if float(s @ y) > 0:
-            t = float(s @ s) / float(s @ y)
-        theta, g = new, g_new
-        if np.linalg.norm(g) < 1e-10:
-            break
-    f_ref = 0.5 * float(theta @ H @ theta) + float(b @ theta)
-    assert res.value <= f_ref + 1e-12
 
 
 def test_flat_stationary_mode_is_not_solved_for():
@@ -151,7 +133,13 @@ def test_newton_direction_never_divides_by_a_zero_eigenvalue():
                   [488.03088098172606, 488.03087893109586]])
     g = np.array([28.334036353772525, 28.334032771122015])
     step = _newton_direction(H, g, 1.1657373794775867e-07)
-    assert step is None or np.all(np.isfinite(step))
+    assert np.all(np.isfinite(step)) and float(g @ step) < 0
+    assert np.array_equal(_newton_direction(np.zeros((2, 2)), g, 0.0), -g)
+    # rank one: eigh's small eigenvalue is positive (2.2e-16), so H reads as
+    # positive definite, but LU meets an exactly zero pivot
+    H = np.outer([1.7, 1.3], [1.7, 1.3])
+    step = _newton_direction(H, g, 0.0)
+    assert np.all(np.isfinite(step)) and float(g @ step) < 0
 
 
 def _stalled(f0=800.0):
@@ -169,13 +157,14 @@ def test_solve_reasons():
     H = np.array([[2.0, 0.3], [0.3, 1.0]])
     b = np.array([1.0, -2.0])
     assert solve(quad(H, b)).reason == "converged"
-    assert solve(quad(H, b), SubSolverOptions(max_iters=2)).reason \
+    assert solve(quad(H, b), SubSolverOptions(max_iters=1)).reason \
         == "max_iters"
     walled = SubProblem(1, lambda t: np.inf if t.any() else 0.0,
-                        lambda t: np.array([1.0]))
+                        lambda t: np.array([1.0]), lambda t: np.eye(1))
     assert solve(walled).reason == "backtrack_fail"
     bad = SubProblem(1, lambda t: float(t[0]),
-                     lambda t: np.array([np.nan if t[0] else 1.0]))
+                     lambda t: np.array([np.nan if t[0] else 1.0]),
+                     lambda t: np.zeros((1, 1)))
     assert solve(bad).reason == "nonfinite"
     res = solve(_stalled())
     assert res.reason == "rounding_floor" and not res.converged
@@ -184,6 +173,27 @@ def test_solve_reasons():
     assert res.value == 800.0 and not res.theta.any()
 
 
-def test_floor_stop_can_be_turned_off():
-    res = solve(_stalled(), SubSolverOptions(floor_stop=False))
-    assert res.reason == "max_iters" and res.value < 800.0
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("lam", [0.0, 1e-2])
+@pytest.mark.parametrize("loss", ["logistic", "least_squares"])
+def test_zero_and_repeated_directions_solve_as_the_independent_ones(
+        loss, lam, seed):
+    # [-g, 0, -g, p, 2p - g] spans what [-g, p] spans: its Hessian is
+    # exactly singular, and the solve must leave the flat modes at 0 and
+    # land where the independent directions do, in as many Newton steps
+    gen = gen_logistic if loss == "logistic" else gen_quadratic
+    ds = gen(60, 8, seed)
+    obj = LcpObjective(loss, ds, lam)
+    X = ds.X.payload
+    rng = np.random.default_rng(seed)
+    w, p = rng.standard_normal(8), rng.standard_normal(8)
+    m = X @ w
+    g = obj.f_grad_margin(w, m)
+
+    def restrict(dirs):
+        return obj.subspace_restrict(w, m, dirs, [X @ d for d in dirs])
+
+    res = solve(restrict([-g, 0 * g, -g, p, 2 * p - g]))
+    ref = solve(restrict([-g, p]))
+    assert res.converged and res.inner_iters <= min(10, ref.inner_iters)
+    assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value)

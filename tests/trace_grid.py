@@ -11,10 +11,10 @@ and 0; lsq runs on the quadratic generator, every other model on the
 logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
 same code are byte-identical, and a run that raises writes the error as
 the file's text.  `--compare` lists the files that differ, each with the
-largest relative difference of f and whether `products_cum` matches row for
-row, and the files that exist in one grid only, as `only in A` or `only in
-B`; it exits 1 if there are any.  The name keeps pytest from collecting
-this file.
+largest relative difference of f, whether `products_cum` and `inner_iters`
+match row for row and each grid's total inner iterations (A -> B), and the
+files that exist in one grid only, as `only in A` or `only in B`; it exits
+1 if there are any.  The name keeps pytest from collecting this file.
 """
 
 import re
@@ -66,33 +66,40 @@ def compare(a: Path, b: Path) -> list[str]:
 
 
 def _columns(path: Path):
-    """The f and products_cum columns of a grid CSV, or None when the file
-    holds no trace."""
+    """The f, products_cum and inner_iters columns of a grid CSV, or None
+    when the file holds no trace."""
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
-    if "f" not in header or "products_cum" not in header:
+    names = ("f", "products_cum", "inner_iters")
+    if not set(names) <= set(header):
         return None
     rows = [line.split(",") for line in lines[1:]]
-    f, cum = header.index("f"), header.index("products_cum")
-    return [float(r[f]) for r in rows], [r[cum] for r in rows]
+    f, cum, inner = (header.index(name) for name in names)
+    return ([float(r[f]) for r in rows], [r[cum] for r in rows],
+            [int(r[inner]) for r in rows])
 
 
 def describe(a: Path, b: Path) -> str:
     """How two differing grid CSVs differ: which grid alone holds the file,
-    or the largest relative f difference and whether products_cum matches
-    on every row."""
+    or the largest relative f difference, whether products_cum and
+    inner_iters match on every row, and each side's total inner
+    iterations."""
     if not (a.is_file() and b.is_file()):
         return "only in " + ("A" if a.is_file() else "B")
     ca, cb = _columns(a), _columns(b)
     if ca is None or cb is None:
         return "no trace in " + " and ".join(
             str(p.parent) for p, c in ((a, ca), (b, cb)) if c is None)
-    (fa, pa), (fb, pb) = ca, cb
+    (fa, pa, ia), (fb, pb, ib) = ca, cb
     rel = max((abs(x - y) / max(abs(x), abs(y), 1e-300)
                for x, y in zip(fa, fb)), default=0.0)
     rows = "" if len(fa) == len(fb) else f", {len(fa)} vs {len(fb)} rows"
-    same = "matches" if pa == pb else "differs"
-    return f"max rel f diff {rel:.3g}, products_cum {same}{rows}"
+
+    def same(x, y):
+        return "matches" if x == y else "differs"
+
+    return (f"max rel f diff {rel:.3g}, products_cum {same(pa, pb)}, "
+            f"inner_iters {same(ia, ib)} ({sum(ia)} -> {sum(ib)}){rows}")
 
 
 def main(argv):
