@@ -25,16 +25,12 @@ class ProductCounter:
         self._count = 0
         self._lock = threading.Lock()
 
-    def bump(self, k: int = 1):
+    def bump(self):
         with self._lock:
-            self._count += k
+            self._count += 1
 
     def read(self) -> int:
         return self._count
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
 
 
 def _issparse(a) -> bool:
@@ -71,11 +67,11 @@ class CountedMatrix:
     norms) do not pollute the per-iteration budget.
     """
 
-    def __init__(self, payload, counter: ProductCounter | None = None):
+    def __init__(self, payload):
         self.payload = _as_payload(payload)
         # a view: a CSR payload's transpose is a CSC over the same arrays
         self._transpose = self.payload.T
-        self.counter = counter if counter is not None else ProductCounter()
+        self.counter = ProductCounter()
         self.audit_counter = ProductCounter()
 
     @property
@@ -139,6 +135,3 @@ class CountedMatrix:
 
     def counter_read(self) -> int:
         return self.counter.read()
-
-    def counter_reset(self):
-        self.counter.reset()

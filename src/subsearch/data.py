@@ -268,24 +268,28 @@ def _seed_state(seed: int) -> list[int]:
     return [(seed * 0x9E3779B97F4A7C15 + 1) & _MASK64]
 
 
-def _gen_features(n: int, d: int, state: list[int],
-                  condition_scale: float) -> np.ndarray:
+# the generators' column scales span [1, _CONDITION_SCALE]; least-squares
+# targets carry Gaussian noise of standard deviation _NOISE
+_CONDITION_SCALE = 10.0
+_NOISE = 0.1
+
+
+def _gen_features(n: int, d: int, state: list[int]) -> np.ndarray:
     X = _normals(state, n * d).reshape(n, d)
     if d > 1:
-        scales = np.exp(np.linspace(0.0, np.log(condition_scale), d))
+        scales = np.exp(np.linspace(0.0, np.log(_CONDITION_SCALE), d))
     else:
         scales = np.array([1.0])
     return X * scales
 
 
-def gen_logistic(n: int, d: int, seed: int,
-                 condition_scale: float = 10.0) -> Dataset:
-    """Gaussian features with column scales spanning [1, condition_scale];
+def gen_logistic(n: int, d: int, seed: int) -> Dataset:
+    """Gaussian features with column scales spanning [1, _CONDITION_SCALE];
     labels are sign(X w_true) with 10% flips.  Deterministic per seed."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     state = _seed_state(seed)
-    X = _gen_features(n, d, state, condition_scale)
+    X = _gen_features(n, d, state)
     w_true = _normals(state, d)
     y = np.sign(X @ w_true)
     y[y == 0] = 1.0
@@ -294,14 +298,12 @@ def gen_logistic(n: int, d: int, seed: int,
     return Dataset(CountedMatrix(X), y, "binary")
 
 
-def gen_quadratic(n: int, d: int, seed: int,
-                  condition_scale: float = 10.0,
-                  noise: float = 0.1) -> Dataset:
+def gen_quadratic(n: int, d: int, seed: int) -> Dataset:
     """Least-squares problem: same feature scheme, real-valued targets."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     state = _seed_state(seed)
-    X = _gen_features(n, d, state, condition_scale)
+    X = _gen_features(n, d, state)
     w_true = _normals(state, d)
-    y = X @ w_true + noise * _normals(state, n)
+    y = X @ w_true + _NOISE * _normals(state, n)
     return Dataset(CountedMatrix(X), y, "real")

@@ -448,11 +448,6 @@ def reference_certificate(cfg: ExperimentConfig) -> tuple[float, str]:
     return _family(cfg).reference()
 
 
-def compute_reference(cfg: ExperimentConfig) -> float:
-    """The reference optimum f* of `reference_certificate`."""
-    return reference_certificate(cfg)[0]
-
-
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     """Run one method on one problem; write CSV to cfg.out when set."""
     trace = _run_trace(cfg)

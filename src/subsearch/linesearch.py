@@ -42,16 +42,13 @@ class LineSearchError(ValueError):
     pass
 
 
-@dataclass
-class WolfeOptions:
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_evals: int = 50
-    growth: float = 2.0
-
-    def __post_init__(self):
-        if not (0 < self.c1 < self.c2 < 1):
-            raise ValueError("need 0 < c1 < c2 < 1")
+# strong Wolfe constants: the sufficient-decrease and curvature parameters
+# (0 < _C1 < _C2 < 1), the budget of phi and dphi evaluations per search and
+# the bracketing growth factor
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_EVALS = 50
+_GROWTH = 2.0
 
 
 @dataclass
@@ -70,8 +67,7 @@ class WolfeResult:
 
 def strong_wolfe(phi: Callable[[float], float],
                  dphi: Callable[[float], float],
-                 alpha_init: float,
-                 opts: WolfeOptions | None = None) -> WolfeResult:
+                 alpha_init: float) -> WolfeResult:
     """Bracketing with step doubling, then midpoint zoom (Nocedal alg. 3.5).
 
     A trial that passes both conditions is accepted.  A trial the search
@@ -85,7 +81,6 @@ def strong_wolfe(phi: Callable[[float], float],
     otherwise.  On budget exhaustion ("max_iters") the result is the best
     Armijo step seen, or alpha=0 if there is none.
     """
-    opts = opts or WolfeOptions()
     phi0 = phi(0.0)
     g0 = dphi(0.0)
     evals = 2
@@ -97,11 +92,10 @@ def strong_wolfe(phi: Callable[[float], float],
             return WolfeResult(0.0, phi0, "rounding_floor", False, evals)
         raise LineSearchError("strong_wolfe needs a descent direction")
 
-    c1, c2 = opts.c1, opts.c2
     best_armijo = None  # (alpha, value)
 
     def armijo_ok(a, fa):
-        return fa <= phi0 + c1 * a * g0
+        return fa <= phi0 + _C1 * a * g0
 
     def note(a, fa):
         nonlocal best_armijo
@@ -115,8 +109,8 @@ def strong_wolfe(phi: Callable[[float], float],
         # both from memory
         va = phi(a)
         da = dphi(a)
-        ok = (va <= phi0 + c1 * a * g0 + 1e-12 * max(1.0, abs(phi0))
-              and abs(da) <= c2 * abs(g0) + 1e-12 * abs(g0))
+        ok = (va <= phi0 + _C1 * a * g0 + 1e-12 * max(1.0, abs(phi0))
+              and abs(da) <= _C2 * abs(g0) + 1e-12 * abs(g0))
         return WolfeResult(a, fa, "converged", bool(ok), evals)
 
     def lost(a, fa):
@@ -131,7 +125,7 @@ def strong_wolfe(phi: Callable[[float], float],
 
     def zoom(lo, f_lo, hi, f_hi):
         nonlocal evals
-        while evals < opts.max_evals:
+        while evals < _MAX_EVALS:
             a = 0.5 * (lo + hi)
             fa = phi(a)
             evals += 1
@@ -140,7 +134,7 @@ def strong_wolfe(phi: Callable[[float], float],
             if not rejected:
                 ga = dphi(a)
                 evals += 1
-                if abs(ga) <= -c2 * g0:
+                if abs(ga) <= -_C2 * g0:
                     return finish(a, fa)
             if lost(a, fa):
                 return fail("rounding_floor")
@@ -154,7 +148,7 @@ def strong_wolfe(phi: Callable[[float], float],
 
     a_prev, f_prev = 0.0, phi0
     first = True
-    while evals < opts.max_evals:
+    while evals < _MAX_EVALS:
         fa = phi(a)
         evals += 1
         note(a, fa)
@@ -162,7 +156,7 @@ def strong_wolfe(phi: Callable[[float], float],
         if not rejected:
             ga = dphi(a)
             evals += 1
-            if abs(ga) <= -c2 * g0:
+            if abs(ga) <= -_C2 * g0:
                 return finish(a, fa)
         if lost(a, fa):
             return fail("rounding_floor")
@@ -171,7 +165,7 @@ def strong_wolfe(phi: Callable[[float], float],
         if ga >= 0:
             return zoom(a, fa, a_prev, f_prev)
         a_prev, f_prev = a, fa
-        a *= opts.growth
+        a *= _GROWTH
         first = False
     return fail()
 

@@ -9,7 +9,9 @@ first, so by the matrix determinant lemma the step's determinant factor is
 (x'V^{-1}x)/(x'Sx) is positive, so V stays positive definite.  A rank-1 step
 costs one metered linear solve and a rank-2 step exactly two.  The
 log-determinant is tracked additively through the accepted factors and
-re-derived from a fresh Cholesky factorization every `refactor_every` steps.
+re-derived from a fresh Cholesky factorization at the start of the step after
+every `_REFACTOR_EVERY`-th, so the drift audit, which `run` takes after every
+`_REFACTOR_EVERY`-th step, reads the drift of a whole cadence.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .optimizers import StepRecord, drive
 # that code patching each model module's `solve` (perfbench/probe.py) finds
 # it here as in the other model modules.
 from .subsolver import solve  # noqa: F401
+
+
+# steps between fresh Cholesky factorizations of the tracked log|V|, and
+# between drift audits
+_REFACTOR_EVERY = 50
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -49,7 +56,6 @@ class SpdState:
     # propose the next direction without an extra solve
     u_prev: np.ndarray | None = None
     u_prev_tilde: np.ndarray | None = None
-    refactor_every: int = 50
     k: int = 0
 
     def solve_system(self, b: np.ndarray, audit: bool = False) -> np.ndarray:
@@ -162,6 +168,8 @@ def step_rank_so(state: SpdState, rank: int = 2,
     """
     if rank not in (1, 2):
         raise ValueError("rank must be 1 or 2")
+    if state.k and state.k % _REFACTOR_EVERY == 0:
+        state.logdet_V = _chol_logdet(state.V)
     S, V = state.S, state.V
     if directions is not None:
         dirs = [_normalize(np.asarray(q, dtype=np.float64))
@@ -194,8 +202,6 @@ def step_rank_so(state: SpdState, rank: int = 2,
     state.V = 0.5 * (V_new + V_new.T)
     state.logdet_V += float(np.log(full))
     state.k += 1
-    if state.refactor_every and state.k % state.refactor_every == 0:
-        state.logdet_V = _chol_logdet(state.V)
 
     # the next proposal starts from u (rank-1) or the unorthogonalized v
     # (rank-2); its solve at the new iterate by Sherman-Morrison, exact
@@ -212,11 +218,10 @@ def step_rank_so(state: SpdState, rank: int = 2,
 
 
 def run(S: np.ndarray, rank: int, iters: int,
-        V0: np.ndarray | None = None, audit_every: int = 50,
         callback=None) -> tuple[SpdState, list[StepRecord]]:
-    state = init_state(S, V0)
+    state = init_state(S)
     return drive(f"rank{rank}", lambda st: step_rank_so(st, rank=rank),
                  state, iters, state.solver.read,
                  lambda st: ("logdet", audit_logdet(st),
                              1e-8 * max(1.0, abs(st.logdet_V))),
-                 audit_every, callback)
+                 _REFACTOR_EVERY, callback)

@@ -406,12 +406,11 @@ MF_BUDGETS = {
 
 
 def run(scheme: str, X: np.ndarray, rank: int, iters: int, seed: int = 0,
-        audit_every: int = 50, callback=None
-        ) -> tuple[MfState, list[StepRecord]]:
+        callback=None) -> tuple[MfState, list[StepRecord]]:
     if scheme not in MF_SCHEMES:
         raise KeyError(f"unknown scheme {scheme!r}")
     state = init_state(X, rank, seed)
     return drive(scheme, MF_SCHEMES[scheme], state, iters,
                  state.counter.read,
                  lambda st: ("product", audit_product(st), 1e-8),
-                 audit_every, callback)
+                 50, callback)

@@ -339,8 +339,7 @@ NET_MONOTONE_METHODS = methods_with_rule(NET_METHODS, MONOTONE_RULES)
 
 
 def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
-        params=None, audit_every: int = 100, callback=None
-        ) -> tuple[NetState, list[StepRecord]]:
+        params=None, callback=None) -> tuple[NetState, list[StepRecord]]:
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
@@ -349,4 +348,4 @@ def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
                  init_state(obj, seed=seed, params=params), iters,
                  obj.X.counter_read,
                  lambda st: ("activation", audit_activations(st, obj), 1e-8),
-                 audit_every, callback)
+                 100, callback)

@@ -207,13 +207,9 @@ class MarginState(TrackedState):
         return phi, dphi
 
 
-def init_state(obj: LcpObjective, w0: np.ndarray | None = None) -> MarginState:
-    if w0 is None:
-        w = np.zeros(obj.d)
-        m = np.zeros(obj.n)
-    else:
-        w = np.asarray(w0, dtype=np.float64).copy()
-        m = obj.X.matvec(w)
+def init_state(obj: LcpObjective) -> MarginState:
+    w = np.zeros(obj.d)
+    m = np.zeros(obj.n)
     return MarginState((w, m), obj.f_value_margin(w, m))
 
 
@@ -572,12 +568,12 @@ LO_SO_METHODS = methods_with_rule(TRACKED_METHODS, TWO_PRODUCT_RULES)
 MONOTONE_METHODS = methods_with_rule(TRACKED_METHODS, MONOTONE_RULES)
 
 
-def drive(name, step, state, iters, meter, audit, audit_every,
+def drive(name, step, state, iters, meter, audit, audit_cadence,
           callback=None):
     """The step loop behind every model's `run`; returns (state, records).
 
     Each record gets the products `meter` counted during its step and the
-    wall time of the step call alone.  Every `audit_every` steps (0: never)
+    wall time of the step call alone.  Every `audit_cadence` steps
     `audit(state)` returns (what, drift, bound), and a drift above its bound
     stops the run.  A failing step is re-raised naming `name` and the
     iteration.  `callback(k, state, record)` runs after each step.
@@ -594,7 +590,7 @@ def drive(name, step, state, iters, meter, audit, audit_every,
         rec.elapsed_s = time.perf_counter() - t0
         rec.products = meter() - before
         records.append(rec)
-        if audit_every and (k + 1) % audit_every == 0:
+        if (k + 1) % audit_cadence == 0:
             what, drift, bound = audit(state)
             if drift > bound:
                 raise RuntimeError(
@@ -604,14 +600,13 @@ def drive(name, step, state, iters, meter, audit, audit_every,
     return state, records
 
 
-def run(method: str, obj: LcpObjective, iters: int,
-        w0: np.ndarray | None = None, audit_every: int = 100,
-        callback=None) -> tuple[MarginState, list[StepRecord]]:
+def run(method: str, obj: LcpObjective, iters: int, callback=None
+        ) -> tuple[MarginState, list[StepRecord]]:
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in TRACKED_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = TRACKED_METHODS[method]
-    return drive(method, lambda st: step(st, obj, rule), init_state(obj, w0),
+    return drive(method, lambda st: step(st, obj, rule), init_state(obj),
                  iters, obj.X.counter_read,
                  lambda st: ("margin", audit_margin(st, obj), 1e-8),
-                 audit_every, callback)
+                 100, callback)

@@ -84,14 +84,13 @@ def _legend_entry(i, label, color, dashed=False):
             f'font-family="sans-serif">{escape(label)}</text>')
 
 
-def emit_subopt_svg(traces: list[Trace], fstar: float, path: str,
-                    labels: list[str] | None = None) -> str:
-    """log10(f - f*) against iteration, one polyline per trace."""
+def emit_subopt_svg(traces: list[Trace], fstar: float, path: str) -> str:
+    """log10(f - f*) against iteration, one polyline per trace, labelled
+    with its method."""
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
-    if labels is None:
-        labels = [t.config.method for t in traces]
+    labels = [t.config.method for t in traces]
     series = []
     for t in traces:
         fs = [t.f0] + [r.f for r in t.records]
@@ -124,11 +123,9 @@ _STEP_FIELDS = (("alpha1", False), ("beta1", True),
 _STEP_FLOOR = 1e-16
 
 
-def emit_steps_svg(traces, path: str) -> str:
+def emit_steps_svg(traces: list[Trace], path: str) -> str:
     """log10 |step size| per iteration; solid learning rates, dashed
     momentum rates, a circle marker wherever the raw entry is negative."""
-    if isinstance(traces, Trace):
-        traces = [traces]
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")

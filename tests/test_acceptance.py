@@ -420,7 +420,7 @@ def test_criterion_8_figure_ordering():
     obj = LcpObjective("logistic", gen_logistic(1000, 100, seed=1))
     cfg = hz.ExperimentConfig(model="logistic", method="gd(lo)", iters=1,
                               kind="logistic", n=1000, d=100, seed=1)
-    fstar = hz.compute_reference(cfg)
+    fstar = hz.reference_certificate(cfg)[0]
     finals = {}
     for method in ("gd+m(so)", "gd+m(lo)", "gd(ls)", "gd(1/l)"):
         _, recs = opt.run(method, obj, 200)
@@ -505,7 +505,7 @@ def test_criterion_10_tracked_quantity_drift():
 
     rng = np.random.default_rng(4)
     A = rng.standard_normal((15, 45))
-    lstate, _ = ld.run((A @ A.T) / 45, rank=2, iters=100, audit_every=0)
+    lstate, _ = ld.run((A @ A.T) / 45, rank=2, iters=100)
     d4 = ld.audit_logdet(lstate) / max(1.0, abs(lstate.logdet_V))
     assert d4 <= 1e-8, f"criterion 10 FAIL: logdet drift {d4:.2e}"
     _report(10, f"(drift m {d1:.1e}, M {d2:.1e}, UW^T {d3:.1e}, "

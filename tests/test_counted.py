@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from subsearch.counted import CountedMatrix, DimensionError, ProductCounter
+from subsearch.counted import CountedMatrix, DimensionError
 
 
 def naive_matvec(A, x):
@@ -47,17 +47,6 @@ def test_audit_counter_is_separate():
     cm.rmatmat(np.ones((3, 2)), audit=True)
     assert cm.counter_read() == 0
     assert cm.audit_counter.read() == 2
-
-
-def test_counter_reset_and_shared_counter():
-    shared = ProductCounter()
-    a = CountedMatrix(np.ones((2, 2)), counter=shared)
-    b = CountedMatrix(np.ones((2, 2)), counter=shared)
-    a.matvec(np.ones(2))
-    b.matvec(np.ones(2))
-    assert shared.read() == 2
-    shared.reset()
-    assert shared.read() == 0
 
 
 def test_dimension_errors():

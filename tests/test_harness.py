@@ -66,7 +66,7 @@ def test_bad_lambda_rejected_at_construction():
 def test_reference_matches_normal_equations():
     cfg = hz.ExperimentConfig(model="lsq", method="gd(lo)", iters=1,
                               kind="quadratic", n=30, d=5, seed=3)
-    fstar = hz.compute_reference(cfg)
+    fstar = hz.reference_certificate(cfg)[0]
     ds = gen_quadratic(30, 5, 3)
     X, y = ds.X.dense(), ds.y
     w = np.linalg.solve(X.T @ X, X.T @ y)
@@ -135,7 +135,7 @@ def test_closed_form_references(n, d, seed, rank, spectral_mf, spectral_ld):
 def test_reference_dominates_method_traces():
     cfg = hz.ExperimentConfig(model="logistic", method="gd+m(so)",
                               iters=100, n=80, d=10, seed=4)
-    fstar = hz.compute_reference(cfg)
+    fstar = hz.reference_certificate(cfg)[0]
     trace = hz.run_experiment(cfg)
     assert fstar <= min([trace.f0] + [r.f for r in trace.records]) + 1e-10
 
@@ -325,7 +325,7 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
         got = np.array([trace.gnorm0] + trace.gnorms)
         want = np.array([dense.gnorm0] + dense.gnorms)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), model
-        fstar = hz.compute_reference(cfg)
+        fstar = hz.reference_certificate(cfg)[0]
         assert np.isfinite(fstar) and fstar <= trace.records[-1].f
         monkeypatch.undo()
 

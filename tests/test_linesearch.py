@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from subsearch.linesearch import (LineSearchError, WolfeOptions,
-                                  backtrack_half, fista_momentum,
-                                  strong_wolfe)
+from subsearch.linesearch import (LineSearchError, backtrack_half,
+                                  fista_momentum, strong_wolfe)
 
 
 def wolfe_holds(phi, dphi, res, c1=1e-4, c2=0.9):
@@ -54,14 +53,9 @@ def test_wolfe_budget_exhaustion_returns_best_armijo():
     # very flat curvature never satisfies c2 within the eval budget
     phi = lambda a: -1e-12 * a
     dphi = lambda a: -1e-12
-    res = strong_wolfe(phi, dphi, 1.0, WolfeOptions(max_evals=8))
+    res = strong_wolfe(phi, dphi, 1.0)
     assert not res.success
     assert res.value <= phi(0.0)
-
-
-def test_wolfe_options_validation():
-    with pytest.raises(ValueError):
-        WolfeOptions(c1=0.5, c2=0.1)
 
 
 def test_backtrack_half_doubles_until_sufficient_decrease():
@@ -135,8 +129,7 @@ def test_wolfe_floor_never_overrides_both_conditions():
 
 def test_wolfe_budget_exhaustion_reason_is_max_iters():
     # phi(0) = 0 puts the rounding floor at zero, so only the budget ends it
-    res = strong_wolfe(lambda a: -1e-12 * a, lambda a: -1e-12, 1.0,
-                       WolfeOptions(max_evals=8))
+    res = strong_wolfe(lambda a: -1e-12 * a, lambda a: -1e-12, 1.0)
     assert res.reason == "max_iters"
     assert strong_wolfe(lambda a: (a - 2.0) ** 2, lambda a: 2.0 * (a - 2.0),
                         1.0).reason == "converged"

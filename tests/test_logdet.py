@@ -130,8 +130,24 @@ def test_tracked_logdet_drift():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((10, 30))
     S = (A @ A.T) / 30
-    state, _ = ld.run(S, rank=2, iters=100, audit_every=0)
+    state, _ = ld.run(S, rank=2, iters=100)
     assert ld.audit_logdet(state) <= 1e-8 * max(1.0, abs(state.logdet_V))
+
+
+def test_drift_audit_sees_a_whole_refactor_cadence():
+    # the audit after step 50 must read the drift tracked since step 1: an
+    # error injected into the tracked log|V| after step 30 stops the run
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((10, 30))
+    S = (A @ A.T) / 30
+
+    def inject(k, state, rec):
+        if k == 29:
+            state.logdet_V += 1e-6
+
+    with pytest.raises(RuntimeError,
+                       match=r"logdet drift .* at iteration 50"):
+        ld.run(S, 2, 60, callback=inject)
 
 
 def test_nonpositive_factor_candidates_are_rejected():

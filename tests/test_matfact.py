@@ -126,6 +126,22 @@ def test_monotone(state):
             f_prev = r.f
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scheme", tuple(mf.MF_SCHEMES))
+def test_monotone_near_an_exact_low_rank_fit(scheme, seed):
+    # X is rank 3 up to 1e-6 noise, so f falls by orders of magnitude and
+    # the step sizes' restrictions are nearly singular: rounding in how a
+    # restriction is formed shows as f rising
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((60, 3)), rng.standard_normal((3, 20))
+    X = A @ B + 1e-6 * rng.standard_normal((60, 20))
+    _, recs = mf.run(scheme, X, rank=3, iters=100, seed=seed)
+    f_prev = mf.init_state(X, 3, seed).f
+    for k, r in enumerate(recs, start=1):
+        assert r.f <= f_prev + 1e-8 * abs(f_prev), (k, f_prev, r.f)
+        f_prev = r.f
+
+
 def test_tracked_product_drift():
     X = make_X()
     for scheme in mf.MF_SCHEMES:

@@ -282,7 +282,7 @@ def test_drive_meters_audits_wraps_and_calls_back():
 
     with pytest.raises(RuntimeError, match="fake failed at iteration 2: "
                                            "boom"):
-        drive("fake", broken, {"k": 0}, 5, lambda: spent[0], None, 0)
+        drive("fake", broken, {"k": 0}, 5, lambda: spent[0], None, 10)
 
 
 def test_unknown_method_or_scheme_raises_before_any_product(logistic_obj):

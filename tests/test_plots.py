@@ -47,7 +47,7 @@ def test_flat_trace_gives_horizontal_polyline():
 def test_monotone_trace_has_nonincreasing_values():
     cfg = hz.ExperimentConfig(model="logistic", method="gd+m(so)", iters=30,
                               n=50, d=8, seed=1)
-    fstar = hz.compute_reference(cfg)
+    fstar = hz.reference_certificate(cfg)[0]
     trace = hz.run_experiment(cfg)
     doc = plots.emit_subopt_svg([trace], fstar, path="")
     root = ET.fromstring(doc)
@@ -81,7 +81,7 @@ def test_steps_svg_markers_match_negative_entries():
     steps = [(0.1, 0.01), (0.2, -0.02), (0.3, 0.03), (-0.4, 0.04),
              (0.5, 0.05), (0.6, 0.06), (0.7, -0.07), (0.8, 0.08)]
     t = make_trace([8.0 - k for k in range(8)], steps=steps)
-    doc = plots.emit_steps_svg(t, path="")
+    doc = plots.emit_steps_svg([t], path="")
     root = ET.fromstring(doc)
     markers = list(root.iter(NS + "circle"))
     assert len(markers) == 3
@@ -96,7 +96,7 @@ def test_steps_svg_markers_match_negative_entries():
 def test_steps_svg_all_positive_has_no_markers():
     steps = [(0.1, 0.01)] * 5
     t = make_trace([5.0 - k for k in range(5)], steps=steps)
-    doc = plots.emit_steps_svg(t, path="")
+    doc = plots.emit_steps_svg([t], path="")
     root = ET.fromstring(doc)
     assert list(root.iter(NS + "circle")) == []
 
@@ -104,7 +104,7 @@ def test_steps_svg_all_positive_has_no_markers():
 def test_steps_svg_momentum_series_is_dashed():
     steps = [(0.1, 0.01)] * 5
     t = make_trace([5.0 - k for k in range(5)], steps=steps)
-    root = ET.fromstring(plots.emit_steps_svg(t, path=""))
+    root = ET.fromstring(plots.emit_steps_svg([t], path=""))
     dashes = {e.get("data-series"): e.get("stroke-dasharray")
               for e in root.iter(NS + "polyline") if e.get("data-series")}
     assert dashes["beta1"] is not None

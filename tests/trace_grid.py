@@ -1,4 +1,5 @@
-"""Trace-identity grid: every method of every model, one CSV per run.
+"""Trace-identity grid: every method of every model, one CSV per run, and
+every model's reference optimum.
 
 Write the grid of the source tree on PYTHONPATH into DIR, then compare two
 grids file by file:
@@ -10,11 +11,14 @@ Each run is n=200, d=20, hidden=4, 60 iterations, seed 1, at lambda 1/n
 and 0; lsq runs on the quadratic generator, every other model on the
 logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
 same code are byte-identical, and a run that raises writes the error as
-the file's text.  `--compare` lists the files that differ, each with the
+the file's text.  Each model and lambda also gets `<model>__ref__lam<λ>.txt`:
+`harness.reference_certificate`'s f* (`%.17g`) and its line saying how f*
+is known.  `--compare` lists the files that differ, each CSV with the
 largest relative difference of f, whether `products_cum` and `inner_iters`
-match row for row and each grid's total inner iterations (A -> B), and the
-files that exist in one grid only, as `only in A` or `only in B`; it exits
-1 if there are any.  The name keeps pytest from collecting this file.
+match row for row and each grid's total inner iterations (A -> B), any
+other file with its first differing line, and the files that exist in one
+grid only, as `only in A` or `only in B`; it exits 1 if there are any.  The
+name keeps pytest from collecting this file.
 """
 
 import re
@@ -25,41 +29,66 @@ SHAPE = dict(n=200, d=20, hidden=4, iters=60, seed=1)
 LAMBDAS = ("1/n", "0")
 
 
-def _name(model, method, lam):
-    return re.sub(r"[^\w.+()-]", "_", f"{model}__{method}__lam{lam}") + ".csv"
+def _name(model, method, lam, suffix=".csv"):
+    return re.sub(r"[^\w.+()-]", "_", f"{model}__{method}__lam{lam}") + suffix
+
+
+def _config(model, method, lam):
+    from subsearch import harness
+
+    return harness.ExperimentConfig(
+        model=model, method=method, lam=lam,
+        kind="quadratic" if model == "lsq" else "logistic", **SHAPE)
 
 
 def _csv(model, method, lam):
     from subsearch import harness
 
-    cfg = harness.ExperimentConfig(
-        model=model, method=method, lam=lam,
-        kind="quadratic" if model == "lsq" else "logistic", **SHAPE)
     try:
-        text = harness.emit_csv(harness.run_experiment(cfg))
+        text = harness.emit_csv(
+            harness.run_experiment(_config(model, method, lam)))
     except Exception as exc:                    # noqa: BLE001
         return f"{type(exc).__name__}: {exc}\n"
     return "".join(line.rsplit(",", 1)[0] + "\n"
                    for line in text.splitlines())
 
 
-def write_grid(out: Path) -> int:
+def _ref(model, lam):
+    """f* and how it is known; the reference does not depend on the
+    method, so the model's first one stands in."""
+    from subsearch import harness
+
+    method = harness.methods_for_model(model)[0]
+    try:
+        fstar, how = harness.reference_certificate(
+            _config(model, method, lam))
+    except Exception as exc:                    # noqa: BLE001
+        return f"{type(exc).__name__}: {exc}\n"
+    return "%.17g\n%s\n" % (fstar, how)
+
+
+def write_grid(out: Path) -> tuple[int, int]:
+    """Write every CSV and reference file; returns how many of each."""
     from subsearch import harness
 
     out.mkdir(parents=True, exist_ok=True)
-    count = 0
+    csvs = refs = 0
     for model in harness.MODELS:
-        for method in harness.methods_for_model(model):
-            for lam in LAMBDAS:
+        for lam in LAMBDAS:
+            path = out / _name(model, "ref", lam, ".txt")
+            path.write_text(_ref(model, lam), encoding="utf-8")
+            refs += 1
+            for method in harness.methods_for_model(model):
                 path = out / _name(model, method, lam)
                 path.write_text(_csv(model, method, lam), encoding="utf-8")
-                count += 1
-    return count
+                csvs += 1
+    return csvs, refs
 
 
 def compare(a: Path, b: Path) -> list[str]:
-    names = sorted({p.name for p in a.glob("*.csv")}
-                   | {p.name for p in b.glob("*.csv")})
+    names = sorted({p.name for grid in (a, b)
+                    for pattern in ("*.csv", "*.txt")
+                    for p in grid.glob(pattern)})
     return [name for name in names
             if not ((a / name).is_file() and (b / name).is_file()
                     and (a / name).read_bytes() == (b / name).read_bytes())]
@@ -79,13 +108,24 @@ def _columns(path: Path):
             [int(r[inner]) for r in rows])
 
 
+def _first_difference(a: Path, b: Path) -> str:
+    la = a.read_text(encoding="utf-8").splitlines()
+    lb = b.read_text(encoding="utf-8").splitlines()
+    for k, (x, y) in enumerate(zip(la, lb), start=1):
+        if x != y:
+            return f"line {k}: {x!r} vs {y!r}"
+    return f"{len(la)} vs {len(lb)} lines"
+
+
 def describe(a: Path, b: Path) -> str:
-    """How two differing grid CSVs differ: which grid alone holds the file,
-    or the largest relative f difference, whether products_cum and
-    inner_iters match on every row, and each side's total inner
-    iterations."""
+    """How two differing grid files differ: which grid alone holds the
+    file; for a CSV, the largest relative f difference, whether
+    products_cum and inner_iters match on every row, and each side's total
+    inner iterations; for any other file, its first differing line."""
     if not (a.is_file() and b.is_file()):
         return "only in " + ("A" if a.is_file() else "B")
+    if a.suffix != ".csv":
+        return _first_difference(a, b)
     ca, cb = _columns(a), _columns(b)
     if ca is None or cb is None:
         return "no trace in " + " and ".join(
@@ -111,7 +151,8 @@ def main(argv):
         print(f"{len(differ)} file(s) differ")
         return 1 if differ else 0
     if len(argv) == 1 and not argv[0].startswith("-"):
-        print(f"wrote {write_grid(Path(argv[0]))} CSVs to {argv[0]}")
+        csvs, refs = write_grid(Path(argv[0]))
+        print(f"wrote {csvs} CSVs and {refs} reference files to {argv[0]}")
         return 0
     sys.exit("usage: python tests/trace_grid.py DIR\n"
              "       python tests/trace_grid.py --compare A B")
