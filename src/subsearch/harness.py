@@ -3,18 +3,19 @@
 A Trace is one method run on one problem: the initial point plus one
 StepRecord per iteration.  Row k's gradient norm is the norm of the full
 gradient that the next step already took at row k's iterate
-(`StepRecord.gnorm` of record k+1), so it costs no product.  Rows whose step took no such gradient (nag(1/l),
-which takes it at its extrapolated point, and every matfact and logdet
-step) and the last row are audited instead.  LCP and network audits (and
-the network f0) use audit products on the data's own payload, so sparse
-inputs stay sparse, instrumentation never touches the per-iteration product
-budget, and its cost shows in the audit counter: one gnorm per LCP or
-network run, plus one per row for nag(1/l).  matfact and logdet work on a
-dense copy by design.
+(`StepRecord.gnorm` of record k+1), so it costs no product.  Rows whose
+step took no such gradient (nag(1/l), which takes it at its extrapolated
+point, and every matfact and logdet step) and the last row are audited
+instead.  LCP and network audits (and the network f0) use audit products
+on the data's own payload, so sparse inputs stay sparse, instrumentation
+never touches the per-iteration product budget, and its cost shows in the
+audit counter: one gnorm per LCP or network run, plus one per row for
+nag(1/l).  matfact and logdet work on a dense copy by design.
 
 Reference optima are closed forms for matfact and logdet; logistic, lsq
 and net2 take the best value of this module's own full-space
-Barzilai-Borwein run (`_spectral_reference`).
+Barzilai-Borwein run (`_spectral_reference`) over the model module's own
+value and gradient, with audit products.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ BEST_SEEN = "f* is the best value seen, not certified"
 def _spectral_reference(dim: int, value: Callable, grad: Callable,
                         lam: float = 0.0) -> tuple[float, str]:
     """The minimum f(w_ref) that 5000 full-space Barzilai-Borwein steps see
-    on a raw-array objective over a flat vector, and how it is known.
+    on an objective over a flat vector, and how it is known.
 
     The run starts at zero with the step 1/max(1, |g|), then takes BB1 steps
     clamped to [1e-10, 1e10], each halved up to 60 times until it passes a
@@ -301,24 +302,21 @@ _LOSS = {"logistic": "logistic", "lsq": "least_squares"}
 def _lcp_family(cfg: ExperimentConfig) -> _Family:
     ds = load_dataset(cfg)
     lam = resolve_lambda(cfg.lam, ds.n)
-    obj = LcpObjective(_LOSS[cfg.model], ds, lam)
-    Xp = ds.X.payload
+    try:
+        obj = LcpObjective(_LOSS[cfg.model], ds, lam)
+    except ValueError as e:             # labels the loss cannot take
+        raise ConfigError(str(e))
 
     def gnorm(w, m):
         return float(np.linalg.norm(obj.f_grad_margin(w, m, audit=True)))
-
-    def ref_grad(w):
-        g = Xp.T @ obj.g_grad(Xp @ w)
-        if lam > 0:
-            g = g + lam * w
-        return g
 
     state0 = _optimizers.init_state(obj)
     return _Family(
         state0.f, state0.blocks, lambda st: st.blocks, gnorm,
         lambda cb: _optimizers.run(cfg.method, obj, cfg.iters, callback=cb),
         lambda: _spectral_reference(
-            ds.d, lambda w: obj.f_value_margin(w, Xp @ w), ref_grad, lam))
+            ds.d, lambda w: obj.f_value(w, audit=True),
+            lambda w: obj.f_grad(w, audit=True), lam))
 
 
 def _net_family(cfg: ExperimentConfig) -> _Family:
@@ -327,39 +325,32 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
     if cfg.model == "net2_reg" and lam == 0.0:
         lam = 1.0 / ds.n
     obj = NetObjective(ds, cfg.hidden, lam)
-    X, Xp = ds.X, ds.X.payload
     W0, v0 = init_params(ds.d, cfg.hidden, cfg.seed)
     d, r = ds.d, cfg.hidden
 
-    def grad(W, v, mul, tmul):
-        R, gv = _network.backward(obj, v, mul(W))
-        gW = tmul(R)
-        if lam > 0:
-            gW = gW + lam * W
-        return gW, gv
+    def grad(W, v):
+        return _network.gradient(obj, W, v, obj.X.matmat(W, audit=True),
+                                 audit=True)
 
     def gnorm(W, v):
-        gW, gv = grad(W, v, lambda B: X.matmat(B, audit=True),
-                      lambda B: X.rmatmat(B, audit=True))
+        gW, gv = grad(W, v)
         return float(np.sqrt(np.sum(gW * gW) + gv @ gv))
 
     def unpack(t):
         return W0 + t[:d * r].reshape(d, r), v0 + t[d * r:]
 
-    def ref_value(t):
-        W, v = unpack(t)
-        return obj.value_tracked(W, v, Xp @ W)
-
     def ref_grad(t):
-        gW, gv = grad(*unpack(t), lambda B: Xp @ B, lambda B: Xp.T @ B)
+        gW, gv = grad(*unpack(t))
         return np.concatenate([gW.ravel(), gv])
 
     return _Family(
         obj.value(W0, v0, audit=True), (W0, v0), lambda st: (st.W, st.v),
         gnorm,
         lambda cb: _network.run(cfg.method, obj, cfg.iters, seed=cfg.seed,
-                                params=(W0, v0), callback=cb),
-        lambda: _spectral_reference(d * r + r, ref_value, ref_grad))
+                                callback=cb),
+        lambda: _spectral_reference(
+            d * r + r, lambda t: obj.value(*unpack(t), audit=True),
+            ref_grad))
 
 
 def _matfact_family(cfg: ExperimentConfig) -> _Family:
@@ -367,7 +358,7 @@ def _matfact_family(cfg: ExperimentConfig) -> _Family:
     st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
 
     def gnorm(U, W):
-        G = U @ W.T - X
+        G = _matfact.pca_grad(U @ W.T, X)
         return float(np.sqrt(np.sum((G @ W) ** 2) + np.sum((G.T @ U) ** 2)))
 
     def reference():
@@ -390,8 +381,7 @@ def _logdet_family(cfg: ExperimentConfig) -> _Family:
 
     def reference():
         # the minimizer is V = S^-1, so f* = Tr(I) + log det S
-        L = np.linalg.cholesky(S)
-        return ds.d + 2.0 * float(np.sum(np.log(np.diag(L)))), EXACT
+        return ds.d + _logdet.chol_logdet(S), EXACT
 
     rank = 1 if cfg.method == "rank1" else 2
     return _Family(
@@ -442,8 +432,8 @@ def reference_certificate(cfg: ExperimentConfig) -> tuple[float, str]:
 
     matfact and logdet have closed forms (`EXACT`); the other models take
     the best value of a full-space spectral run, certified within a bound
-    for the LCPs with lambda > 0 and otherwise `BEST_SEEN`.
-    Instrumentation-free: all linear algebra runs on raw arrays.
+    for the LCPs with lambda > 0 and otherwise `BEST_SEEN`.  Its products
+    with the data are audit products, so it never spends the budget.
     """
     return _family(cfg).reference()
 

@@ -37,7 +37,8 @@ class NotPositiveDefiniteError(ValueError):
     pass
 
 
-def _chol_logdet(V: np.ndarray) -> float:
+def chol_logdet(V: np.ndarray) -> float:
+    """log det V from one Cholesky factorization of an SPD V."""
     try:
         L = np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
@@ -75,7 +76,7 @@ def init_state(S: np.ndarray, V0: np.ndarray | None = None) -> SpdState:
     V = np.eye(d) if V0 is None else np.asarray(V0, dtype=np.float64).copy()
     if not np.allclose(V, V.T, atol=1e-12):
         raise ValueError("V must be symmetric")
-    return SpdState(S=S, V=V, logdet_V=_chol_logdet(V))
+    return SpdState(S=S, V=V, logdet_V=chol_logdet(V))
 
 
 def f_gauss(state: SpdState) -> float:
@@ -85,7 +86,7 @@ def f_gauss(state: SpdState) -> float:
 
 def audit_logdet(state: SpdState) -> float:
     """Absolute drift of the tracked log-determinant vs fresh Cholesky."""
-    return abs(state.logdet_V - _chol_logdet(state.V))
+    return abs(state.logdet_V - chol_logdet(state.V))
 
 
 def rank1_det_factor(state: SpdState, u: np.ndarray, alpha: float,
@@ -169,7 +170,7 @@ def step_rank_so(state: SpdState, rank: int = 2,
     if rank not in (1, 2):
         raise ValueError("rank must be 1 or 2")
     if state.k and state.k % _REFACTOR_EVERY == 0:
-        state.logdet_V = _chol_logdet(state.V)
+        state.logdet_V = chol_logdet(state.V)
     S, V = state.S, state.V
     if directions is not None:
         dirs = [_normalize(np.asarray(q, dtype=np.float64))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .counted import ProductCounter
 from .data import _normals, _seed_state
-from .optimizers import StepRecord, drive
+from .optimizers import StepRecord, drive, relative_drift
 from .subsolver import SubProblem, SubSolverOptions, solve
 
 
@@ -94,9 +94,7 @@ def init_state(X: np.ndarray, rank: int, seed: int = 0) -> MfState:
 
 def audit_product(state: MfState) -> float:
     """Relative Frobenius drift of tracked M; uses the audit counter."""
-    M_true = state.prod(state.U, state.W.T, audit=True)
-    return float(np.linalg.norm(state.M - M_true)
-                 / (1.0 + np.linalg.norm(state.M)))
+    return relative_drift(state.M, state.prod(state.U, state.W.T, audit=True))
 
 
 # ---------------------------------------------------------------------------

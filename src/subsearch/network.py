@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _normals, _seed_state
-from .objectives import memo_last
+from .objectives import DatasetView, memo_last
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
                          StepRecord, TrackedState, apply_rule, drive,
-                         methods_with_rule, momentum_dir, pr_plus)
+                         methods_with_rule, momentum_dir, pr_plus,
+                         relative_drift)
 from .subsolver import SubProblem, solve
 
 
 @dataclass
-class NetObjective:
+class NetObjective(DatasetView):
     dataset: Dataset
     hidden: int
     l2_lambda: float = 0.0
@@ -32,24 +33,7 @@ class NetObjective:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if not 0 <= self.l2_lambda < np.inf:
-            raise ValueError("l2_lambda must be finite and nonnegative")
-
-    @property
-    def X(self):
-        return self.dataset.X
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.dataset.y
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def d(self) -> int:
-        return self.dataset.d
+        super().__post_init__()
 
     def value_tracked(self, W: np.ndarray, v: np.ndarray,
                       M: np.ndarray) -> float:
@@ -192,12 +176,7 @@ class NetState(TrackedState):
     def gradient(self, obj: NetObjective, blocks=None):
         """Full gradient (gW, gv) at the iterate or at `blocks`; one counted
         product."""
-        W, v, M = self.blocks if blocks is None else blocks
-        R, gv = backward(obj, v, M)
-        gW = obj.X.rmatmat(R)
-        if obj.l2_lambda > 0:
-            gW = gW + obj.l2_lambda * W
-        return gW, gv
+        return gradient(obj, *(self.blocks if blocks is None else blocks))
 
     @staticmethod
     def image(obj: NetObjective, params) -> np.ndarray:
@@ -265,11 +244,20 @@ def backward(obj: NetObjective, v: np.ndarray, M: np.ndarray
     return R, grad_v
 
 
+def gradient(obj: NetObjective, W: np.ndarray, v: np.ndarray, M: np.ndarray,
+             audit: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Full gradient (gW, gv) at (W, v) with pre-activations M = XW: one
+    product X^T R, counted as an audit product when `audit` is set."""
+    R, gv = backward(obj, v, M)
+    gW = obj.X.rmatmat(R, audit=audit)
+    if obj.l2_lambda > 0:
+        gW = gW + obj.l2_lambda * W
+    return gW, gv
+
+
 def audit_activations(state: NetState, obj: NetObjective) -> float:
     """Relative Frobenius drift of tracked M; uses the audit counter."""
-    M_true = obj.X.matmat(state.W, audit=True)
-    return float(np.linalg.norm(state.M - M_true)
-                 / (1.0 + np.linalg.norm(state.M)))
+    return relative_drift(state.M, obj.X.matmat(state.W, audit=True))
 
 
 def step_gd_sb(state, obj, rule="so"):
@@ -339,13 +327,13 @@ NET_MONOTONE_METHODS = methods_with_rule(NET_METHODS, MONOTONE_RULES)
 
 
 def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
-        params=None, callback=None) -> tuple[NetState, list[StepRecord]]:
+        callback=None) -> tuple[NetState, list[StepRecord]]:
     """Apply `method` for `iters` steps, recording products per iteration."""
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = NET_METHODS[method]
     return drive(method, lambda st: step(st, obj, rule),
-                 init_state(obj, seed=seed, params=params), iters,
+                 init_state(obj, seed=seed), iters,
                  obj.X.counter_read,
                  lambda st: ("activation", audit_activations(st, obj), 1e-8),
                  100, callback)

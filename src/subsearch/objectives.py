@@ -95,15 +95,12 @@ class MarginLoss:
         return np.ones_like(self.m)
 
 
-@dataclass
-class LcpObjective:
-    loss_kind: str
-    dataset: Dataset
-    l2_lambda: float = 0.0
+class DatasetView:
+    """The data an objective reads through its `dataset` field, and the
+    check on its weight decay field `l2_lambda`; every model's objective
+    subclasses it."""
 
     def __post_init__(self):
-        if self.loss_kind not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss_kind!r}")
         if not 0 <= self.l2_lambda < np.inf:
             raise ValueError("l2_lambda must be finite and nonnegative")
 
@@ -122,6 +119,22 @@ class LcpObjective:
     @property
     def d(self) -> int:
         return self.dataset.d
+
+
+@dataclass
+class LcpObjective(DatasetView):
+    loss_kind: str
+    dataset: Dataset
+    l2_lambda: float = 0.0
+
+    def __post_init__(self):
+        if self.loss_kind not in LOSSES:
+            raise ValueError(f"unknown loss {self.loss_kind!r}")
+        super().__post_init__()
+        if self.loss_kind == "logistic" and np.any(np.abs(self.y) != 1.0):
+            k = int(np.argmax(np.abs(self.y) != 1.0))
+            raise ValueError(f"logistic labels must be -1 or +1, got "
+                             f"{float(self.y[k])!r} at row {k}")
 
     # margin-space loss; no products with X
 

@@ -213,11 +213,15 @@ def init_state(obj: LcpObjective) -> MarginState:
     return MarginState((w, m), obj.f_value_margin(w, m))
 
 
+def relative_drift(tracked: np.ndarray, fresh: np.ndarray) -> float:
+    """The drift of a tracked image: |tracked - fresh| / (1 + |tracked|)."""
+    return float(np.linalg.norm(tracked - fresh)
+                 / (1.0 + np.linalg.norm(tracked)))
+
+
 def audit_margin(state: MarginState, obj: LcpObjective) -> float:
     """Relative drift of the tracked margin; uses the audit counter."""
-    m_true = obj.X.matvec(state.w, audit=True)
-    return float(np.linalg.norm(state.m - m_true)
-                 / (1.0 + np.linalg.norm(state.m)))
+    return relative_drift(state.m, obj.X.matvec(state.w, audit=True))
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +577,11 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
     """The step loop behind every model's `run`; returns (state, records).
 
     Each record gets the products `meter` counted during its step and the
-    wall time of the step call alone.  Every `audit_cadence` steps
-    `audit(state)` returns (what, drift, bound), and a drift above its bound
-    stops the run.  A failing step is re-raised naming `name` and the
-    iteration.  `callback(k, state, record)` runs after each step.
+    wall time of the step call alone.  Every `audit_cadence` steps, and
+    after the last step, `audit(state)` returns (what, drift, bound), and a
+    drift above its bound stops the run, so no run ends on unaudited drift.
+    A failing step is re-raised naming `name` and the iteration.
+    `callback(k, state, record)` runs after each step.
     """
     records = []
     for k in range(iters):
@@ -590,7 +595,7 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
         rec.elapsed_s = time.perf_counter() - t0
         rec.products = meter() - before
         records.append(rec)
-        if (k + 1) % audit_cadence == 0:
+        if (k + 1) % audit_cadence == 0 or k + 1 == iters:
             what, drift, bound = audit(state)
             if drift > bound:
                 raise RuntimeError(

@@ -156,3 +156,31 @@ def test_mistyped_json_config_is_usage_error(tmp_path, capsys):
                      "--out", str(out)]) == 1, fields
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_drift_after_the_last_audit_cadence_still_stops_the_run(capsys):
+    # 199 steps end between the every-100-step audits; the audit after the
+    # last step catches the drifted margins, whose recorded f 4.2836 lies
+    # below the exact f* 4.30522524 that `ref` prints
+    code = main(["run", "--model", "lsq", "--method", "gd+m(lo)",
+                 "--kind", "quadratic", "--n", "1000", "--d", "100",
+                 "--seed", "1", "--iters", "199"])
+    assert code == 2
+    assert "margin drift" in capsys.readouterr().err
+
+
+def test_logistic_labels_other_than_plus_minus_one_are_usage_errors(
+        tmp_path, capsys):
+    common = ["--model", "logistic", "--method", "gd(lo)", "--iters", "3"]
+    real = tmp_path / "real.libsvm"
+    real.write_text("0.5 1:1\n-1 2:1\n1 1:2\n")
+    for source in (["--kind", "quadratic", "--n", "50", "--d", "5"],
+                   ["--data", str(real)]):
+        for command in ("run", "ref"):
+            assert main([command] + common + source) == 1, source
+            assert "-1 or +1" in capsys.readouterr().err
+    # two distinct labels are read as -1 and +1
+    binary = tmp_path / "binary.libsvm"
+    binary.write_text("0 1:1\n1 2:1\n1 1:2\n")
+    assert main(["run"] + common + ["--data", str(binary)]) == 0
+    capsys.readouterr()

@@ -274,9 +274,9 @@ def test_benchmark_entry_points_stay_patchable(monkeypatch):
 
 def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
     """LCP and net gradient norms (the steps' own, and the last row's audit
-    product) stay on the CSR payload, and the reference runs on the raw
-    payload: neither densifies X, budgets and audit counts stay exact, and
-    gnorms match a dense-payload run."""
+    product) and the reference's audit products stay on the CSR payload:
+    neither densifies X, budgets and audit counts stay exact, and gnorms
+    match a dense-payload run."""
     import scipy.sparse as sp
 
     from subsearch.counted import CountedMatrix
@@ -305,9 +305,10 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
 
     iters = 8
     # model, method, products before the first step, and audit products:
-    # the last row's gnorm (net2: two products, plus one for f0); every
-    # other row's gnorm is the norm of the gradient its step already took
-    cases = [("logistic", "gd+m(so)", 0, 1), ("net2", "gd(ls)", 1, 3)]
+    # the drift audit after the last step and the last row's gnorm (net2:
+    # two products, plus one for f0); every other row's gnorm is the norm
+    # of the gradient its step already took
+    cases = [("logistic", "gd+m(so)", 0, 2), ("net2", "gd(ls)", 1, 4)]
     for model, method, init, audits in cases:
         cfg = hz.ExperimentConfig(model=model, method=method, iters=iters,
                                   data=str(path), hidden=3, seed=1,
@@ -372,8 +373,9 @@ def test_lcp_gnorms_come_from_the_steps_own_gradients(monkeypatch, model,
         assert [trace.gnorm0] + trace.gnorms == want, method
         audits = datasets[-1].X.audit_counter.read() - len(want)
         per_row = iters if method == "nag(1/l)" else 0
-        # the last row's gnorm and the margin audit every 100 steps
-        assert audits == 1 + per_row + iters // 100, method
+        # the last row's gnorm, and the margin audit every 100 steps and
+        # after the last one
+        assert audits == 1 + per_row + -(-iters // 100), method
 
 
 def test_config_fields_are_type_checked():

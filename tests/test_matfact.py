@@ -156,6 +156,28 @@ def test_recorded_f_matches_fresh_evaluation():
         1.0, recs[-1].f)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 2 and 7: solves that ride the momentum box (theta_cap) "
+    "to the iteration cap let tracked M drift, and the records follow it"))
+def test_momentum_box_records_stay_true():
+    # steps 25-30 hit the 100-iteration cap with beta at the box; tracked-M
+    # drift grows from 4.9e-11 to 9.2e-3 over steps 25-29, step 27 is the
+    # first record past the bound, and step 30 (a refresh) records
+    # 1739.78 for a committed point whose f is 1919.95
+    from subsearch.data import gen_quadratic
+
+    X = gen_quadratic(28, 9, 814305).X.dense()
+    errors = []
+
+    def check(k, st, rec):
+        f_true = mf.pca_value(st.U @ st.W.T, X)
+        if abs(rec.f - f_true) > 1e-8 * max(1.0, abs(rec.f)):
+            errors.append((k + 1, rec.f, f_true))
+
+    mf.run("momentum-both", X, 1, 30, seed=814305, callback=check)
+    assert not errors, errors[0]
+
+
 def test_altmin_alpha_matches_closed_form(state):
     # with no momentum yet, the first altmin step on U is exact line
     # optimization of a quadratic: alpha* = ||grad||^2 / ||D||^2

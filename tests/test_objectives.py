@@ -113,6 +113,8 @@ def test_rejects_bad_construction():
         LcpObjective("hinge", ds)
     with pytest.raises(ValueError):
         LcpObjective("logistic", ds, -1.0)
+    with pytest.raises(ValueError, match="-1 or \\+1, got .* at row 0"):
+        LcpObjective("logistic", gen_quadratic(5, 2, seed=0))
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])

@@ -13,7 +13,10 @@ logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
 same code are byte-identical, and a run that raises writes the error as
 the file's text.  Each model and lambda also gets `<model>__ref__lam<λ>.txt`:
 `harness.reference_certificate`'s f* (`%.17g`) and its line saying how f*
-is known.  `--compare` lists the files that differ, each CSV with the
+is known.  logistic, lsq and net2 also get `<model>__ref_csr__lam<λ>.txt`,
+the same reference read through `data=` from a libsvm file of the same
+generator's dataset (written with `write_libsvm`), so their references run
+on a CSR payload.  `--compare` lists the files that differ, each CSV with the
 largest relative difference of f, whether `products_cum` and `inner_iters`
 match row for row and each grid's total inner iterations (A -> B), any
 other file with its first differing line, and the files that exist in one
@@ -23,22 +26,28 @@ name keeps pytest from collecting this file.
 
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 SHAPE = dict(n=200, d=20, hidden=4, iters=60, seed=1)
 LAMBDAS = ("1/n", "0")
+CSR_MODELS = ("logistic", "lsq", "net2")
 
 
 def _name(model, method, lam, suffix=".csv"):
     return re.sub(r"[^\w.+()-]", "_", f"{model}__{method}__lam{lam}") + suffix
 
 
-def _config(model, method, lam):
+def _kind(model):
+    return "quadratic" if model == "lsq" else "logistic"
+
+
+def _config(model, method, lam, data=None):
     from subsearch import harness
 
     return harness.ExperimentConfig(
-        model=model, method=method, lam=lam,
-        kind="quadratic" if model == "lsq" else "logistic", **SHAPE)
+        model=model, method=method, lam=lam, data=data, kind=_kind(model),
+        **SHAPE)
 
 
 def _csv(model, method, lam):
@@ -53,18 +62,30 @@ def _csv(model, method, lam):
                    for line in text.splitlines())
 
 
-def _ref(model, lam):
-    """f* and how it is known; the reference does not depend on the
-    method, so the model's first one stands in."""
+def _ref(model, lam, data=None):
+    """f* and how it is known, on the synthetic data or the libsvm file
+    `data`; the reference does not depend on the method, so the model's
+    first one stands in."""
     from subsearch import harness
 
     method = harness.methods_for_model(model)[0]
     try:
         fstar, how = harness.reference_certificate(
-            _config(model, method, lam))
+            _config(model, method, lam, data))
     except Exception as exc:                    # noqa: BLE001
         return f"{type(exc).__name__}: {exc}\n"
     return "%.17g\n%s\n" % (fstar, how)
+
+
+def _write_libsvm(model, directory: Path) -> Path:
+    """The model's synthetic dataset as a libsvm file in `directory`."""
+    from subsearch import data
+
+    gen = data.gen_quadratic if model == "lsq" else data.gen_logistic
+    path = directory / f"{_kind(model)}.libsvm"
+    path.write_text(data.write_libsvm(gen(SHAPE["n"], SHAPE["d"],
+                                          SHAPE["seed"])), encoding="utf-8")
+    return path
 
 
 def write_grid(out: Path) -> tuple[int, int]:
@@ -82,6 +103,13 @@ def write_grid(out: Path) -> tuple[int, int]:
                 path = out / _name(model, method, lam)
                 path.write_text(_csv(model, method, lam), encoding="utf-8")
                 csvs += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for model in CSR_MODELS:
+            data = str(_write_libsvm(model, Path(tmp)))
+            for lam in LAMBDAS:
+                path = out / _name(model, "ref_csr", lam, ".txt")
+                path.write_text(_ref(model, lam, data), encoding="utf-8")
+                refs += 1
     return csvs, refs
 
 
