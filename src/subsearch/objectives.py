@@ -4,11 +4,16 @@ Everything the optimizers need is exposed both in parameter space and in
 margin space; margin-space calls never multiply by the data matrix, which is
 what keeps line/subspace optimization candidates at O(n) each.
 
-One trial point costs one image m + Q theta and, for the logistic loss, one
-exp(-|z|) per margin (`MarginLoss`), shared by the value, the gradient and
-the Hessian at that point: the restriction closures keep their last point
-(`memo_last`), so value, grad and hess at one theta, and the Wolfe search's
-re-check of a step it already evaluated, build it once.
+One margin vector costs one `MarginLoss`: for the logistic loss one
+exp(-|z|) per margin, shared by the value, the gradient and the Hessian at
+that vector.  The objective keeps the last one it built (`LcpObjective.loss`,
+keyed on the margin's exact bytes), and every margin-space call goes through
+it, so the committed f and the next gradient share one loss.  A restriction's
+or a line's zero point is the iterate's own margin, so it reuses the
+iterate's loss, and each trial point builds one.  The restriction and line
+closures also keep their last point (`memo_last`, keyed on theta or the step
+size), so value, grad and hess at one theta, and the Wolfe search's re-check
+of a step it already evaluated, form the trial margin once.
 """
 
 from __future__ import annotations
@@ -58,24 +63,31 @@ def memo_last(build):
 class MarginLoss:
     """g and its margin-space derivatives at one margin vector m.
 
-    Each piece is computed on first use and kept.  For the logistic loss,
-    z = -y m and one e = exp(-|z|) feed the softplus value, the sigmoid s
-    of the gradient and the curvature s(1 - s).
+    Everything that reads m is formed here, so the loss keeps no view of m
+    (a caller may write m afterwards) and no reference to `obj`.  For the
+    logistic loss, z = -y m and one e = exp(-|z|) feed the softplus value,
+    the sigmoid s of the gradient and the curvature s(1 - s); for least
+    squares, one residual r = m - y is the gradient and gives the value.
+    Each piece is computed on first use and kept, and every caller of the
+    same loss shares it, so the gradient is read-only.
     """
 
     def __init__(self, obj: LcpObjective, m: np.ndarray):
-        self.m, self.y = m, obj.y
         self.logistic = obj.loss_kind == "logistic"
         if self.logistic:
-            self.z = -self.y * m
-            self.e = np.exp(-np.abs(self.z))
+            self.neg_y = obj.neg_y
+            self.z = self.neg_y * m
+            self.e = np.abs(self.z)
+            np.negative(self.e, out=self.e)
+            np.exp(self.e, out=self.e)
+        else:
+            self.r = m - obj.y
 
     @cached_property
     def value(self) -> float:
         if self.logistic:
             return float(np.sum(_softplus(self.z, self.e)))
-        r = self.m - self.y
-        return 0.5 * float(r @ r)
+        return 0.5 * float(self.r @ self.r)
 
     @cached_property
     def sigmoid(self) -> np.ndarray:
@@ -83,16 +95,16 @@ class MarginLoss:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        if self.logistic:
-            return -self.y * self.sigmoid
-        return self.m - self.y
+        g = self.neg_y * self.sigmoid if self.logistic else self.r
+        g.flags.writeable = False
+        return g
 
     @cached_property
     def hess_diag(self) -> np.ndarray:
         if self.logistic:
             s = self.sigmoid
             return s * (1.0 - s)
-        return np.ones_like(self.m)
+        return np.ones_like(self.r)
 
 
 class DatasetView:
@@ -135,14 +147,30 @@ class LcpObjective(DatasetView):
             k = int(np.argmax(np.abs(self.y) != 1.0))
             raise ValueError(f"logistic labels must be -1 or +1, got "
                              f"{float(self.y[k])!r} at row {k}")
+        self.neg_y = -self.y
+        # the last loss built and its margin's bytes; plain attributes, so
+        # the objective holds no closure over itself
+        self._loss_key = self._loss = None
 
     # margin-space loss; no products with X
 
+    def loss(self, m: np.ndarray) -> MarginLoss:
+        """The `MarginLoss` at m, built once per margin vector.
+
+        The last one is kept, keyed on m's exact bytes as `memo_last` keys
+        its points, so a margin written in place after a call is a new one.
+        """
+        m = np.asarray(m, dtype=np.float64)
+        key = m.tobytes()
+        if key != self._loss_key:
+            self._loss_key, self._loss = key, MarginLoss(self, m)
+        return self._loss
+
     def g_value(self, m: np.ndarray) -> float:
-        return MarginLoss(self, m).value
+        return self.loss(m).value
 
     def g_grad(self, m: np.ndarray) -> np.ndarray:
-        return MarginLoss(self, m).grad
+        return self.loss(m).grad
 
     # full-space evaluation (counted products)
 
@@ -176,8 +204,9 @@ class LcpObjective(DatasetView):
         """Restrict f to w + sum_j theta_j p_j given margin images X p_j.
 
         Candidate evaluations cost O(n*p) and perform zero counted products.
-        One trial point builds one image m + Q theta and one exponential per
-        margin, shared by the value, gradient and Hessian at that theta.
+        One trial point builds one image m + Q theta and its `loss`, shared
+        by the value, gradient and Hessian at that theta; theta = 0 is m
+        itself, whose loss the iterate already built.
         """
         p = len(param_dirs)
         assert len(margin_dirs) == p
@@ -188,7 +217,8 @@ class LcpObjective(DatasetView):
             c = P.T @ w
             G = P.T @ P
             w_sq = float(w @ w)
-        at = memo_last(lambda theta: MarginLoss(self, m + Q @ theta))
+        at = memo_last(lambda theta: self.loss(
+            m + np.dot(Q, theta) if theta.any() else m))
 
         def value(theta):
             val = at(theta).value
@@ -198,7 +228,7 @@ class LcpObjective(DatasetView):
             return val
 
         def grad(theta):
-            gr = Q.T @ at(theta).grad
+            gr = np.dot(at(theta).grad, Q)
             if lam > 0:
                 gr = gr + lam * (c + G @ theta)
             return gr

@@ -59,7 +59,7 @@ from functools import partial
 import numpy as np
 
 from .linesearch import backtrack_half, fista_momentum, strong_wolfe
-from .objectives import LcpObjective, MarginLoss, memo_last
+from .objectives import LcpObjective, memo_last
 from .subsolver import solve
 
 # L-BFGS keeps this many (s, y) pairs
@@ -189,11 +189,14 @@ class MarginState(TrackedState):
         """Margin-space value and slope along p with image q.
 
         Both closures share the last step size's margin m + a q and its
-        exponentials, so phi and dphi at one a build them once.
+        `obj.loss`, so phi and dphi at one a build them once.  At a = 0 the
+        margin is m itself, so phi(0) and dphi(0) reuse the iterate's loss,
+        and m + a q is bitwise the margin `_apply` commits at a, so the next
+        gradient reuses the accepted step's loss.
         """
         (p, q), (w, m) = direction, self.blocks
         lam = obj.l2_lambda
-        at = memo_last(lambda a: MarginLoss(obj, m + a * q))
+        at = memo_last(lambda a: obj.loss(m + a * q if a else m))
 
         def phi(a):
             return obj.plus_l2(at(a).value, w + a * p)

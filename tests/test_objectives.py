@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from subsearch.data import gen_logistic, gen_quadratic
+from subsearch.counted import CountedMatrix
+from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.network import NetObjective, subspace_restrict
-from subsearch.objectives import LcpObjective, _sigmoid, _softplus
-from subsearch.optimizers import MarginState, init_state
+from subsearch.objectives import (LcpObjective, MarginLoss, _sigmoid,
+                                  _softplus)
+from subsearch.optimizers import MarginState, init_state, run
 
 
 def fd_grad(f, w, h=1e-6):
@@ -261,3 +263,170 @@ def test_one_tanh_per_net_trial_point(monkeypatch):
     theta = np.array([0.3, -0.2])
     sp.value(theta), sp.grad(theta), sp.value(theta)
     assert seen == [30 * 3]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _count_builds(monkeypatch):
+    """Count `MarginLoss` constructions."""
+    real, builds = MarginLoss.__init__, []
+
+    def init(self, *args):
+        builds.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(MarginLoss, "__init__", init)
+    return builds
+
+
+def _iterate_with_signed_zeros(loss, sparse):
+    """(obj at lambda = 0, w, m, two directions, their images), where m
+    holds -0.0 in its first two entries; for least squares y is 0 there,
+    so the residual m - y holds -0.0 too."""
+    ds = (gen_logistic if loss == "logistic" else gen_quadratic)(
+        30, 5, seed=6)
+    y = ds.y.copy()
+    if loss == "least_squares":
+        y[:2] = 0.0
+    X = ds.X.payload
+    if sparse:
+        import scipy.sparse as sps
+        X = sps.csr_matrix(X)
+    obj = LcpObjective(loss, Dataset(CountedMatrix(X), y, ds.label_kind))
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(5)
+    m = obj.X.matvec(w)
+    m[:2] = -0.0
+    P = [rng.standard_normal(5) for _ in range(2)]
+    return obj, w, m, P, [obj.X.matvec(p) for p in P]
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least_squares"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_the_zero_point_reuses_the_iterates_loss(loss, sparse, monkeypatch):
+    obj, w, m, P, images = _iterate_with_signed_zeros(loss, sparse)
+    fresh = MarginLoss(obj, m.copy())
+    Q = np.column_stack(images)
+    builds = _count_builds(monkeypatch)
+    assert _bits(obj.g_value(m)) == _bits(fresh.value)
+    assert builds == [1]
+    sp = obj.subspace_restrict(w, m, P, images)
+    phi, dphi = MarginState((w, m), fresh.value).line(
+        obj, (P[0], images[0]))
+    zero = np.zeros(2)
+    assert _bits(sp.value(zero)) == _bits(fresh.value)
+    assert _bits(sp.grad(zero)) == _bits(Q.T @ fresh.grad)
+    assert _bits(sp.hess(zero)) == _bits(
+        (Q * fresh.hess_diag[:, None]).T @ Q)
+    assert _bits(phi(0.0)) == _bits(fresh.value)
+    assert _bits(dphi(0.0)) == _bits(fresh.grad @ images[0])
+    # the loss the zero point used is the iterate's, signed zeros and all
+    assert _bits(obj.g_grad(m)) == _bits(fresh.grad)
+    assert builds == [1]
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least_squares"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_a_margin_written_in_place_is_a_new_loss(loss, sparse, monkeypatch):
+    obj, _, m, _, _ = _iterate_with_signed_zeros(loss, sparse)
+    before = m.copy()
+    builds = _count_builds(monkeypatch)
+    kept = obj.loss(m)
+    assert obj.loss(m.copy()) is kept and builds == [1]
+    m[3] += 0.5
+    got = obj.g_grad(m)
+    assert builds == [1, 1]
+    assert _bits(got) == _bits(MarginLoss(obj, m.copy()).grad)
+    with pytest.raises(ValueError):     # every caller shares it
+        got[0] = 0.0
+    # the loss built before the write read none of it
+    assert _bits(kept.value) == _bits(MarginLoss(obj, before).value)
+    assert _bits(kept.grad) == _bits(MarginLoss(obj, before).grad)
+    m[:] = before
+    assert _bits(obj.g_value(m)) == _bits(kept.value)
+
+
+def test_least_squares_value_and_gradient_share_one_residual():
+    obj, _, m, _, _ = _iterate_with_signed_zeros("least_squares", False)
+    r = m - obj.y
+    loss = MarginLoss(obj, m)
+    assert _bits(loss.grad) == _bits(r)
+    assert _bits(loss.value) == _bits(0.5 * float(r @ r))
+    assert loss.grad is loss.r
+
+
+def test_an_objective_dies_with_its_last_reference():
+    # the objective's loss memo is plain attributes, and no loss, closure
+    # or run state refers back to it, so no cycle waits for the collector
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        obj = LcpObjective("logistic", gen_logistic(30, 5, seed=6), 1 / 30)
+        state, _ = run("gd+m(so)", obj, 5)
+        state, _ = run("qn(ls)", obj, 5)
+        alive = weakref.ref(obj)
+        del obj, state
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _trial_points(monkeypatch):
+    """Per inner search, the set of distinct nonzero points at which the
+    subsolver or the Wolfe search evaluated its closures."""
+    import subsearch.optimizers as opt
+    from subsearch.subsolver import SubProblem
+
+    searches = []
+
+    def keyed(fn, seen):
+        def at(x):
+            a = np.asarray(x, dtype=np.float64)
+            if a.any():
+                seen.add(a.tobytes())
+            return fn(x)
+        return at
+
+    def solve(sp, *args, **kwargs):
+        seen = set()
+        searches.append(seen)
+        return real_solve(SubProblem(sp.dim, keyed(sp.value, seen),
+                                     keyed(sp.grad, seen),
+                                     keyed(sp.hess, seen)), *args, **kwargs)
+
+    def strong_wolfe(phi, dphi, *args):
+        seen = set()
+        searches.append(seen)
+        return real_wolfe(keyed(phi, seen), keyed(dphi, seen), *args)
+
+    real_solve, real_wolfe = opt.solve, opt.strong_wolfe
+    monkeypatch.setattr(opt, "solve", solve)
+    monkeypatch.setattr(opt, "strong_wolfe", strong_wolfe)
+    return searches
+
+
+@pytest.mark.parametrize("loss,gen", [("logistic", gen_logistic),
+                                      ("least_squares", gen_quadratic)])
+@pytest.mark.parametrize("method", ["adam", "gd(1/l)", "gd+m(so)", "gd(lo)",
+                                    "qn(ls)"])
+def test_one_loss_per_margin_vector(loss, gen, method, monkeypatch):
+    # the committed f and the next gradient share one loss, the inner
+    # searches' zero point is the iterate and the accepted Wolfe step is
+    # the committed margin; only trial points and rejected 1/L trials
+    # build more
+    builds = _count_builds(monkeypatch)
+    searches = _trial_points(monkeypatch)
+    iters = 30
+    _, recs = run(method, LcpObjective(loss, gen(60, 8, seed=2), 1 / 60),
+                  iters)
+    if method == "adam":
+        assert len(builds) == iters + 1
+    elif method == "gd(1/l)":
+        assert len(builds) == iters + 1 + sum(r.inner_iters for r in recs)
+    else:
+        assert len(searches) == iters
+        assert len(builds) <= iters + 1 + sum(map(len, searches))
