@@ -12,6 +12,7 @@ failure (IO errors, diverged runs).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -113,6 +114,8 @@ def _cmd_plot(args) -> int:
         if fstar is None:
             fstar = min(min([t.f0] + [r.f for r in t.records])
                         for t in traces)
+        elif not math.isfinite(fstar):
+            raise UsageError(f"--fstar must be finite, got {fstar!r}")
         plots.emit_subopt_svg(traces, fstar, args.out)
     print(f"plot ({args.style}) -> {args.out}")
     return 0

@@ -21,6 +21,7 @@ value and gradient, with audit products.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
@@ -71,10 +72,19 @@ class ExperimentConfig:
                     or not isinstance(value, numbers.Integral)):
                 raise ConfigError(f"{name} must be an integer, "
                                   f"got {value!r}")
-        if self.fstar is not None and (isinstance(self.fstar, bool)
-                                       or not isinstance(self.fstar,
-                                                         numbers.Real)):
-            raise ConfigError(f"fstar must be a number, got {self.fstar!r}")
+        if self.fstar is not None and (
+                isinstance(self.fstar, bool)
+                or not isinstance(self.fstar, numbers.Real)
+                or not math.isfinite(self.fstar)):
+            raise ConfigError(f"fstar must be a finite number, "
+                              f"got {self.fstar!r}")
+        for name in ("data", "out"):     # open() takes an int as an fd
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path or null, "
+                                  f"got {getattr(self, name)!r}")
+        if not isinstance(self.standardize, bool):
+            raise ConfigError(f"standardize must be true or false, "
+                              f"got {self.standardize!r}")
         if self.model not in MODELS:
             raise ConfigError(
                 f"unknown model {self.model!r}; choose from {MODELS}")
@@ -202,14 +212,18 @@ def emit_csv(trace: Trace) -> str:
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Inverse of emit_csv: list of dicts, empty cells -> None."""
+    """Inverse of emit_csv: list of dicts, empty cells -> None; a row whose
+    cell count is not the header's raises a ValueError naming its line."""
     lines = text.strip("\n").split("\n")
     cols = lines[0].split(",")
     if cols != CSV_HEADER.split(","):
         raise ValueError("unexpected CSV header")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(cols):
+            raise ValueError(f"line {lineno}: {len(cells)} cells, the "
+                             f"header has {len(cols)}")
         row = {}
         for name, cell in zip(cols, cells):
             if cell == "":
@@ -466,7 +480,7 @@ def trace_from_csv(text: str, label: str) -> Trace:
     records, gnorms = [], []
     for prev, row in zip(rows, rows[1:]):
         records.append(StepRecord(
-            method=label, f=row["f"],
+            f=row["f"],
             products=(row["products_cum"] or 0) - (prev["products_cum"] or 0),
             inner_iters=row["inner_iters"] or 0,
             alpha1=row["alpha1"], beta1=row["beta1"],

@@ -214,8 +214,7 @@ def step_rank_so(state: SpdState, rank: int = 2,
                                   1.0 + a2 * float(w @ w_sol))
     state.u_prev, state.u_prev_tilde = x, x_sol
 
-    return StepRecord("logdet-rank%d" % rank, f_gauss(state),
-                      alpha1=a1, alpha2=a2)
+    return StepRecord(f_gauss(state), alpha1=a1, alpha2=a2)
 
 
 def run(S: np.ndarray, rank: int, iters: int,

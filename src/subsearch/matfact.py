@@ -278,7 +278,7 @@ def _commit(state, U_new, W_new, M_new, rec, restart=False):
 _MOMENTUM_OPTS = SubSolverOptions(theta_cap=10.0)
 
 
-def _so_step(state, method, slots, free=None, refresh=False, flag=None):
+def _so_step(state, slots, free=None, refresh=False, flag=None):
     """Solve the restriction to `slots`, step each factor along its slots
     and commit; a left-out slot records 0.  M comes from the expansion.
 
@@ -298,7 +298,7 @@ def _so_step(state, method, slots, free=None, refresh=False, flag=None):
     if restart:
         M_new = state.prod(U_new, W_new.T)
         f_new = min(f_new, pca_value(M_new, state.X))
-    rec = StepRecord(method, f_new, inner_iters=res.inner_iters, flag=flag,
+    rec = StepRecord(f_new, inner_iters=res.inner_iters, flag=flag,
                      **{name: float(t)
                         for (_, name, _), t in zip(slots, theta)})
     return _commit(state, U_new, W_new, M_new, rec, restart)
@@ -327,22 +327,22 @@ def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:
         raise ValueError("which must be 'u' or 'w'")
     slots, free = _altmin_slots(state, which)
     state.alt_prev = which
-    return _so_step(state, "mf-altmin", slots, free, flag=which)
+    return _so_step(state, slots, free, flag=which)
 
 
 def step_simul_so2(state: MfState) -> StepRecord:
     """Two learning rates by 2-d SO on the bilinear expansion; 5 products."""
-    return _so_step(state, "mf-simul", SIMUL)
+    return _so_step(state, SIMUL)
 
 
 def step_momentum_one(state: MfState) -> StepRecord:
     """Momentum on U only: 3-d SO over (alpha1, beta1, alpha2); 7 products."""
-    return _so_step(state, "mf-momentum-u", MOMENTUM_U, refresh=True)
+    return _so_step(state, MOMENTUM_U, refresh=True)
 
 
 def step_momentum_both_exact(state: MfState) -> StepRecord:
     """Momentum on both factors: exact 4-d SO; 9 products."""
-    return _so_step(state, "mf-momentum-both", MOMENTUM_BOTH, refresh=True)
+    return _so_step(state, MOMENTUM_BOTH, refresh=True)
 
 
 def default_candidates(state: MfState) -> list[tuple]:
@@ -381,8 +381,8 @@ def step_momentum_both_inexact(state: MfState,
         if best is None or f_c < best[0]:
             best = (f_c, c, U_c, W_c, M_c)
     f_new, theta, U_new, W_new, M_new = best
-    rec = StepRecord("mf-momentum-inexact", f_new,
-                     inner_iters=len(candidates), **dict(zip(_FIELDS, theta)))
+    rec = StepRecord(f_new, inner_iters=len(candidates),
+                     **dict(zip(_FIELDS, theta)))
     return _commit(state, U_new, W_new, M_new, rec)
 
 

@@ -5,8 +5,9 @@ The objective is f(W, v) = ||tanh(XW) v - y||^2, optionally plus
 M = XW lets every candidate step be evaluated in O(nr) without touching X,
 so each LS, LO or SO iteration performs exactly two counted products: X^T R
 for the first-layer gradient and X D for the image of the search direction.
-The shared tracked-state steps of `optimizers` run here unchanged, and the
-per-layer (stepsize-block) steps are the network's own.
+The shared tracked-state steps of `optimizers` run here unchanged, gd(sb)
+and gd+m(so+sb) among them under the per-layer (stepsize-block) rule "sb";
+gd+m(sb), with per-layer PR+ coefficients, is the network's own step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .objectives import DatasetView, memo_last
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
                          StepRecord, TrackedState, apply_rule, drive,
                          methods_with_rule, momentum_dir, pr_plus,
-                         relative_drift)
+                         relative_drift, step_gd, step_memory_gradient)
 from .subsolver import SubProblem, solve
 
 
@@ -191,6 +192,15 @@ class NetState(TrackedState):
     def dot(a, b) -> float:
         return float(np.sum(a[0] * b[0])) + float(a[1] @ b[1])
 
+    @staticmethod
+    def per_layer(dirs, slots):
+        """The "sb" rule's split: the first layer (dW with its image dM) of
+        every direction, then the second layer (dv) of every direction, whose
+        slots are numbered 2 (alpha1 -> alpha2, beta1 -> beta2)."""
+        return ([(dW, None, dM) for dW, _, dM in dirs]
+                + [(None, dv, None) for _, dv, _ in dirs],
+                [*slots, *(slot[:-1] + "2" for slot in slots)])
+
     def subspace_solve(self, obj: NetObjective, dirs, warm):
         sp = subspace_restrict(obj, self.W, self.v, self.M, dirs)
         return solve(sp, theta0=warm)
@@ -260,15 +270,6 @@ def audit_activations(state: NetState, obj: NetObjective) -> float:
     return relative_drift(state.M, obj.X.matmat(state.W, audit=True))
 
 
-def step_gd_sb(state, obj, rule="so"):
-    """GD(SB): separate per-layer learning rates, set jointly by 2-d SO."""
-    gW, gv = state.gradient(obj)
-    D = state.image(obj, (gW, gv))
-    dirs = [(-gW, None, -D), (None, -gv, None)]
-    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], "gd(sb)",
-                      (gW, gv), D)
-
-
 def step_cgm_sb(state, obj, rule="so"):
     """GD+M(SB): per-layer PR+ momentum folded into per-layer directions.
 
@@ -293,33 +294,17 @@ def step_cgm_sb(state, obj, rule="so"):
         d1, d2 = (-gW, None, -D), (None, -gv, None)
         flag = "momentum_reset"
     rec = apply_rule(state, obj, rule, [d1, d2], ["alpha1", "alpha2"],
-                     "gd+m(sb)", (gW, gv), D, flag=flag)
+                     (gW, gv), D, flag=flag)
     rec.beta1 = eta1 * (rec.alpha1 or 0.0)
     rec.beta2 = eta2 * (rec.alpha2 or 0.0)
     return rec
 
 
-def step_mg_so_sb(state, obj, rule="so", warm=None):
-    """GD+M(SO+SB): per-layer learning and momentum rates via 4-d SO."""
-    gW, gv = state.gradient(obj)
-    D = state.image(obj, (gW, gv))
-    if state.prev_blocks is None:
-        dirs = [(-gW, None, -D), (None, -gv, None)]
-        slots = ["alpha1", "alpha2"]
-    else:
-        dW, dv, dM = momentum_dir(state)
-        dirs = [(-gW, None, -D), (dW, None, dM), (None, -gv, None),
-                (None, dv, None)]
-        slots = ["alpha1", "beta1", "alpha2", "beta2"]
-    return apply_rule(state, obj, rule, dirs, slots, "gd+m(so+sb)", (gW, gv),
-                      D, warm=warm)
-
-
 NET_METHODS = {
     **TRACKED_METHODS,
-    "gd(sb)": (step_gd_sb, "so"),
+    "gd(sb)": (step_gd, "sb"),
     "gd+m(sb)": (step_cgm_sb, "so"),
-    "gd+m(so+sb)": (step_mg_so_sb, "so"),
+    "gd+m(so+sb)": (step_memory_gradient, "sb"),
 }
 
 NET_LO_SO_METHODS = methods_with_rule(NET_METHODS, TWO_PRODUCT_RULES)

@@ -42,10 +42,11 @@ plus a step-size rule, which `apply_rule` carries out:
   "ls"     a strong Wolfe line search along the first direction
   "lo"     line optimization along the first direction
   "so"     subspace optimization over all of the directions
+  "sb"     SO over the directions split by layer (the state's `per_layer`)
 
-LS, LO and SO spend exactly two products per iteration, and LO and SO are
-never worse than the zero step; the method tables below are keyed by name
-to (step, rule), and the budget and monotone method sets derive from them.
+LS, LO, SO and SB spend exactly two products per iteration, and LO, SO and
+SB are never worse than the zero step; the method tables below are keyed by
+name to (step, rule), and the budget and monotone sets derive from them.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ FIXED_STEP = 1e-3
 
 @dataclass(slots=True)
 class StepRecord:
-    method: str
     f: float
     products: int = 0
     inner_iters: int = 0
@@ -250,8 +250,7 @@ def _apply(blocks, dirs, theta):
     return new
 
 
-def so_step(state, obj, dirs, slots, method, grad, grad_image,
-            warm=None, flag=None):
+def so_step(state, obj, dirs, slots, grad, grad_image, warm=None, flag=None):
     """Solve the restriction to `dirs` and commit the result.
 
     The recorded f is the value at the committed point, which differs from
@@ -267,8 +266,7 @@ def so_step(state, obj, dirs, slots, method, grad, grad_image,
         theta, f = np.zeros_like(theta), state.f
         blocks = [b.copy() for b in state.blocks]
         flag = flag or "rounding_floor"
-    rec = StepRecord(method=method, f=f, inner_iters=res.inner_iters,
-                     flag=flag)
+    rec = StepRecord(f, inner_iters=res.inner_iters, flag=flag)
     for slot, t in zip(slots, theta):
         setattr(rec, slot, float(t))
     if "delta" in slots:
@@ -279,8 +277,8 @@ def so_step(state, obj, dirs, slots, method, grad, grad_image,
     return rec
 
 
-def _wolfe_along(state, obj, direction, alpha_init, method, grad,
-                 grad_image, flag=None):
+def _wolfe_along(state, obj, direction, alpha_init, grad, grad_image,
+                 flag=None):
     """Strong Wolfe search along `direction` from the tracked point."""
     phi, dphi = state.line(obj, direction)
     res = strong_wolfe(phi, dphi, alpha_init)
@@ -288,7 +286,7 @@ def _wolfe_along(state, obj, direction, alpha_init, method, grad,
     if not res.success:
         flag = flag or ("wolfe_fail" if res.reason == "max_iters"
                         else res.reason)
-    rec = StepRecord(method, res.value, alpha1=a, inner_iters=res.evals,
+    rec = StepRecord(res.value, alpha1=a, inner_iters=res.evals,
                      wolfe_verified=res.verified if res.success else None,
                      flag=flag)
     state.advance(_apply(state.blocks, [direction], [a]), res.value, grad,
@@ -298,7 +296,7 @@ def _wolfe_along(state, obj, direction, alpha_init, method, grad,
     return rec
 
 
-def _backtrack(state, obj, method, base, f0, grad, grad_image):
+def _backtrack(state, obj, base, f0, grad, grad_image):
     """Commit base - grad/L, doubling L until the Armijo test holds.
 
     The test is sigma = 1/2 and L persists across steps in state.L.  The
@@ -308,7 +306,7 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
     gsq = state.dot(grad, grad)
     if gsq == 0:
         state.advance([b.copy() for b in base], f0, grad, grad_image)
-        return StepRecord(method, f0, alpha1=0.0)
+        return StepRecord(f0, alpha1=0.0)
     trial = []
 
     def value_at(L):
@@ -320,12 +318,11 @@ def _backtrack(state, obj, method, base, f0, grad, grad_image):
 
     state.L, f_t, doublings = backtrack_half(value_at, f0, gsq, state.L)
     state.advance(trial, f_t, grad, grad_image)
-    return StepRecord(method, f_t, alpha1=1.0 / state.L,
-                      inner_iters=doublings)
+    return StepRecord(f_t, alpha1=1.0 / state.L, inner_iters=doublings)
 
 
-def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
-               flag=None, alpha_init=None, warm=None):
+def apply_rule(state, obj, rule, dirs, slots, grad, grad_image, flag=None,
+               alpha_init=None, warm=None):
     """Commit a step along `dirs`, its sizes set by the step-size `rule`.
 
     "1/l" backtracks from the iterate along the negative gradient, which
@@ -333,37 +330,38 @@ def apply_rule(state, obj, rule, dirs, slots, method, grad, grad_image,
     a strong Wolfe search along `dirs[0]` from `alpha_init` (default: the
     last accepted step size, or 1); "lo" optimizes the step size along
     `dirs[0]` and "so" one step size per direction, `slots` naming the
-    record fields.  `grad` is the full gradient at the iterate, and its
-    norm goes into the record.
+    record fields, and "sb" is "so" over `state.per_layer(dirs, slots)`.
+    `grad` is the full gradient at the iterate; its norm goes in the record.
     """
     gnorm = math.sqrt(state.dot(grad, grad))
     if rule == "1/l":
-        rec = _backtrack(state, obj, method, state.blocks, state.f, grad,
-                         grad_image)
+        rec = _backtrack(state, obj, state.blocks, state.f, grad, grad_image)
     elif rule == "fixed":
         blocks = _apply(state.blocks, dirs[:1], [FIXED_STEP])
         f = state.value(obj, blocks)
         state.advance(blocks, f, grad, grad_image)
-        rec = StepRecord(method, f, alpha1=FIXED_STEP, flag=flag)
+        rec = StepRecord(f, alpha1=FIXED_STEP, flag=flag)
     elif rule == "ls":
         rec = _wolfe_along(state, obj, dirs[0],
-                           alpha_init or state.alpha_prev or 1.0, method,
-                           grad, grad_image, flag)
+                           alpha_init or state.alpha_prev or 1.0, grad,
+                           grad_image, flag)
     else:
         if rule == "lo":
             dirs, slots = dirs[:1], slots[:1]
-        rec = so_step(state, obj, dirs, slots, method, grad, grad_image,
-                      warm=warm, flag=flag)
+        elif rule == "sb":
+            dirs, slots = state.per_layer(dirs, slots)
+        rec = so_step(state, obj, dirs, slots, grad, grad_image, warm=warm,
+                      flag=flag)
     rec.gnorm = gnorm
     return rec
 
 
 def step_gd(state, obj, rule, warm=None):
-    """GD: the negative gradient with the 1/L, LS or LO step size."""
+    """GD: the negative gradient with the 1/L, LS, LO or SB step size."""
     grad = state.gradient(obj)
     q = state.image(obj, grad)
-    return apply_rule(state, obj, rule, [grad_dir(grad, q)], ["alpha1"],
-                      f"gd({rule})", grad, q, warm=warm)
+    return apply_rule(state, obj, rule, [grad_dir(grad, q)], ["alpha1"], grad,
+                      q, warm=warm)
 
 
 def step_cg_prp(state, obj, rule):
@@ -379,8 +377,8 @@ def step_cg_prp(state, obj, rule):
     if state.dot(direction[:-1], grad) >= 0:
         eta, direction = 0.0, grad_dir(grad, q)
         flag = "momentum_reset"
-    rec = apply_rule(state, obj, rule, [direction], ["alpha1"],
-                     f"gd+m({rule})", grad, q, flag=flag)
+    rec = apply_rule(state, obj, rule, [direction], ["alpha1"], grad, q,
+                     flag=flag)
     rec.beta1 = eta * (rec.alpha1 or 0.0) if eta else (0.0 if flag else None)
     return rec
 
@@ -393,12 +391,11 @@ def _with_momentum(state, direction):
 
 
 def step_memory_gradient(state, obj, rule="so", warm=None):
-    """GD+M(SO): 2-d plane search over learning and momentum rates."""
+    """GD+M(SO): learning and momentum rates by 2-d SO, or per layer by SB."""
     grad = state.gradient(obj)
     q = state.image(obj, grad)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
-    return apply_rule(state, obj, rule, dirs, slots, "gd+m(so)", grad, q,
-                      warm=warm)
+    return apply_rule(state, obj, rule, dirs, slots, grad, q, warm=warm)
 
 
 def step_nag_so(state, obj, rule="so", scaled=False):
@@ -416,8 +413,7 @@ def step_nag_so(state, obj, rule="so", scaled=False):
     if scaled:
         dirs.append(tuple(b.copy() for b in state.blocks))
         slots.append("delta")
-    return apply_rule(state, obj, rule, dirs, slots,
-                      "snag(so)" if scaled else "nag(so)", grad, q)
+    return apply_rule(state, obj, rule, dirs, slots, grad, q)
 
 
 def step_nag_fixedL(state, obj, rule="1/l"):
@@ -434,8 +430,8 @@ def step_nag_fixedL(state, obj, rule="1/l"):
                                               momentum_dir(state)))
     state.memory = t_next
     grad_y = state.gradient(obj, y)
-    return _backtrack(state, obj, "nag(1/l)", y, state.value(obj, y),
-                      grad_y, state.image(obj, grad_y))
+    return _backtrack(state, obj, y, state.value(obj, y), grad_y,
+                      state.image(obj, grad_y))
 
 
 def lbfgs_direction(pairs, grad):
@@ -489,9 +485,8 @@ def step_qn(state, obj, rule):
         flag = "negated_direction"
     d = _unflat(d, grad)
     dirs, slots = _with_momentum(state, grad_dir(d, state.image(obj, d)))
-    return apply_rule(state, obj, rule, dirs, slots,
-                      "qn+m(so)" if rule == "so" else f"qn({rule})", grad,
-                      None, flag=flag, alpha_init=1.0)
+    return apply_rule(state, obj, rule, dirs, slots, grad, None, flag=flag,
+                      alpha_init=1.0)
 
 
 def adam_direction(mu, v, grad):
@@ -517,7 +512,6 @@ def step_adam(state, obj, rule):
     mu, v, prev = state.memory
     mu, v, d = zip(*map(adam_direction, mu, v, grad))
     q = state.image(obj, d)
-    method = {"fixed": "adam", "so": "adam2(so)"}.get(rule, f"adam({rule})")
     flag = None
     if rule == "ls" and state.dot(d, grad) <= 0:
         # -d is not a descent direction; search along +d instead
@@ -530,10 +524,10 @@ def step_adam(state, obj, rule):
     state.memory = (mu, v, dirs[0])
     if flag == "no_descent":
         state.advance([b.copy() for b in state.blocks], state.f, grad, None)
-        return StepRecord(method, state.f, alpha1=0.0, flag=flag,
+        return StepRecord(state.f, alpha1=0.0, flag=flag,
                           gnorm=math.sqrt(state.dot(grad, grad)))
-    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], method,
-                      grad, None, flag=flag)
+    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], grad, None,
+                      flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +555,9 @@ TRACKED_METHODS = {
 }
 
 # rules whose per-iteration product budget is exactly 2
-TWO_PRODUCT_RULES = ("ls", "lo", "so")
+TWO_PRODUCT_RULES = ("ls", "lo", "so", "sb")
 # rules never worse than the zero step, by the subsolver's bookkeeping
-MONOTONE_RULES = ("lo", "so")
+MONOTONE_RULES = ("lo", "so", "sb")
 
 
 def methods_with_rule(table, rules) -> tuple[str, ...]:

@@ -268,7 +268,8 @@ def test_criterion_5_single_step_dominance_net():
             st, obj, warm=np.array([rec_lo.alpha1, 0.0]))
         st = fresh()
         a, b = rec_so.alpha1, rec_so.beta1
-        rec_sb = net.step_mg_so_sb(st, obj, warm=np.array([a, b, a, b]))
+        rec_sb = opt.step_memory_gradient(st, obj, "sb",
+                                          warm=np.array([a, b, a, b]))
         assert rec_lo.f <= rec_bt.f + 1e-12 * max(1.0, abs(rec_bt.f)), (
             f"criterion 5 FAIL: net trial {trial} LO > backtracked")
         assert rec_so.f <= rec_lo.f + 1e-12 * max(1.0, abs(rec_lo.f)), (

@@ -149,13 +149,58 @@ def test_nonfinite_lambda_is_usage_error(tmp_path, capsys):
 def test_mistyped_json_config_is_usage_error(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     out = tmp_path / "t.csv"
-    for fields in ('"iters": true, "lam": true', '"iters": 2, "n": 10.5'):
-        cfgfile.write_text('{"model": "logistic", "method": "gd(lo)", '
-                           '"d": 3, ' + fields + "}")
+    head = '{"model": "logistic", "method": "gd(lo)", "d": 3, '
+    for fields in ('"iters": true, "lam": true', '"iters": 2, "n": 10.5',
+                   '"iters": 2, "data": 0',
+                   '"iters": 2, "standardize": "false"',
+                   '"iters": 2, "fstar": NaN',
+                   '"iters": 2, "fstar": Infinity'):
+        cfgfile.write_text(head + fields + "}")
         assert main(["run", "--config", str(cfgfile),
                      "--out", str(out)]) == 1, fields
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+    # no --out here, which would override it; an int is a file descriptor
+    # to open()
+    cfgfile.write_text(head + '"iters": 2, "out": 2}')
+    assert main(["run", "--config", str(cfgfile)]) == 1
+    assert "out must be" in capsys.readouterr().err
+
+
+def test_nonfinite_fstar_is_usage_error(tmp_path, capsys):
+    trace, fig = tmp_path / "t.csv", tmp_path / "fig.svg"
+    common = ["--model", "logistic", "--method", "gd(lo)", "--iters", "2",
+              "--n", "15", "--d", "3"]
+    for fstar in ("nan", "inf", "-inf"):
+        for command in ("run", "ref"):
+            assert main([command] + common + ["--fstar=" + fstar, "--out",
+                                              str(trace)]) == 1, fstar
+            assert "fstar must be" in capsys.readouterr().err
+            assert not trace.exists()
+    assert main(["run"] + common + ["--out", str(trace)]) == 0
+    for fstar in ("nan", "inf", "-inf"):
+        assert main(["plot", "--traces", str(trace), "--fstar=" + fstar,
+                     "--out", str(fig)]) == 1, fstar
+        assert "--fstar must be finite" in capsys.readouterr().err
+        assert not fig.exists()
+
+
+def test_plot_names_the_line_of_a_malformed_trace_row(tmp_path, capsys):
+    trace, fig = tmp_path / "t.csv", tmp_path / "fig.svg"
+    assert main(["run", "--model", "logistic", "--method", "gd(lo)",
+                 "--iters", "3", "--n", "15", "--d", "3",
+                 "--out", str(trace)]) == 0
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    for bad, message in (([*lines[:-1], lines[-1].rsplit(",", 3)[0]],
+                          "line 5: 10 cells"),
+                         ([*lines[:2], lines[2] + ",1", *lines[3:]],
+                          "line 3: 14 cells")):
+        trace.write_text("\n".join(bad) + "\n")
+        assert main(["plot", "--traces", str(trace),
+                     "--out", str(fig)]) == 2
+        assert message in capsys.readouterr().err
+        assert not fig.exists()
 
 
 def test_a_drift_after_the_last_audit_cadence_still_stops_the_run(capsys):

@@ -197,6 +197,17 @@ def test_trace_from_csv_roundtrip():
     assert back.config.method == "label"
 
 
+def test_parse_csv_rejects_rows_with_the_wrong_cell_count():
+    cfg = hz.ExperimentConfig(model="logistic", method="gd(lo)", iters=3,
+                              n=20, d=4)
+    lines = hz.emit_csv(hz.run_experiment(cfg)).splitlines()
+    truncated = lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:]
+    extra = lines[:2] + [lines[2] + ",7"] + lines[3:]
+    for bad, lineno, cells in ((truncated, 4, 11), (extra, 3, 14)):
+        with pytest.raises(ValueError, match=f"^line {lineno}: {cells} "):
+            hz.parse_csv("\n".join(bad) + "\n")
+
+
 def test_all_models_produce_traces(tmp_path):
     cases = [("logistic", "gd+m(so)", "logistic"),
              ("lsq", "qn(lo)", "quadratic"),
@@ -384,7 +395,10 @@ def test_config_fields_are_type_checked():
                    '"iters": 2, "lam": false', '"iters": 2.0',
                    '"iters": 2, "n": 10.5', '"iters": 2, "seed": 1.5',
                    '"iters": 2, "hidden": "4"', '"iters": 2, "fstar": true',
-                   '"iters": 2, "fstar": "1"'):
+                   '"iters": 2, "fstar": "1"', '"iters": 2, "fstar": NaN',
+                   '"iters": 2, "fstar": Infinity', '"iters": 2, "out": 2',
+                   '"iters": 2, "data": 0',
+                   '"iters": 2, "standardize": "false"'):
         with pytest.raises(hz.ConfigError):
             hz.config_from_json(base + fields + "}")
     cfg = hz.config_from_json(base + '"iters": 2, "lam": 0.5, "fstar": 1}')

@@ -5,9 +5,10 @@ import pytest
 
 from subsearch.data import gen_quadratic
 from subsearch.network import (NET_LO_SO_METHODS, NET_METHODS,
-                               NET_MONOTONE_METHODS, NetObjective,
+                               NET_MONOTONE_METHODS, NetObjective, NetState,
                                audit_activations, backward, init_params,
                                init_state, run, subspace_restrict)
+from subsearch.optimizers import apply_rule, momentum_dir
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,43 @@ def test_per_layer_records_four_step_sizes(obj):
     _, recs = run("gd+m(so+sb)", obj, 5, seed=0)
     r = recs[-1]
     assert None not in (r.alpha1, r.beta1, r.alpha2, r.beta2)
+
+
+def test_per_layer_lists_first_layers_then_second_layers():
+    rng = np.random.default_rng(0)
+    shapes = ((6, 4), (4,), (40, 4))
+    d1, d2 = (tuple(rng.standard_normal(s) for s in shapes)
+              for _ in range(2))
+    dirs, slots = NetState.per_layer([d1, d2], ["alpha1", "beta1"])
+    assert slots == ["alpha1", "beta1", "alpha2", "beta2"]
+    want = [(d1[0], None, d1[2]), (d2[0], None, d2[2]),
+            (None, d1[1], None), (None, d2[1], None)]
+    assert len(dirs) == len(want)
+    for got, expected in zip(dirs, want):
+        assert len(got) == 3
+        # the direction arrays pass through unchanged, None where a layer
+        # is left alone
+        assert all(g is e for g, e in zip(got, expected))
+
+
+def test_so_sb_is_so_over_hand_built_per_layer_directions(obj):
+    # the "sb" rule must step exactly as 4-d SO over the per-layer split of
+    # the gradient and momentum directions, in this order and these slots
+    fields = ("f", "alpha1", "beta1", "alpha2", "beta2")
+    _, recs = run("gd+m(so+sb)", obj, 5, seed=0)
+    state = init_state(obj, seed=0)
+    for k, rec in enumerate(recs):
+        gW, gv = state.gradient(obj)
+        D = state.image(obj, (gW, gv))
+        dirs = [(-gW, None, -D), (None, -gv, None)]
+        slots = ["alpha1", "alpha2"]
+        if state.prev_blocks is not None:
+            dW, dv, dM = momentum_dir(state)
+            dirs = [dirs[0], (dW, None, dM), dirs[1], (None, dv, None)]
+            slots = ["alpha1", "beta1", "alpha2", "beta2"]
+        want = apply_rule(state, obj, "so", dirs, slots, (gW, gv), D)
+        assert ([getattr(rec, f) for f in fields]
+                == [getattr(want, f) for f in fields]), k
 
 
 def test_restriction_matches_full_objective(obj):

@@ -58,8 +58,8 @@ def test_so_step_commits_the_zero_step_rather_than_a_rise(logistic_obj):
     # a solve that reports a gain for a step up the gradient
     state.subspace_solve = lambda obj, dirs, warm: SubSolveResult(
         np.array([-1.0]), f0 - 1.0, 3, "converged")
-    rec = so_step(state, logistic_obj, [grad_dir(grad, q)], ["alpha1"],
-                  "gd(lo)", grad, q)
+    rec = so_step(state, logistic_obj, [grad_dir(grad, q)], ["alpha1"], grad,
+                  q)
     assert (rec.f, rec.alpha1, rec.flag) == (f0, 0.0, "rounding_floor")
     assert rec.inner_iters == 3 and state.f == f0
     assert np.array_equal(state.w, w0) and np.array_equal(state.m, m0)
@@ -121,7 +121,7 @@ def test_method_sets_derive_from_rule_tables():
     for table in (TRACKED_METHODS, network.NET_METHODS):
         for name, (step, rule) in table.items():
             assert callable(step), name
-            assert rule in ("1/l", "fixed", "ls", "lo", "so"), name
+            assert rule in ("1/l", "fixed", "ls", "lo", "so", "sb"), name
 
 
 def test_nag_fixedL_matches_reference_fista():

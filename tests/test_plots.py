@@ -16,7 +16,7 @@ NS = "{http://www.w3.org/2000/svg}"
 def make_trace(fs, method="m", steps=None):
     records = []
     for k, f in enumerate(fs):
-        rec = StepRecord(method, f, products=2)
+        rec = StepRecord(f, products=2)
         if steps is not None:
             rec.alpha1, rec.beta1 = steps[k]
         records.append(rec)
