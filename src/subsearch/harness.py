@@ -94,6 +94,9 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         resolve_lambda(self.lam, self.n)     # checks the grammar only
+        if not isinstance(self.method, str):
+            raise ConfigError(f"method must be a string, "
+                              f"got {self.method!r}")
         self.method = canonical_method(self.method, self.model)
 
 
@@ -170,7 +173,10 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
     else:
         raise ConfigError(f"unknown synthetic kind {cfg.kind!r}")
     if cfg.standardize:
-        ds = _standardize(ds)
+        try:
+            ds = _standardize(ds)
+        except ValueError as e:         # too few rows to standardize
+            raise ConfigError(str(e))
     return ds
 
 
@@ -212,8 +218,8 @@ def emit_csv(trace: Trace) -> str:
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Inverse of emit_csv: list of dicts, empty cells -> None; a row whose
-    cell count is not the header's raises a ValueError naming its line."""
+    """Inverse of emit_csv: list of dicts, empty cells -> None; a wrong cell
+    count or a nan or infinite number raises a ValueError naming the line."""
     lines = text.strip("\n").split("\n")
     cols = lines[0].split(",")
     if cols != CSV_HEADER.split(","):
@@ -232,6 +238,9 @@ def parse_csv(text: str) -> list[dict]:
                 row[name] = int(cell)
             else:
                 row[name] = float(cell)
+                if not math.isfinite(row[name]):
+                    raise ValueError(f"line {lineno}: {name} is {cell}, "
+                                     f"not a finite number")
         out.append(row)
     return out
 
@@ -369,7 +378,10 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
 
 def _matfact_family(cfg: ExperimentConfig) -> _Family:
     X = load_dataset(cfg).X.dense()
-    st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
+    try:
+        st0 = _matfact.init_state(X, cfg.hidden, cfg.seed)
+    except ValueError as e:             # a rank the data cannot take
+        raise ConfigError(str(e))
 
     def gnorm(U, W):
         G = _matfact.pca_grad(U @ W.T, X)

@@ -174,19 +174,17 @@ class NetState(TrackedState):
     def M(self):
         return self.blocks[2]
 
-    def gradient(self, obj: NetObjective, blocks=None):
+    def gradient(self, blocks=None):
         """Full gradient (gW, gv) at the iterate or at `blocks`; one counted
         product."""
-        return gradient(obj, *(self.blocks if blocks is None else blocks))
+        return gradient(self.obj, *(self.blocks if blocks is None else blocks))
 
-    @staticmethod
-    def image(obj: NetObjective, params) -> np.ndarray:
+    def image(self, params) -> np.ndarray:
         """The pre-activation image X dW; one counted product."""
-        return obj.X.matmat(params[0])
+        return self.obj.X.matmat(params[0])
 
-    @staticmethod
-    def value(obj: NetObjective, blocks) -> float:
-        return obj.value_tracked(*blocks)
+    def value(self, blocks) -> float:
+        return self.obj.value_tracked(*blocks)
 
     @staticmethod
     def dot(a, b) -> float:
@@ -201,21 +199,15 @@ class NetState(TrackedState):
                 + [(None, dv, None) for _, dv, _ in dirs],
                 [*slots, *(slot[:-1] + "2" for slot in slots)])
 
-    def subspace_solve(self, obj: NetObjective, dirs, warm):
-        sp = subspace_restrict(obj, self.W, self.v, self.M, dirs)
+    def subspace_solve(self, dirs, warm):
+        sp = subspace_restrict(self.obj, self.W, self.v, self.M, dirs)
         return solve(sp, theta0=warm)
 
-    def line(self, obj: NetObjective, direction):
-        sp = subspace_restrict(obj, self.W, self.v, self.M, [direction])
+    def line(self, direction):
+        sp = subspace_restrict(self.obj, self.W, self.v, self.M, [direction])
         one = np.ones(1)
-
-        def phi(a):
-            return sp.value(a * one)
-
-        def dphi(a):
-            return float(sp.grad(a * one)[0])
-
-        return phi, dphi
+        return (lambda a: sp.value(a * one),
+                lambda a: float(sp.grad(a * one)[0]))
 
 
 def init_params(d: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +227,7 @@ def init_state(obj: NetObjective, seed: int = 0,
         W = np.asarray(params[0], dtype=np.float64).copy()
         v = np.asarray(params[1], dtype=np.float64).copy()
     M = obj.X.matmat(W)
-    return NetState((W, v, M), obj.value_tracked(W, v, M))
+    return NetState(obj, (W, v, M), obj.value_tracked(W, v, M))
 
 
 def backward(obj: NetObjective, v: np.ndarray, M: np.ndarray
@@ -265,19 +257,19 @@ def gradient(obj: NetObjective, W: np.ndarray, v: np.ndarray, M: np.ndarray,
     return gW, gv
 
 
-def audit_activations(state: NetState, obj: NetObjective) -> float:
+def audit_activations(state: NetState) -> float:
     """Relative Frobenius drift of tracked M; uses the audit counter."""
-    return relative_drift(state.M, obj.X.matmat(state.W, audit=True))
+    return relative_drift(state.M, state.obj.X.matmat(state.W, audit=True))
 
 
-def step_cgm_sb(state, obj, rule="so"):
+def step_cgm_sb(state, rule="so"):
     """GD+M(SB): per-layer PR+ momentum folded into per-layer directions.
 
     Both coefficients reset only if the combined direction fails the
     descent test.
     """
-    gW, gv = state.gradient(obj)
-    D = state.image(obj, (gW, gv))
+    gW, gv = state.gradient()
+    D = state.image((gW, gv))
     eta1 = eta2 = dW = dv = dM = 0.0
     if state.grad_prev is not None:
         gW_prev, gv_prev, _ = state.grad_prev
@@ -293,7 +285,7 @@ def step_cgm_sb(state, obj, rule="so"):
         eta1 = eta2 = 0.0
         d1, d2 = (-gW, None, -D), (None, -gv, None)
         flag = "momentum_reset"
-    rec = apply_rule(state, obj, rule, [d1, d2], ["alpha1", "alpha2"],
+    rec = apply_rule(state, rule, [d1, d2], ["alpha1", "alpha2"],
                      (gW, gv), D, flag=flag)
     rec.beta1 = eta1 * (rec.alpha1 or 0.0)
     rec.beta2 = eta2 * (rec.alpha2 or 0.0)
@@ -317,8 +309,7 @@ def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = NET_METHODS[method]
-    return drive(method, lambda st: step(st, obj, rule),
-                 init_state(obj, seed=seed), iters,
-                 obj.X.counter_read,
-                 lambda st: ("activation", audit_activations(st, obj), 1e-8),
+    return drive(method, lambda st: step(st, rule),
+                 init_state(obj, seed=seed), iters, obj.X.counter_read,
+                 lambda st: ("activation", audit_activations(st), 1e-8),
                  100, callback)

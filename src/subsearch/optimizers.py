@@ -10,26 +10,27 @@ Each step is written once against a tracked state, so every method runs on
 every tracked model.  `TrackedState` is the bookkeeping every model shares,
 written once here:
 
+- `obj`: the model's objective, which the model calls below read;
 - `blocks`: the parameter blocks with the tracked image last, (w, m) or
   (W, v, M); `prev_blocks` the same one step back, and `grad_prev` the
   gradient blocks that step took with their image last (None where the
   step took no image of its gradient), or None;
 - `advance` commits a step, and `momentum_coef` is the PR+ coefficient over
   all parameter blocks jointly;
-- `alpha_prev` and `L` carry the last step size and the 1/L rule's
-  curvature estimate across steps, and `memory` is the running method's own
-  (FISTA's t, Adam's moments, the L-BFGS pairs).
+- `alpha_prev` (the "ls" rule's last accepted step, its next start) and
+  `L` (the 1/L rule's curvature estimate) persist across steps; `memory`
+  is the running method's own (FISTA's t, Adam's moments, the L-BFGS pairs).
 
 Each model subclasses it with its arithmetic alone (`MarginState` here,
 `network.NetState` for the network):
 
-- `gradient(obj, blocks=None)`: the gradient blocks at the iterate, or at
-  the tracked point `blocks` (one counted product);
-- `image(obj, params)`: the image of parameter blocks, such as a search
+- `gradient(blocks=None)`: the gradient blocks at the iterate, or at the
+  tracked point `blocks` (one counted product);
+- `image(params)`: the image of parameter blocks, such as a search
   direction or a rejected 1/L trial's point (one counted product);
-- `value(obj, blocks)`: f at a tracked point (no products);
+- `value(blocks)`: f at a tracked point (no products);
 - `dot`: the model's inner product over the parameter blocks;
-- `subspace_solve(obj, dirs, warm)` and `line(obj, direction)`: the
+- `subspace_solve(dirs, warm)` and `line(direction)`: the
   restriction to a list of directions solved by the subsolver, and the
   1-d value and slope closures for the Wolfe search.
 
@@ -128,6 +129,7 @@ class TrackedState:
     `memory` belongs to the method that runs on the state: only its step
     reads or writes it.  Subclasses add the model arithmetic alone.
     """
+    obj: object
     blocks: tuple
     f: float
     prev_blocks: tuple | None = None
@@ -162,30 +164,28 @@ class MarginState(TrackedState):
     def m(self):
         return self.blocks[1]
 
-    def gradient(self, obj: LcpObjective, blocks=None):
+    def gradient(self, blocks=None):
         """Full gradient at the iterate or at `blocks`; one counted product."""
         w, m = self.blocks if blocks is None else blocks
-        return (obj.f_grad_margin(w, m),)
+        return (self.obj.f_grad_margin(w, m),)
 
-    @staticmethod
-    def image(obj: LcpObjective, params) -> np.ndarray:
+    def image(self, params) -> np.ndarray:
         """The margin image X p; one counted product."""
-        return obj.X.matvec(params[0])
+        return self.obj.X.matvec(params[0])
 
-    @staticmethod
-    def value(obj: LcpObjective, blocks) -> float:
-        return obj.f_value_margin(*blocks)
+    def value(self, blocks) -> float:
+        return self.obj.f_value_margin(*blocks)
 
     @staticmethod
     def dot(a, b) -> float:
         return float(a[0] @ b[0])
 
-    def subspace_solve(self, obj: LcpObjective, dirs, warm):
-        sp = obj.subspace_restrict(self.w, self.m, [p for p, _ in dirs],
-                                   [q for _, q in dirs])
+    def subspace_solve(self, dirs, warm):
+        sp = self.obj.subspace_restrict(
+            self.w, self.m, [p for p, _ in dirs], [q for _, q in dirs])
         return solve(sp, theta0=warm)
 
-    def line(self, obj: LcpObjective, direction):
+    def line(self, direction):
         """Margin-space value and slope along p with image q.
 
         Both closures share the last step size's margin m + a q and its
@@ -194,7 +194,7 @@ class MarginState(TrackedState):
         and m + a q is bitwise the margin `_apply` commits at a, so the next
         gradient reuses the accepted step's loss.
         """
-        (p, q), (w, m) = direction, self.blocks
+        (p, q), (w, m), obj = direction, self.blocks, self.obj
         lam = obj.l2_lambda
         at = memo_last(lambda a: obj.loss(m + a * q if a else m))
 
@@ -213,7 +213,7 @@ class MarginState(TrackedState):
 def init_state(obj: LcpObjective) -> MarginState:
     w = np.zeros(obj.d)
     m = np.zeros(obj.n)
-    return MarginState((w, m), obj.f_value_margin(w, m))
+    return MarginState(obj, (w, m), obj.f_value_margin(w, m))
 
 
 def relative_drift(tracked: np.ndarray, fresh: np.ndarray) -> float:
@@ -222,9 +222,9 @@ def relative_drift(tracked: np.ndarray, fresh: np.ndarray) -> float:
                  / (1.0 + np.linalg.norm(tracked)))
 
 
-def audit_margin(state: MarginState, obj: LcpObjective) -> float:
+def audit_margin(state: MarginState) -> float:
     """Relative drift of the tracked margin; uses the audit counter."""
-    return relative_drift(state.m, obj.X.matvec(state.w, audit=True))
+    return relative_drift(state.m, state.obj.X.matvec(state.w, audit=True))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _apply(blocks, dirs, theta):
     return new
 
 
-def so_step(state, obj, dirs, slots, grad, grad_image, warm=None, flag=None):
+def so_step(state, dirs, slots, grad, grad_image, warm=None, flag=None):
     """Solve the restriction to `dirs` and commit the result.
 
     The recorded f is the value at the committed point, which differs from
@@ -258,10 +258,10 @@ def so_step(state, obj, dirs, slots, grad, grad_image, warm=None, flag=None):
     iterate's f, the zero step is committed instead (flag `rounding_floor`),
     so the recorded f of LO and SO never rises.
     """
-    res = state.subspace_solve(obj, dirs, warm)
+    res = state.subspace_solve(dirs, warm)
     theta = res.theta
     blocks = _apply(state.blocks, dirs, theta)
-    f = state.value(obj, blocks)
+    f = state.value(blocks)
     if f > state.f:
         theta, f = np.zeros_like(theta), state.f
         blocks = [b.copy() for b in state.blocks]
@@ -272,15 +272,12 @@ def so_step(state, obj, dirs, slots, grad, grad_image, warm=None, flag=None):
     if "delta" in slots:
         rec.delta = rec.delta + 1.0  # recorded as the actual scaling factor
     state.advance(blocks, f, grad, grad_image)
-    if rec.alpha1:
-        state.alpha_prev = rec.alpha1
     return rec
 
 
-def _wolfe_along(state, obj, direction, alpha_init, grad, grad_image,
-                 flag=None):
+def _wolfe_along(state, direction, alpha_init, grad, grad_image, flag=None):
     """Strong Wolfe search along `direction` from the tracked point."""
-    phi, dphi = state.line(obj, direction)
+    phi, dphi = state.line(direction)
     res = strong_wolfe(phi, dphi, alpha_init)
     a = res.alpha
     if not res.success:
@@ -296,7 +293,7 @@ def _wolfe_along(state, obj, direction, alpha_init, grad, grad_image,
     return rec
 
 
-def _backtrack(state, obj, base, f0, grad, grad_image):
+def _backtrack(state, base, f0, grad, grad_image):
     """Commit base - grad/L, doubling L until the Armijo test holds.
 
     The test is sigma = 1/2 and L persists across steps in state.L.  The
@@ -311,17 +308,16 @@ def _backtrack(state, obj, base, f0, grad, grad_image):
 
     def value_at(L):
         params = [b - g / L for b, g in zip(base[:-1], grad)]
-        image = (state.image(obj, params) if trial
-                 else base[-1] - grad_image / L)
+        image = state.image(params) if trial else base[-1] - grad_image / L
         trial[:] = [*params, image]
-        return state.value(obj, trial)
+        return state.value(trial)
 
     state.L, f_t, doublings = backtrack_half(value_at, f0, gsq, state.L)
     state.advance(trial, f_t, grad, grad_image)
     return StepRecord(f_t, alpha1=1.0 / state.L, inner_iters=doublings)
 
 
-def apply_rule(state, obj, rule, dirs, slots, grad, grad_image, flag=None,
+def apply_rule(state, rule, dirs, slots, grad, grad_image, flag=None,
                alpha_init=None, warm=None):
     """Commit a step along `dirs`, its sizes set by the step-size `rule`.
 
@@ -335,14 +331,14 @@ def apply_rule(state, obj, rule, dirs, slots, grad, grad_image, flag=None,
     """
     gnorm = math.sqrt(state.dot(grad, grad))
     if rule == "1/l":
-        rec = _backtrack(state, obj, state.blocks, state.f, grad, grad_image)
+        rec = _backtrack(state, state.blocks, state.f, grad, grad_image)
     elif rule == "fixed":
         blocks = _apply(state.blocks, dirs[:1], [FIXED_STEP])
-        f = state.value(obj, blocks)
+        f = state.value(blocks)
         state.advance(blocks, f, grad, grad_image)
         rec = StepRecord(f, alpha1=FIXED_STEP, flag=flag)
     elif rule == "ls":
-        rec = _wolfe_along(state, obj, dirs[0],
+        rec = _wolfe_along(state, dirs[0],
                            alpha_init or state.alpha_prev or 1.0, grad,
                            grad_image, flag)
     else:
@@ -350,24 +346,23 @@ def apply_rule(state, obj, rule, dirs, slots, grad, grad_image, flag=None,
             dirs, slots = dirs[:1], slots[:1]
         elif rule == "sb":
             dirs, slots = state.per_layer(dirs, slots)
-        rec = so_step(state, obj, dirs, slots, grad, grad_image, warm=warm,
-                      flag=flag)
+        rec = so_step(state, dirs, slots, grad, grad_image, warm, flag)
     rec.gnorm = gnorm
     return rec
 
 
-def step_gd(state, obj, rule, warm=None):
+def step_gd(state, rule, warm=None):
     """GD: the negative gradient with the 1/L, LS, LO or SB step size."""
-    grad = state.gradient(obj)
-    q = state.image(obj, grad)
-    return apply_rule(state, obj, rule, [grad_dir(grad, q)], ["alpha1"], grad,
-                      q, warm=warm)
+    grad = state.gradient()
+    q = state.image(grad)
+    return apply_rule(state, rule, [grad_dir(grad, q)], ["alpha1"], grad, q,
+                      warm=warm)
 
 
-def step_cg_prp(state, obj, rule):
+def step_cg_prp(state, rule):
     """GD+M(LS)/GD+M(LO): nonlinear CG direction, Wolfe or LO step size."""
-    grad = state.gradient(obj)
-    q = state.image(obj, grad)
+    grad = state.gradient()
+    q = state.image(grad)
     eta = state.momentum_coef(grad)
     direction = grad_dir(grad, q)
     if eta:
@@ -377,8 +372,7 @@ def step_cg_prp(state, obj, rule):
     if state.dot(direction[:-1], grad) >= 0:
         eta, direction = 0.0, grad_dir(grad, q)
         flag = "momentum_reset"
-    rec = apply_rule(state, obj, rule, [direction], ["alpha1"], grad, q,
-                     flag=flag)
+    rec = apply_rule(state, rule, [direction], ["alpha1"], grad, q, flag=flag)
     rec.beta1 = eta * (rec.alpha1 or 0.0) if eta else (0.0 if flag else None)
     return rec
 
@@ -390,21 +384,21 @@ def _with_momentum(state, direction):
     return [direction, momentum_dir(state)], ["alpha1", "beta1"]
 
 
-def step_memory_gradient(state, obj, rule="so", warm=None):
+def step_memory_gradient(state, rule="so", warm=None):
     """GD+M(SO): learning and momentum rates by 2-d SO, or per layer by SB."""
-    grad = state.gradient(obj)
-    q = state.image(obj, grad)
+    grad = state.gradient()
+    q = state.image(grad)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
-    return apply_rule(state, obj, rule, dirs, slots, grad, q, warm=warm)
+    return apply_rule(state, rule, dirs, slots, grad, q, warm=warm)
 
 
-def step_nag_so(state, obj, rule="so", scaled=False):
+def step_nag_so(state, rule="so", scaled=False):
     """3-d SO over gradient, momentum, and gradient-momentum directions.
 
     `scaled` (SNAG) adds a scaling of the iterate (delta = 1 + theta).
     """
-    grad = state.gradient(obj)
-    q = state.image(obj, grad)
+    grad = state.gradient()
+    q = state.image(grad)
     dirs, slots = _with_momentum(state, grad_dir(grad, q))
     if state.grad_prev is not None:
         dirs.append(tuple(g - gp for g, gp in zip((*grad, q),
@@ -413,10 +407,10 @@ def step_nag_so(state, obj, rule="so", scaled=False):
     if scaled:
         dirs.append(tuple(b.copy() for b in state.blocks))
         slots.append("delta")
-    return apply_rule(state, obj, rule, dirs, slots, grad, q)
+    return apply_rule(state, rule, dirs, slots, grad, q)
 
 
-def step_nag_fixedL(state, obj, rule="1/l"):
+def step_nag_fixedL(state, rule="1/l"):
     """NAG(1/L): FISTA-style extrapolation with the same doubling rule.
 
     The 1/L rule backtracks from the extrapolated point, not the iterate.
@@ -429,9 +423,8 @@ def step_nag_fixedL(state, obj, rule="1/l"):
         y = tuple(b + mix * s for b, s in zip(state.blocks,
                                               momentum_dir(state)))
     state.memory = t_next
-    grad_y = state.gradient(obj, y)
-    return _backtrack(state, obj, y, state.value(obj, y), grad_y,
-                      state.image(obj, grad_y))
+    grad_y = state.gradient(y)
+    return _backtrack(state, y, state.value(y), grad_y, state.image(grad_y))
 
 
 def lbfgs_direction(pairs, grad):
@@ -471,12 +464,12 @@ def _lbfgs_pairs(state, grad):
     return state.memory
 
 
-def step_qn(state, obj, rule):
+def step_qn(state, rule):
     """QN(LS)/QN(LO)/QN+M(SO) with L-BFGS directions and Shanno scaling.
 
     The SO rule adds the momentum direction.
     """
-    grad = state.gradient(obj)
+    grad = state.gradient()
     g = _flat(grad)
     d = lbfgs_direction(_lbfgs_pairs(state, g), g)
     flag = None
@@ -484,8 +477,8 @@ def step_qn(state, obj, rule):
         d = -d
         flag = "negated_direction"
     d = _unflat(d, grad)
-    dirs, slots = _with_momentum(state, grad_dir(d, state.image(obj, d)))
-    return apply_rule(state, obj, rule, dirs, slots, grad, None, flag=flag,
+    dirs, slots = _with_momentum(state, grad_dir(d, state.image(d)))
+    return apply_rule(state, rule, dirs, slots, grad, None, flag=flag,
                       alpha_init=1.0)
 
 
@@ -499,19 +492,19 @@ def adam_direction(mu, v, grad):
     return mu, v, mu / (np.sqrt(v) + ADAM_EPS)
 
 
-def step_adam(state, obj, rule):
+def step_adam(state, rule):
     """Adam/Adam(LS)/Adam(LO)/Adam2(SO); SO adds the last Adam direction.
 
     The method's memory is (mu, v, last direction), the moments kept per
     parameter block.
     """
-    grad = state.gradient(obj)
+    grad = state.gradient()
     if state.memory is None:
         zero = tuple(np.zeros_like(g) for g in grad)
         state.memory = (zero, zero, None)
     mu, v, prev = state.memory
     mu, v, d = zip(*map(adam_direction, mu, v, grad))
-    q = state.image(obj, d)
+    q = state.image(d)
     flag = None
     if rule == "ls" and state.dot(d, grad) <= 0:
         # -d is not a descent direction; search along +d instead
@@ -526,7 +519,7 @@ def step_adam(state, obj, rule):
         state.advance([b.copy() for b in state.blocks], state.f, grad, None)
         return StepRecord(state.f, alpha1=0.0, flag=flag,
                           gnorm=math.sqrt(state.dot(grad, grad)))
-    return apply_rule(state, obj, rule, dirs, ["alpha1", "alpha2"], grad, None,
+    return apply_rule(state, rule, dirs, ["alpha1", "alpha2"], grad, None,
                       flag=flag)
 
 
@@ -608,7 +601,7 @@ def run(method: str, obj: LcpObjective, iters: int, callback=None
     if method not in TRACKED_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = TRACKED_METHODS[method]
-    return drive(method, lambda st: step(st, obj, rule), init_state(obj),
+    return drive(method, lambda st: step(st, rule), init_state(obj),
                  iters, obj.X.counter_read,
-                 lambda st: ("margin", audit_margin(st, obj), 1e-8),
+                 lambda st: ("margin", audit_margin(st), 1e-8),
                  100, callback)

@@ -209,7 +209,7 @@ def _random_lcp_state(obj, rng):
     Xd = obj.X.dense()
     w = rng.standard_normal(obj.d) * 0.5
     w_prev = w - 0.1 * rng.standard_normal(obj.d)
-    return opt.MarginState((w, Xd @ w), obj.f_value_margin(w, Xd @ w),
+    return opt.MarginState(obj, (w, Xd @ w), obj.f_value_margin(w, Xd @ w),
                            prev_blocks=(w_prev, Xd @ w_prev))
 
 
@@ -221,15 +221,15 @@ def test_criterion_5_single_step_dominance_logistic():
 
         def fresh():
             import copy
-            return copy.deepcopy(seed_state)
+            return copy.copy(seed_state)
 
         st = fresh()
-        rec_bt = opt.step_gd(st, obj, "1/l")
+        rec_bt = opt.step_gd(st, "1/l")
         st = fresh()
-        rec_lo = opt.step_gd(st, obj, "lo", warm=np.array([rec_bt.alpha1]))
+        rec_lo = opt.step_gd(st, "lo", warm=np.array([rec_bt.alpha1]))
         st = fresh()
         rec_so = opt.step_memory_gradient(
-            st, obj, warm=np.array([rec_lo.alpha1, 0.0]))
+            st, warm=np.array([rec_lo.alpha1, 0.0]))
         assert rec_lo.f <= rec_bt.f + 1e-12 * max(1.0, abs(rec_bt.f)), (
             f"criterion 5 FAIL: trial {trial} LO {rec_lo.f:.17g} "
             f"> backtracked {rec_bt.f:.17g}")
@@ -245,7 +245,7 @@ def _random_net_state(obj, rng):
     v = rng.standard_normal(obj.hidden) * 0.2
     W_prev = W - 0.05 * rng.standard_normal(W.shape)
     v_prev = v - 0.05 * rng.standard_normal(v.shape)
-    return net.NetState((W, v, Xd @ W), obj.value_tracked(W, v, Xd @ W),
+    return net.NetState(obj, (W, v, Xd @ W), obj.value_tracked(W, v, Xd @ W),
                         prev_blocks=(W_prev, v_prev, Xd @ W_prev))
 
 
@@ -257,18 +257,18 @@ def test_criterion_5_single_step_dominance_net():
 
         def fresh():
             import copy
-            return copy.deepcopy(seed_state)
+            return copy.copy(seed_state)
 
         st = fresh()
-        rec_bt = opt.step_gd(st, obj, "1/l")
+        rec_bt = opt.step_gd(st, "1/l")
         st = fresh()
-        rec_lo = opt.step_gd(st, obj, "lo", warm=np.array([rec_bt.alpha1]))
+        rec_lo = opt.step_gd(st, "lo", warm=np.array([rec_bt.alpha1]))
         st = fresh()
         rec_so = opt.step_memory_gradient(
-            st, obj, warm=np.array([rec_lo.alpha1, 0.0]))
+            st, warm=np.array([rec_lo.alpha1, 0.0]))
         st = fresh()
         a, b = rec_so.alpha1, rec_so.beta1
-        rec_sb = opt.step_memory_gradient(st, obj, "sb",
+        rec_sb = opt.step_memory_gradient(st, "sb",
                                           warm=np.array([a, b, a, b]))
         assert rec_lo.f <= rec_bt.f + 1e-12 * max(1.0, abs(rec_bt.f)), (
             f"criterion 5 FAIL: net trial {trial} LO > backtracked")
@@ -491,12 +491,12 @@ def test_criterion_9_wolfe_armijo_postconditions():
 def test_criterion_10_tracked_quantity_drift():
     obj = LcpObjective("logistic", gen_logistic(200, 20, seed=4))
     state, _ = opt.run("gd+m(so)", obj, 500)
-    d1 = opt.audit_margin(state, obj)
+    d1 = opt.audit_margin(state)
     assert d1 <= 1e-8, f"criterion 10 FAIL: margin drift {d1:.2e}"
 
     nobj = net.NetObjective(gen_quadratic(80, 10, seed=4), hidden=5)
     nstate, _ = net.run("gd+m(so+sb)", nobj, 500, seed=0)
-    d2 = net.audit_activations(nstate, nobj)
+    d2 = net.audit_activations(nstate)
     assert d2 <= 1e-8, f"criterion 10 FAIL: activation drift {d2:.2e}"
 
     X = _mf_instance()

@@ -160,6 +160,13 @@ def test_mistyped_json_config_is_usage_error(tmp_path, capsys):
                      "--out", str(out)]) == 1, fields
         assert "must be" in capsys.readouterr().err
         assert not out.exists()
+    for method in ("5", "null"):
+        cfgfile.write_text('{"model": "logistic", "method": %s, '
+                           '"iters": 3}' % method)
+        assert main(["run", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1, method
+        assert "method must be a string" in capsys.readouterr().err
+        assert not out.exists()
     # no --out here, which would override it; an int is a file descriptor
     # to open()
     cfgfile.write_text(head + '"iters": 2, "out": 2}')
@@ -192,13 +199,25 @@ def test_plot_names_the_line_of_a_malformed_trace_row(tmp_path, capsys):
                  "--out", str(trace)]) == 0
     capsys.readouterr()
     lines = trace.read_text().splitlines()
-    for bad, message in (([*lines[:-1], lines[-1].rsplit(",", 3)[0]],
-                          "line 5: 10 cells"),
-                         ([*lines[:2], lines[2] + ",1", *lines[3:]],
-                          "line 3: 14 cells")):
+    cols = lines[0].split(",")
+
+    def with_cell(lineno, name, cell):
+        cells = lines[lineno - 1].split(",")
+        cells[cols.index(name)] = cell
+        return [*lines[:lineno - 1], ",".join(cells), *lines[lineno:]]
+
+    for bad, style, message in (
+            ([*lines[:-1], lines[-1].rsplit(",", 3)[0]], "subopt",
+             "line 5: 10 cells"),
+            ([*lines[:2], lines[2] + ",1", *lines[3:]], "subopt",
+             "line 3: 14 cells"),
+            (with_cell(3, "f", "nan"), "subopt", "line 3: f is nan"),
+            (with_cell(4, "alpha1", "inf"), "steps", "line 4: alpha1 is inf"),
+            (with_cell(2, "gnorm", "-inf"), "subopt",
+             "line 2: gnorm is -inf")):
         trace.write_text("\n".join(bad) + "\n")
-        assert main(["plot", "--traces", str(trace),
-                     "--out", str(fig)]) == 2
+        assert main(["plot", "--traces", str(trace), "--style", style,
+                     "--out", str(fig)]) == 2, message
         assert message in capsys.readouterr().err
         assert not fig.exists()
 
@@ -212,6 +231,21 @@ def test_a_drift_after_the_last_audit_cadence_still_stops_the_run(capsys):
                  "--seed", "1", "--iters", "199"])
     assert code == 2
     assert "margin drift" in capsys.readouterr().err
+
+
+def test_model_inputs_the_problem_cannot_take_are_usage_errors(tmp_path,
+                                                               capsys):
+    out = tmp_path / "out.txt"
+    for args, message in (
+            (["--model", "matfact", "--method", "simul", "--n", "10",
+              "--d", "5", "--hidden", "7"], "need 1 <= rank <= min(n, d)"),
+            (["--model", "logistic", "--method", "gd(lo)", "--n", "1",
+              "--d", "2", "--standardize"], "standardize needs n >= 2")):
+        for command in ("run", "ref"):
+            assert main([command, "--iters", "2", *args,
+                         "--out", str(out)]) == 1, (command, message)
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_logistic_labels_other_than_plus_minus_one_are_usage_errors(

@@ -401,5 +401,9 @@ def test_config_fields_are_type_checked():
                    '"iters": 2, "standardize": "false"'):
         with pytest.raises(hz.ConfigError):
             hz.config_from_json(base + fields + "}")
+    for method in ("5", "null"):
+        with pytest.raises(hz.ConfigError, match="^method must be a string"):
+            hz.config_from_json('{"model": "logistic", "method": %s, '
+                                '"iters": 3}' % method)
     cfg = hz.config_from_json(base + '"iters": 2, "lam": 0.5, "fstar": 1}')
     assert (cfg.iters, cfg.lam, cfg.fstar) == (2, 0.5, 1)

@@ -78,7 +78,7 @@ def test_monotone_methods_never_increase(obj):
 
 def test_tracked_activations_drift(obj):
     state, _ = run("gd+m(so+sb)", obj, 200, seed=0)
-    assert audit_activations(state, obj) <= 1e-10
+    assert audit_activations(state) <= 1e-10
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
@@ -90,7 +90,7 @@ def test_tracked_activations_stay_within_the_audit_on_one_hidden_unit():
     # stops with "activation drift 3.582e-06 at iteration 100"
     obj = NetObjective(gen_quadratic(15, 2, seed=729015), hidden=1)
     state, _ = run("gd+m(lo)", obj, 100, seed=729015)
-    assert audit_activations(state, obj) <= 1e-8
+    assert audit_activations(state) <= 1e-8
 
 
 def test_tied_step_embeds_in_per_layer_step(obj):
@@ -130,15 +130,15 @@ def test_so_sb_is_so_over_hand_built_per_layer_directions(obj):
     _, recs = run("gd+m(so+sb)", obj, 5, seed=0)
     state = init_state(obj, seed=0)
     for k, rec in enumerate(recs):
-        gW, gv = state.gradient(obj)
-        D = state.image(obj, (gW, gv))
+        gW, gv = state.gradient()
+        D = state.image((gW, gv))
         dirs = [(-gW, None, -D), (None, -gv, None)]
         slots = ["alpha1", "alpha2"]
         if state.prev_blocks is not None:
             dW, dv, dM = momentum_dir(state)
             dirs = [dirs[0], (dW, None, dM), dirs[1], (None, dv, None)]
             slots = ["alpha1", "beta1", "alpha2", "beta2"]
-        want = apply_rule(state, obj, "so", dirs, slots, (gW, gv), D)
+        want = apply_rule(state, "so", dirs, slots, (gW, gv), D)
         assert ([getattr(rec, f) for f in fields]
                 == [getattr(want, f) for f in fields]), k
 

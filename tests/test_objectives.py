@@ -218,13 +218,13 @@ def test_margin_line_memo_never_goes_stale(lam_scale):
     rng = np.random.default_rng(9)
     w, p = rng.standard_normal(5), rng.standard_normal(5)
     Xd = ds.X.dense()
-    state = MarginState((w, Xd @ w), obj.f_value_margin(w, Xd @ w))
+    state = MarginState(obj, (w, Xd @ w), obj.f_value_margin(w, Xd @ w))
     direction = (p, Xd @ p)
-    phi, dphi = state.line(obj, direction)
+    phi, dphi = state.line(direction)
     for name, a in [("phi", 0.5), ("dphi", 0.5), ("dphi", 2.0),
                     ("phi", 0.5), ("phi", 2.0), ("dphi", 0.5),
                     ("phi", 0.0), ("dphi", 2.0)]:
-        fresh = dict(zip(("phi", "dphi"), state.line(obj, direction)))
+        fresh = dict(zip(("phi", "dphi"), state.line(direction)))
         got = (phi if name == "phi" else dphi)(a)
         assert got == fresh[name](a), (name, a)
 
@@ -245,8 +245,7 @@ def test_one_exponential_per_logistic_trial_point(monkeypatch):
     sp = _restrictions("logistic", 1.0)()
     line_obj = LcpObjective("logistic", gen_logistic(30, 5, seed=6))
     p = np.ones(5)
-    phi, dphi = init_state(line_obj).line(line_obj,
-                                          (p, line_obj.X.dense() @ p))
+    phi, dphi = init_state(line_obj).line((p, line_obj.X.dense() @ p))
     seen = _spy(monkeypatch, "exp")
     theta = np.array([0.3, -0.2])
     sp.value(theta), sp.grad(theta), sp.hess(theta)
@@ -313,8 +312,8 @@ def test_the_zero_point_reuses_the_iterates_loss(loss, sparse, monkeypatch):
     assert _bits(obj.g_value(m)) == _bits(fresh.value)
     assert builds == [1]
     sp = obj.subspace_restrict(w, m, P, images)
-    phi, dphi = MarginState((w, m), fresh.value).line(
-        obj, (P[0], images[0]))
+    phi, dphi = MarginState(obj, (w, m), fresh.value).line(
+        (P[0], images[0]))
     zero = np.zeros(2)
     assert _bits(sp.value(zero)) == _bits(fresh.value)
     assert _bits(sp.grad(zero)) == _bits(Q.T @ fresh.grad)

@@ -53,13 +53,12 @@ def test_monotone_methods_record_no_rise_at_all(n, d, seed, lam, iters,
 def test_so_step_commits_the_zero_step_rather_than_a_rise(logistic_obj):
     state = init_state(logistic_obj)
     w0, m0, f0 = state.w, state.m, state.f
-    grad = state.gradient(logistic_obj)
-    q = state.image(logistic_obj, grad)
+    grad = state.gradient()
+    q = state.image(grad)
     # a solve that reports a gain for a step up the gradient
-    state.subspace_solve = lambda obj, dirs, warm: SubSolveResult(
+    state.subspace_solve = lambda dirs, warm: SubSolveResult(
         np.array([-1.0]), f0 - 1.0, 3, "converged")
-    rec = so_step(state, logistic_obj, [grad_dir(grad, q)], ["alpha1"], grad,
-                  q)
+    rec = so_step(state, [grad_dir(grad, q)], ["alpha1"], grad, q)
     assert (rec.f, rec.alpha1, rec.flag) == (f0, 0.0, "rounding_floor")
     assert rec.inner_iters == 3 and state.f == f0
     assert np.array_equal(state.w, w0) and np.array_equal(state.m, m0)
@@ -87,7 +86,7 @@ def test_one_over_l_steps_spend_two_products_plus_their_doublings(model,
 
 def test_margin_drift_stays_small(logistic_obj):
     state, _ = run("gd+m(so)", logistic_obj, 200)
-    assert audit_margin(state, logistic_obj) <= 1e-10
+    assert audit_margin(state) <= 1e-10
 
 
 def test_unknown_method_raises(logistic_obj):
@@ -330,7 +329,7 @@ def test_wolfe_methods_run_past_the_rounding_floor(method, n, d, seed):
     # ascent directions)
     obj = LcpObjective("logistic", gen_logistic(n, d, seed), 1.0 / n)
     state, recs = run(method, obj, 300)
-    assert audit_margin(state, obj) <= 1e-8
+    assert audit_margin(state) <= 1e-8
     assert max(r.inner_iters for r in recs) <= 20
     assert any(r.flag == "rounding_floor" for r in recs)
 
@@ -369,3 +368,58 @@ def test_lsq_line_momentum_margins_stay_within_the_audit():
     fstar = obj.f_value_margin(w, X @ w)
     _, recs = run("gd+m(lo)", obj, 200)     # audits at 100 and 200
     assert min(r.f for r in recs) >= fstar - 1e-12 * fstar
+
+
+# the arrays of an iterate that a run holds across steps: the tracked
+# states' blocks, previous blocks and previous gradient, matfact's factors
+# and product with their previous values, and logdet's V
+_HELD = ("blocks", "prev_blocks", "grad_prev", "U", "W", "M", "U_prev",
+         "W_prev", "M_prev", "V")
+
+
+def _held_arrays(state):
+    out = []
+    for name in _HELD:
+        held = getattr(state, name, None)
+        for a in held if isinstance(held, tuple) else (held,):
+            if a is not None:
+                out.append((name, a, a.copy()))
+    return out
+
+
+def test_no_step_writes_into_the_arrays_of_its_starting_iterate():
+    # the harness holds an iterate's arrays for the next row's audit gnorm,
+    # and criterion 5 steps from shallow copies of one state, so a step must
+    # build new arrays rather than write into the ones it started from
+    from subsearch import logdet, matfact, network
+
+    iters = 12
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 18))
+    X = rng.standard_normal((12, 8))
+    logistic = LcpObjective("logistic", gen_logistic(30, 5, seed=1), 1 / 30)
+    lsq = LcpObjective("least_squares", gen_quadratic(30, 5, seed=1))
+    net_obj = network.NetObjective(gen_quadratic(20, 4, seed=1), hidden=3)
+    runs = [(f"{obj.loss_kind}/{m}",
+             lambda cb, m=m, obj=obj: run(m, obj, iters, callback=cb))
+            for obj in (logistic, lsq) for m in TRACKED_METHODS]
+    runs += [(f"net2/{m}",
+              lambda cb, m=m: network.run(m, net_obj, iters, callback=cb))
+             for m in network.NET_METHODS]
+    runs += [(f"matfact/{s}",
+              lambda cb, s=s: matfact.run(s, X, 3, iters, callback=cb))
+             for s in matfact.MF_SCHEMES]
+    runs += [(f"logdet/rank{r}",
+              lambda cb, r=r: logdet.run(A @ A.T / 18, r, iters, callback=cb))
+             for r in (1, 2)]
+    assert len(runs) == 16 + 16 + 19 + 5 + 2
+    for label, go in runs:
+        held = []
+
+        def check(k, state, rec):
+            for name, a, copy in held:
+                assert a.tobytes() == copy.tobytes(), (
+                    f"{label}: step {k} wrote into {name}")
+            held[:] = _held_arrays(state)
+
+        go(check)

@@ -52,7 +52,7 @@ def test_searches_past_the_rounding_floor(method, n, d, seed, lam, sparse):
     obj = _problem(n, d, seed, lam, sparse)
     f0 = init_state(obj).f
     state, recs = run(method, obj, ITERS)       # audits drift every 100
-    assert audit_margin(state, obj) <= 1e-8
+    assert audit_margin(state) <= 1e-8
     assert all(r.products == 2 for r in recs)
     fs = [f0] + [r.f for r in recs]
     if method == "gd+m(so)":
