@@ -5,8 +5,9 @@ saying how f* is known: exact in closed form (matfact, logdet), within a
 certified bound on f(w_ref) - f* (the LCPs with lambda > 0), or only the
 best value seen.
 
-Exit codes: 0 success, 1 usage error (bad flags, unknown method), 2 runtime
-failure (IO errors, diverged runs).
+Exit codes: 0 success, 1 usage error (bad flags, unknown method, a --data,
+--config or --traces file that cannot be read), 2 runtime failure (malformed
+file contents, an output that cannot be written, diverged runs).
 """
 
 from __future__ import annotations

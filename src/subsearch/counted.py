@@ -9,7 +9,6 @@ float64.
 from __future__ import annotations
 
 import sys
-import threading
 
 import numpy as np
 
@@ -19,15 +18,14 @@ class DimensionError(ValueError):
 
 
 class ProductCounter:
-    """Monotone counter of bottleneck products; safe under concurrent bumps."""
+    """Monotone counter of bottleneck products: a plain int, so a state that
+    holds one can be deep-copied or pickled, and a copy counts on its own."""
 
     def __init__(self):
         self._count = 0
-        self._lock = threading.Lock()
 
     def bump(self):
-        with self._lock:
-            self._count += 1
+        self._count += 1
 
     def read(self) -> int:
         return self._count

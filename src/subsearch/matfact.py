@@ -5,21 +5,29 @@ is any O(ndr) product (a rank-r factor or the dense gradient times a factor),
 so the module meters those itself: every call to `MfState.prod` costs one
 unit.
 
-Each SO scheme is a list of slots.  A slot moves one factor along a fixed
-combination of that factor's anchors, (U, U_prev, Gu) or (W, W_prev, Gw),
-by its own step size theta_s:
+Each SO scheme is a list of slots.  Each factor has three anchors, the
+factor, its last step and its gradient: (U, U - U_prev, Gu) or
+(W, W - W_prev, Gw).  A slot moves one factor along one signed anchor,
+A_s or B_t, by its own step size theta_s:
 
     U(theta) = U + sum_{s on U} theta_s A_s
     W(theta) = W + sum_{t on W} theta_t B_t
 
 so M(theta) = U(theta) W(theta)^T is M plus one image per slot (A_s W^T or
 U B_t^T) and one bilinear image A_s B_t^T per pair of a U slot and a W slot.
-Every image is a combination of anchor pair products u_i w_j^T, each taken
-once per step, and its coefficient is theta_s or theta_s theta_t, so the
-restriction (`_restriction`) has a known Jacobian and constant curvature:
-after O(nd k^2) set-up for its k images, each candidate value, gradient or
+Every image is one signed anchor pair product u_i w_j^T, taken once per
+step, except the one derived pair (U - U_prev)(W - W_prev)^T, which is
+formed from the two momentum images and the tracked M and M_prev.  M enters
+no other image, so the tracked M stays exact up to rounding.  An image's
+coefficient is theta_s or theta_s theta_t, so the restriction
+(`_restriction`) has a known Jacobian and constant curvature: after
+O(nd k^2) set-up for its k images, each candidate value, gradient or
 Hessian costs at most O(p k^2) scalar work for p step sizes, and no
 products at all.
+
+The exact momentum schemes restart momentum every 10 steps: that step forms
+U W^T, one counted product beyond the budget below, and the next step's
+momentum directions vanish.
 
 Scheme slots and budgets per iteration:
   altmin          [-Gu] or [-Gw], plus momentum on that factor    2
@@ -33,13 +41,14 @@ Scheme slots and budgets per iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .counted import ProductCounter
 from .data import _normals, _seed_state
 from .optimizers import StepRecord, drive, relative_drift
-from .subsolver import SubProblem, SubSolverOptions, solve
+from .subsolver import SubProblem, solve
 
 
 def pca_value(M: np.ndarray, X: np.ndarray) -> float:
@@ -66,10 +75,10 @@ class MfState:
     # the factor ("u" or "w") the last alternating update moved
     alt_prev: str | None = None
     last_theta: tuple = (0.0, 0.0, 0.0, 0.0)
-    # momentum schemes multiply the tracked-M error by (1+beta) factors each
-    # step, so on this cadence they re-form U W^T (one counted product) and
-    # restart the momentum anchors at the fresh iterate; 0 disables this
-    refresh_every: int = 10
+    # the exact momentum schemes restart momentum on this cadence: the step
+    # forms U W^T (one counted product beyond the budget) and sets the
+    # previous factors to the new ones
+    refresh_every: ClassVar[int] = 10
     k: int = 0
 
     def prod(self, A, B, audit=False):
@@ -98,12 +107,12 @@ def audit_product(state: MfState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# slots: (factor, StepRecord field, coefficients over the factor's anchors
-# (X, X_prev, G), where X is U or W and G its gradient)
+# slots: (factor, StepRecord field, (anchor, sign)).  Each factor's anchors
+# are (X, X - X_prev, G), where X is U or W and G its gradient, and a slot
+# moves X along sign times one anchor
 
-GRAD = (0.0, 0.0, -1.0)             # -G
-MOMENTUM = (1.0, -1.0, 0.0)         # X - X_prev
-_SELF = (1.0, 0.0, 0.0)             # the factor a slot's image leaves alone
+GRAD = (2, -1.0)            # -G
+MOMENTUM = (1, 1.0)         # X - X_prev
 
 ALTMIN = {f: ((f, "alpha1", GRAD), (f, "beta1", MOMENTUM)) for f in "uw"}
 SIMUL = (("u", "alpha1", GRAD), ("w", "alpha2", GRAD))
@@ -113,24 +122,6 @@ MOMENTUM_BOTH = MOMENTUM_U + (("w", "beta2", MOMENTUM),)
 _FIELDS = tuple(name for _, name, _ in MOMENTUM_BOTH)
 
 
-def _comb(terms):
-    """The sum of c * A over the (c, A) with c nonzero; every coefficient
-    here is 0 or +-1, so no term is multiplied."""
-    out = None
-    for c, A in terms:
-        if c:
-            out = ((A if c > 0 else -A) if out is None
-                   else out + A if c > 0 else out - A)
-    return out
-
-
-def _outer(a, b):
-    """The nonzero entries (i, j, a_i b_j) of the outer product of a and b,
-    row by row."""
-    return [(i, j, x * y) for i, x in enumerate(a) if x
-            for j, y in enumerate(b) if y]
-
-
 def _directions(state, slots):
     """The anchors of each factor and each slot's direction.
 
@@ -138,13 +129,13 @@ def _directions(state, slots):
     that some slot moves along it.
     """
     G = pca_grad(state.M, state.X)
-    grads = {f for f, _, c in slots if c[2]}
+    grads = {f for f, _, (i, _) in slots if i == 2}
     anchors = {
-        "u": (state.U, state.U_prev,
+        "u": (state.U, state.U - state.U_prev,
               state.prod(G, state.W) if "u" in grads else None),
-        "w": (state.W, state.W_prev,
+        "w": (state.W, state.W - state.W_prev,
               state.prod(G.T, state.U) if "w" in grads else None)}
-    return anchors, [_comb(zip(c, anchors[f])) for f, _, c in slots]
+    return anchors, [sign * anchors[f][i] for f, _, (i, sign) in slots]
 
 
 def _factor_step(state, slots, dirs, theta):
@@ -224,42 +215,42 @@ def _restriction(X, M, images, bilinear):
 def _expand(state, slots, free=None):
     """The restriction of f to `slots`: (subproblem, m_at, live, dirs).
 
-    The images come from anchor pair products u_i w_j^T, one counted
-    product per pair, except the tracked U W^T = M, U_prev W_prev^T = M_prev
-    and the pairs in `free`.  A slot whose direction is exactly zero (a
-    momentum slot at the start and after a refresh restart) is left out of
-    the subproblem, whose variables are the step sizes of the `live` slots;
-    its products are still taken, so each step of a scheme spends the same.
+    Every image is one signed anchor pair product u_i w_j^T: u_i W^T for a
+    U slot, U w_j^T for a W slot and u_i w_j^T for a pair of a U slot and a
+    W slot.  Each pair costs one counted product, except the pairs in `free`
+    and the derived momentum pair (U - U_prev)(W - W_prev)^T, formed from
+    the two momentum images as P_01 + P_10 - M + M_prev.  A slot whose
+    direction is exactly zero (a momentum slot at the start and after a
+    refresh restart) is left out of the subproblem, whose variables are the
+    step sizes of the `live` slots; its products are still taken, so each
+    step of a scheme spends the same.
     """
     anchors, dirs = _directions(state, slots)
     live = [k for k, D in enumerate(dirs) if np.any(D)]
-    sides = [(c, _SELF) if f == "u" else (_SELF, c) for f, _, c in slots]
-    images = [_outer(*side) for side in sides]
-    bilinear = {(s, t): _outer(sides[s][0], sides[t][1])
+    sides = [(i, 0) if f == "u" else (0, i) for f, _, (i, _) in slots]
+    signs = [sign for _, _, (_, sign) in slots]
+    bilinear = {(s, t): (sides[s][0], sides[t][1])
                 for s, (f, _, _) in enumerate(slots) if f == "u"
                 for t, (g, _, _) in enumerate(slots) if g == "w"}
-    P = {(0, 0): state.M, (1, 1): state.M_prev, **(free or {})}
+    P = dict(free or {})
     u, w = anchors["u"], anchors["w"]
-    for C in images + list(bilinear.values()):
-        for i, j, _ in C:
-            if (i, j) not in P:
-                P[i, j] = state.prod(u[i], w[j].T)
-
-    def image(C):
-        return _comb((c, P[i, j]) for i, j, c in C)
+    for i, j in sides + list(bilinear.values()):
+        if (i, j) not in P:
+            P[i, j] = (P[0, 1] + P[1, 0] - state.M + state.M_prev
+                       if (i, j) == (1, 1) else state.prod(u[i], w[j].T))
 
     pos = {k: n for n, k in enumerate(live)}
     sp, m_at = _restriction(
-        state.X, state.M, [image(images[k]) for k in live],
-        [(pos[s], pos[t], image(C)) for (s, t), C in bilinear.items()
-         if s in pos and t in pos])
+        state.X, state.M, [signs[k] * P[sides[k]] for k in live],
+        [(pos[s], pos[t], signs[s] * signs[t] * P[ij])
+         for (s, t), ij in bilinear.items() if s in pos and t in pos])
     return sp, m_at, live, dirs
 
 
 def _commit(state, U_new, W_new, M_new, rec, restart=False):
     if restart:
-        # momentum anchors coincide with the fresh iterate, so the next
-        # step's momentum directions vanish and every anchor is exact
+        # momentum restart: the previous factors are the new ones, so the
+        # next step's momentum directions vanish
         state.U_prev, state.W_prev = U_new.copy(), W_new.copy()
         state.M_prev = M_new.copy()
     else:
@@ -272,32 +263,26 @@ def _commit(state, U_new, W_new, M_new, rec, restart=False):
     return rec
 
 
-# the factor-rescaling direction (beta1 up, beta2 down) is nearly flat, so
-# an unbounded subsolver can wander to huge steps that amplify tracking
-# error; a modest box keeps the momentum schemes well inside float range
-_MOMENTUM_OPTS = SubSolverOptions(theta_cap=10.0)
-
-
 def _so_step(state, slots, free=None, refresh=False, flag=None):
     """Solve the restriction to `slots`, step each factor along its slots
     and commit; a left-out slot records 0.  M comes from the expansion.
 
-    With `refresh` (the exact momentum schemes) the solve stays in the
-    `_MOMENTUM_OPTS` box, and on the refresh cadence M is re-formed as
-    U W^T (one counted product) and f re-evaluated from it, but never
-    allowed above the tracked value, so recorded objectives stay monotone.
+    With `refresh` (the exact momentum schemes), every `refresh_every`-th
+    step restarts momentum: M is formed as U W^T (one counted product) and
+    the step records its value, and `_commit` sets the previous factors to
+    the new ones, so the next step's momentum directions vanish.
     """
     sp, m_at, live, dirs = _expand(state, slots, free)
-    res = solve(sp, _MOMENTUM_OPTS if refresh else None)
+    res = solve(sp)
     theta = np.zeros(len(slots))
     theta[live] = res.theta
     U_new, W_new = _factor_step(state, slots, dirs, theta)
-    M_new, f_new = m_at(res.theta), res.value
-    restart = bool(refresh and state.refresh_every
-                   and (state.k + 1) % state.refresh_every == 0)
+    restart = refresh and (state.k + 1) % state.refresh_every == 0
     if restart:
         M_new = state.prod(U_new, W_new.T)
-        f_new = min(f_new, pca_value(M_new, state.X))
+        f_new = pca_value(M_new, state.X)
+    else:
+        M_new, f_new = m_at(res.theta), res.value
     rec = StepRecord(f_new, inner_iters=res.inner_iters, flag=flag,
                      **{name: float(t)
                         for (_, name, _), t in zip(slots, theta)})
@@ -305,16 +290,18 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
 
 
 def _altmin_slots(state, which):
-    """altmin's slots on factor `which`, and the pair products they get free.
+    """altmin's slots on factor `which`, and the pair product they get free.
 
     The momentum slot is listed only when the last update moved the same
     factor.  The other factor then equals its previous value (it acts as
-    the fixed data matrix of an LCP), so U_prev W^T, or U W_prev^T, is the
-    tracked M_prev, and the step takes 2 counted products either way.
+    the fixed data matrix of an LCP), so the momentum image (U - U_prev) W^T,
+    or U (W - W_prev)^T, is M - M_prev, and the step takes 2 counted
+    products either way.
     """
     if state.alt_prev != which:
         return ALTMIN[which][:1], None
-    return ALTMIN[which], {(1, 0) if which == "u" else (0, 1): state.M_prev}
+    return ALTMIN[which], {(1, 0) if which == "u" else (0, 1):
+                           state.M - state.M_prev}
 
 
 def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:

@@ -51,10 +51,12 @@ _MAX_BACKTRACKS = 60
 _GRAD_TOL = 1e-10           # relative to max(1, |g|) at the start
 
 
+_THETA_CAP = 1e8            # trial points beyond this box are rejected
+
+
 @dataclass
 class SubSolverOptions:
     max_iters: int = 100
-    theta_cap: float = 1e8           # reject trial points beyond this box
 
 
 @dataclass
@@ -69,8 +71,8 @@ class SubSolveResult:
         return self.reason == "converged"
 
 
-def _safe_value(phi, theta, cap):
-    if np.max(np.abs(theta)) > cap:
+def _safe_value(phi, theta):
+    if np.max(np.abs(theta)) > _THETA_CAP:
         return np.inf
     v = phi(theta)
     if not np.isfinite(v):
@@ -127,7 +129,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
     theta, f = zero.copy(), f_zero
     if theta0 is not None:
         theta0 = np.asarray(theta0, dtype=np.float64)
-        f0 = _safe_value(sp.value, theta0, opts.theta_cap)
+        f0 = _safe_value(sp.value, theta0)
         if f0 < best_f:
             best_theta, best_f = theta0.copy(), f0
         if np.isfinite(f0):
@@ -159,7 +161,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = theta + t * direction
-            f_trial = _safe_value(sp.value, trial, opts.theta_cap)
+            f_trial = _safe_value(sp.value, trial)
             if f_trial <= f_ref + _ARMIJO * t * slope:
                 break
             t *= 0.5

@@ -84,3 +84,30 @@ def test_float64_coercion():
     cm = CountedMatrix(np.ones((2, 2), dtype=np.float32))
     out = cm.matvec(np.ones(2, dtype=np.float32))
     assert out.dtype == np.float64
+
+
+def test_model_states_deep_copy_with_their_own_counters():
+    """A deep copy of a model state holds its own counters: steps on the
+    copy count there and leave the original's counts alone."""
+    import copy
+
+    from subsearch import matfact, optimizers
+    from subsearch.data import gen_logistic
+    from subsearch.objectives import LcpObjective
+
+    mf = matfact.init_state(np.arange(12.0).reshape(4, 3), 2)
+    mf_copy = copy.deepcopy(mf)
+    matfact.step_simul_so2(mf_copy)
+    assert (mf.counter.read(), mf_copy.counter.read()) == (0, 5)
+    matfact.step_altmin_so(mf, "u")
+    assert (mf.counter.read(), mf_copy.counter.read()) == (2, 5)
+
+    lcp = optimizers.init_state(
+        LcpObjective("logistic", gen_logistic(20, 4, 1), 0.0))
+    start = lcp.obj.X.counter_read()
+    lcp_copy = copy.deepcopy(lcp)
+    assert lcp_copy.obj.X is not lcp.obj.X
+    step, rule = optimizers.TRACKED_METHODS["gd(lo)"]
+    step(lcp_copy, rule)
+    assert lcp.obj.X.counter_read() == start
+    assert lcp_copy.obj.X.counter_read() == start + 2

@@ -59,10 +59,12 @@ def test_infinite_values_are_rejected_not_fatal():
 
 
 def test_theta_cap_boxes_the_search():
-    sp = SubProblem(1, lambda t: float(-t[0]), lambda t: np.array([-1.0]),
-                    lambda t: np.zeros((1, 1)))
-    res = solve(sp, SubSolverOptions(max_iters=200, theta_cap=10.0))
-    assert abs(res.theta[0]) <= 10.0
+    # unbounded below along a slope of -1e9: the first Newton step (-g on a
+    # zero Hessian) lands at 1e9, past the 1e8 box
+    sp = SubProblem(1, lambda t: float(-1e9 * t[0]),
+                    lambda t: np.array([-1e9]), lambda t: np.zeros((1, 1)))
+    res = solve(sp, SubSolverOptions(max_iters=200))
+    assert 0.0 < res.theta[0] <= 1e8
     assert not res.converged        # no trial past the box is accepted
 
 
