@@ -5,6 +5,10 @@ saying how f* is known: exact in closed form (matfact, logdet), within a
 certified bound on f(w_ref) - f* (the LCPs with lambda > 0), or only the
 best value seen.
 
+`run --iters N` is an upper bound: a run whose state comes back from a step
+bitwise unchanged would repeat that step bitwise, so it stops there (see
+`optimizers.drive`) and says so; its CSV then has k + 1 rows for k steps.
+
 Exit codes: 0 success, 1 usage error (bad flags, unknown method, a --data,
 --config or --traces file that cannot be read), 2 runtime failure (malformed
 file contents, an output that cannot be written, diverged runs).
@@ -78,8 +82,12 @@ def _cmd_run(args) -> int:
     trace = harness.run_experiment(cfg)
     final = trace.records[-1].f if trace.records else trace.f0
     dest = cfg.out or "(stdout only)"
-    print(f"run {cfg.model}/{cfg.method}: {len(trace) - 1} iterations, "
+    done = len(trace) - 1
+    print(f"run {cfg.model}/{cfg.method}: {done} iterations, "
           f"final f = {final:.17g} -> {dest}")
+    if done < cfg.iters:
+        print(f"stopped at a fixed point after {done} of {cfg.iters} "
+              f"iterations")
     if not cfg.out:
         sys.stdout.write(harness.emit_csv(trace))
     return 0

@@ -305,7 +305,8 @@ NET_MONOTONE_METHODS = methods_with_rule(NET_METHODS, MONOTONE_RULES)
 
 def run(method: str, obj: NetObjective, iters: int, seed: int = 0,
         callback=None) -> tuple[NetState, list[StepRecord]]:
-    """Apply `method` for `iters` steps, recording products per iteration."""
+    """Apply `method` for up to `iters` steps (see `optimizers.drive`),
+    recording products per iteration."""
     if method not in NET_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = NET_METHODS[method]

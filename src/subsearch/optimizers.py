@@ -19,7 +19,9 @@ written once here:
   all parameter blocks jointly;
 - `alpha_prev` (the "ls" rule's last accepted step, its next start) and
   `L` (the 1/L rule's curvature estimate) persist across steps; `memory`
-  is the running method's own (FISTA's t, Adam's moments, the L-BFGS pairs).
+  is the running method's own (FISTA's t, Adam's moments, the L-BFGS pairs);
+- `step_inputs()` lists all of the above that a step reads, so `drive` can
+  end a run at its bitwise fixed point.
 
 Each model subclasses it with its arithmetic alone (`MarginState` here,
 `network.NetState` for the network):
@@ -144,6 +146,16 @@ class TrackedState:
         self.grad_prev = (*grad, grad_image)
         self.blocks = tuple(blocks)
         self.f = f
+
+    def step_inputs(self) -> tuple:
+        """Everything a step reads, with the memory's content copied, since
+        the L-BFGS pairs change in place.  A step that leaves these bitwise
+        as it found them would repeat itself bitwise from then on."""
+        memory = self.memory
+        if isinstance(memory, deque):
+            memory = tuple(memory)
+        return (self.blocks, self.f, self.prev_blocks, self.grad_prev,
+                self.alpha_prev, self.L, memory)
 
     def momentum_coef(self, grad) -> float:
         """PR+ over all parameter blocks jointly."""
@@ -562,6 +574,20 @@ LO_SO_METHODS = methods_with_rule(TRACKED_METHODS, TWO_PRODUCT_RULES)
 MONOTONE_METHODS = methods_with_rule(TRACKED_METHODS, MONOTONE_RULES)
 
 
+def _same_bits(a, b) -> bool:
+    """Whether two nests of tuples, arrays and scalars hold the same bits."""
+    if a is b:
+        return True
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(_same_bits, a, b)))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    return (type(a) is type(b) and a == b
+            and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
 def drive(name, step, state, iters, meter, audit, audit_cadence,
           callback=None):
     """The step loop behind every model's `run`; returns (state, records).
@@ -572,9 +598,16 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
     drift above its bound stops the run, so no run ends on unaudited drift.
     A failing step is re-raised naming `name` and the iteration.
     `callback(k, state, record)` runs after each step.
+
+    `iters` is an upper bound.  A state that lists its `step_inputs` (every
+    `TrackedState`) ends the run at its bitwise fixed point: once a step
+    leaves them as it found them, every later step would repeat its record
+    and state bitwise, so that step is audited and its record is the last.
     """
+    inputs = getattr(state, "step_inputs", None)
     records = []
     for k in range(iters):
+        start = inputs() if inputs else None
         before = meter()
         t0 = time.perf_counter()
         try:
@@ -585,19 +618,23 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
         rec.elapsed_s = time.perf_counter() - t0
         rec.products = meter() - before
         records.append(rec)
-        if (k + 1) % audit_cadence == 0 or k + 1 == iters:
+        fixed = inputs is not None and _same_bits(start, inputs())
+        if fixed or (k + 1) % audit_cadence == 0 or k + 1 == iters:
             what, drift, bound = audit(state)
             if drift > bound:
                 raise RuntimeError(
                     f"{what} drift {drift:.3e} at iteration {k + 1}")
         if callback is not None:
             callback(k, state, rec)
+        if fixed:
+            break
     return state, records
 
 
 def run(method: str, obj: LcpObjective, iters: int, callback=None
         ) -> tuple[MarginState, list[StepRecord]]:
-    """Apply `method` for `iters` steps, recording products per iteration."""
+    """Apply `method` for up to `iters` steps (see `drive`), recording
+    products per iteration."""
     if method not in TRACKED_METHODS:
         raise KeyError(f"unknown method {method!r}")
     step, rule = TRACKED_METHODS[method]

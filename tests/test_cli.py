@@ -10,14 +10,28 @@ from subsearch.cli import main
 def test_gen_then_run_pipeline(tmp_path, capsys):
     data = tmp_path / "f.libsvm"
     out = tmp_path / "t.csv"
-    assert main(["gen", "--kind", "logistic", "--n", "100", "--d", "10",
+    # d = 20: the run reaches no fixed point within its 50 iterations
+    assert main(["gen", "--kind", "logistic", "--n", "100", "--d", "20",
                  "--seed", "1", "--out", str(data)]) == 0
     assert main(["run", "--data", str(data), "--model", "logistic",
                  "--method", "gd+m_so", "--iters", "50",
                  "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 52            # header + 51 rows
-    capsys.readouterr()
+    assert "fixed point" not in capsys.readouterr().out
+
+
+def test_run_says_it_stopped_at_a_fixed_point(tmp_path, capsys):
+    # 100 x 10: gd+m(so)'s state comes back from step 44 bitwise unchanged
+    out = tmp_path / "t.csv"
+    assert main(["run", "--model", "logistic", "--method", "gd+m(so)",
+                 "--n", "100", "--d", "10", "--seed", "1", "--iters", "50",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("run logistic/gd+m(so): 44 iterations,")
+    assert printed[1] == "stopped at a fixed point after 44 of 50 iterations"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 46            # header + 45 rows
 
 
 def test_ref_then_plot_consume_each_other(tmp_path, capsys):

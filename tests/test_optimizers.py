@@ -284,6 +284,85 @@ def test_drive_meters_audits_wraps_and_calls_back():
         drive("fake", broken, {"k": 0}, 5, lambda: spent[0], None, 10)
 
 
+def _zero_step(state):
+    """Commit the zero step with a zero gradient: from the second step on,
+    the state comes back bitwise as the step found it."""
+    from subsearch.optimizers import StepRecord
+
+    state.advance([b.copy() for b in state.blocks], state.f,
+                  (np.zeros(2),), None)
+    return StepRecord(state.f)
+
+
+def _stub_state():
+    from subsearch.optimizers import TrackedState
+
+    return TrackedState(None, (np.ones(2), np.ones(3)), 1.0)
+
+
+def test_drive_stops_after_a_step_that_leaves_the_state_unchanged():
+    from subsearch.optimizers import drive
+
+    audited, seen = [], []
+
+    def audit(state):
+        audited.append(len(seen))
+        return "fake", 0.0, 1e-8
+
+    _, recs = drive("fake", _zero_step, _stub_state(), 5, lambda: 0, audit,
+                    10, callback=lambda k, st, rec: seen.append(k))
+    assert len(recs) == 2 and seen == [0, 1]
+    assert audited == [1]               # at the stop, before its callback
+
+    with pytest.raises(RuntimeError, match="fake drift 1.000e-07 at "
+                                           "iteration 2"):
+        drive("fake", _zero_step, _stub_state(), 5, lambda: 0,
+              lambda st: ("fake", 1e-7, 1e-8), 10)
+
+
+def test_drive_runs_every_step_while_the_state_moves_or_lists_no_inputs():
+    from collections import deque
+
+    from subsearch.optimizers import StepRecord, drive
+
+    def counting_step(state):
+        # the zero step, with memory that moves in place
+        rec = _zero_step(state)
+        state.memory.append(state.memory[-1] + 1.0)
+        return rec
+
+    state = _stub_state()
+    state.memory = deque([0.0], maxlen=2)
+    _, recs = drive("fake", counting_step, state, 5, lambda: 0,
+                    lambda st: ("fake", 0.0, 1e-8), 10)
+    assert len(recs) == 5
+    # a state without `step_inputs` is never compared
+    _, recs = drive("fake", lambda st: StepRecord(1.0), {}, 5, lambda: 0,
+                    lambda st: ("fake", 0.0, 1e-8), 10)
+    assert len(recs) == 5
+
+
+def test_matfact_and_logdet_runs_take_every_step():
+    # their refresh and refactor cadences read the step counter, so they
+    # run on where the rest of the state stops changing
+    from subsearch import logdet, matfact
+
+    X = gen_logistic(10, 6, seed=1).X.dense()
+    unchanged, last = [], [None]
+
+    def compare(k, state, rec):
+        bits = [state.f, *(getattr(state, name).tobytes() for name in
+                           ("U", "W", "M", "U_prev", "W_prev", "M_prev"))]
+        unchanged.append(bits == last[0])
+        last[0] = bits
+
+    _, recs = matfact.run("momentum-both", X, 2, 30, seed=1,
+                          callback=compare)
+    assert len(recs) == 30 and any(unchanged)
+    _, recs = logdet.run(X.T @ X / 10 + np.eye(6), 1, 60)
+    assert len(recs) == 60
+
+
 def test_unknown_method_or_scheme_raises_before_any_product(logistic_obj):
     from subsearch import matfact, network
 

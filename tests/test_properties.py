@@ -1,6 +1,10 @@
 """Property tests on random problems, under the suite's deterministic
 hypothesis profile (tests/conftest.py).
 
+- A run stops only where the rest would repeat: every LCP and network
+  method, on random dense and CSR problems, keeps a prefix of the records
+  of its own step function looped for the full length, every record it
+  drops repeats its last one bitwise, and it ends in the same state.
 - LCP methods run past the rounding floor: hypothesis draws the problem
   (size, generator seed, lambda, dense or CSR payload), and each example
   runs long enough for f to stall at rounding level on most draws, which is
@@ -18,9 +22,16 @@ hypothesis profile (tests/conftest.py).
   sizes, ranks, seeds and generators.
 """
 
+import dataclasses
+import re
+import struct
+from collections import deque
+from functools import partial
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subsearch.counted import CountedMatrix
@@ -28,21 +39,121 @@ from subsearch import logdet, matfact, network
 from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.linesearch import rounding_floor
 from subsearch.objectives import LcpObjective
-from subsearch.optimizers import (MONOTONE_METHODS, audit_margin,
-                                  init_state, relative_drift, run)
+from subsearch.optimizers import (MONOTONE_METHODS, TRACKED_METHODS,
+                                  audit_margin, init_state, relative_drift,
+                                  run)
 
 ITERS = 150
 # Wolfe evaluations or subsolver iterations per step once f has stalled
 STALLED_INNER = 10
 
 
-def _problem(n, d, seed, lam, sparse):
-    ds = gen_logistic(n, d, seed)
+def _problem(n, d, seed, lam, sparse, model="logistic"):
+    """A logistic problem, or an lsq one on the quadratic generator; the
+    sparse payload keeps the entries of magnitude 1 or more, as CSR."""
+    ds = (gen_logistic if model == "logistic" else gen_quadratic)(n, d, seed)
     if sparse:
         X = ds.X.payload.copy()
         X[np.abs(X) < 1.0] = 0.0
         ds = Dataset(CountedMatrix(sp.csr_matrix(X)), ds.y, ds.label_kind)
-    return LcpObjective("logistic", ds, 1.0 / n if lam else 0.0)
+    loss = "logistic" if model == "logistic" else "least_squares"
+    return LcpObjective(loss, ds, 1.0 / n if lam else 0.0)
+
+
+def _bits(x):
+    """`x` with every array and float as its bytes, so == compares bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list, deque)):
+        return tuple(map(_bits, x))
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    return x
+
+
+def _record_bits(rec):
+    return _bits([getattr(rec, f.name) for f in dataclasses.fields(rec)
+                  if f.name != "elapsed_s"])
+
+
+def _state_bits(state):
+    return _bits([getattr(state, f.name) for f in dataclasses.fields(state)
+                  if f.name != "obj"])
+
+
+FIXED_POINT_ITERS = 30
+FIXED_POINT_CASES = tuple(
+    [(model, method) for model in ("logistic", "lsq")
+     for method in TRACKED_METHODS]
+    + [("net2", method) for method in network.NET_METHODS])
+
+
+def _every_case(test):
+    """One explicit example per case, so every method runs whatever
+    hypothesis draws; on these inputs lsq gd+m(so), nag(so), qn(lo) and
+    logistic qn(ls) among others reach their fixed points."""
+    for case in FIXED_POINT_CASES:
+        test = example(case=case, n=20, d=4, hidden=2, seed=3, lam=True,
+                       sparse=False, quadratic=False)(test)
+    return test
+
+
+@given(case=st.sampled_from(FIXED_POINT_CASES),
+       n=st.integers(5, 40), d=st.integers(1, 8), hidden=st.integers(1, 3),
+       seed=st.integers(0, 10 ** 6), lam=st.booleans(),
+       sparse=st.booleans(), quadratic=st.booleans())
+@_every_case
+# the 1/L search passes its curvature cap at step 24, in the loop and in run
+@example(case=("lsq", "gd(1/l)"), n=5, d=1, hidden=1, seed=1, lam=False,
+         sparse=False, quadratic=False)
+def test_a_run_stops_only_where_every_later_step_repeats_its_last(
+        case, n, d, hidden, seed, lam, sparse, quadratic):
+    """`run` against the plain loop of the same step function for the full
+    length.  lsq runs on the quadratic generator and logistic on the
+    logistic one, either on a dense or a CSR payload; net2 draws its
+    generator and keeps a dense payload.  FISTA's t moves on every step,
+    and so do Adam's moments once a gradient is nonzero, so those runs
+    never stop (a CSR payload can be all zeros, and then Adam stops at
+    once).  A step that raises in the loop must fail the run at the same
+    iteration: the stop skips no failure."""
+    model, method = case
+    if model == "net2":
+        ds = (gen_quadratic if quadratic else gen_logistic)(n, d, seed)
+        obj = network.NetObjective(ds, hidden, 1.0 / n if lam else 0.0)
+        loop_state = network.init_state(obj, seed=seed)
+        step, rule = network.NET_METHODS[method]
+        run_it = partial(network.run, method, obj, FIXED_POINT_ITERS,
+                         seed=seed)
+    else:
+        obj = _problem(n, d, seed, lam, sparse, model)
+        loop_state = init_state(obj)
+        step, rule = TRACKED_METHODS[method]
+        run_it = partial(run, method, obj, FIXED_POINT_ITERS)
+    full = []
+    for k in range(FIXED_POINT_ITERS):
+        before = obj.X.counter_read()
+        try:
+            rec = step(loop_state, rule)
+        except Exception as exc:                # noqa: BLE001
+            with pytest.raises(RuntimeError, match=re.escape(
+                    f"{method} failed at iteration {k}: {exc}")):
+                run_it()
+            return
+        rec.products = obj.X.counter_read() - before
+        full.append(rec)
+
+    state, recs = run_it()
+    kept = len(recs)
+    moving = method == "nag(1/l)" or (method.startswith("adam")
+                                      and any(r.gnorm for r in full))
+    if moving:
+        assert kept == FIXED_POINT_ITERS
+    assert 1 <= kept <= FIXED_POINT_ITERS
+    assert list(map(_record_bits, recs)) == list(map(_record_bits,
+                                                     full[:kept]))
+    last = _record_bits(recs[-1])
+    assert all(_record_bits(r) == last for r in full[kept:])
+    assert _state_bits(state) == _state_bits(loop_state)
 
 
 @given(method=st.sampled_from(("qn(ls)", "gd+m(ls)", "gd+m(so)")),

@@ -20,8 +20,12 @@ on a CSR payload.  `--compare` lists the files that differ, each CSV with the
 largest relative difference of f, whether `products_cum` and `inner_iters`
 match row for row and each grid's total inner iterations (A -> B), any
 other file with its first differing line, and the files that exist in one
-grid only, as `only in A` or `only in B`; it exits 1 if there are any.  The
-name keeps pytest from collecting this file.
+grid only, as `only in A` or `only in B`; it exits 1 if there are any.  A
+CSV that is a strict prefix of the other, whose dropped rows repeat its last
+kept row apart from `iter` and `products_cum`, is a run that stopped at its
+bitwise fixed point on one side: it is listed as `fixed-point prefix
+(61 -> 28 rows)` and still counts as differing.  The name keeps pytest from
+collecting this file.
 """
 
 import re
@@ -145,11 +149,31 @@ def _first_difference(a: Path, b: Path) -> str:
     return f"{len(la)} vs {len(lb)} lines"
 
 
+def _fixed_point_prefix(a: Path, b: Path) -> bool:
+    """Whether one CSV is a strict prefix of the other whose dropped rows
+    repeat its last kept row apart from `iter` and `products_cum`."""
+    short, long = sorted((p.read_text(encoding="utf-8").splitlines()
+                          for p in (a, b)), key=len)
+    if not (2 <= len(short) < len(long) and long[:len(short)] == short):
+        return False
+    keep = [i for i, name in enumerate(short[0].split(","))
+            if name not in ("iter", "products_cum")]
+
+    def cells(line):
+        row = line.split(",")
+        return [row[i] for i in keep]
+
+    last = cells(short[-1])
+    return all(cells(line) == last for line in long[len(short):])
+
+
 def describe(a: Path, b: Path) -> str:
     """How two differing grid files differ: which grid alone holds the
-    file; for a CSV, the largest relative f difference, whether
-    products_cum and inner_iters match on every row, and each side's total
-    inner iterations; for any other file, its first differing line."""
+    file; for a CSV that stopped at its fixed point on one side, the row
+    counts (A -> B); for any other CSV, the largest relative f difference,
+    whether products_cum and inner_iters match on every row, and each
+    side's total inner iterations; for any other file, its first differing
+    line."""
     if not (a.is_file() and b.is_file()):
         return "only in " + ("A" if a.is_file() else "B")
     if a.suffix != ".csv":
@@ -159,6 +183,8 @@ def describe(a: Path, b: Path) -> str:
         return "no trace in " + " and ".join(
             str(p.parent) for p, c in ((a, ca), (b, cb)) if c is None)
     (fa, pa, ia), (fb, pb, ib) = ca, cb
+    if _fixed_point_prefix(a, b):
+        return f"fixed-point prefix ({len(fa)} -> {len(fb)} rows)"
     rel = max((abs(x - y) / max(abs(x), abs(y), 1e-300)
                for x, y in zip(fa, fb)), default=0.0)
     rows = "" if len(fa) == len(fb) else f", {len(fa)} vs {len(fb)} rows"
