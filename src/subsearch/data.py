@@ -254,13 +254,26 @@ def _uniforms(state: list[int], n: int) -> np.ndarray:
 
 
 def _normals(state: list[int], n: int) -> np.ndarray:
-    """Box-Muller normals on the congruential stream."""
+    """Box-Muller normals on the congruential stream.
+
+    With two draws u1, u2 of m = (n + 1) // 2 uniforms, entries :m are
+    r cos(2 pi u2) and the rest r sin(2 pi u2), r = sqrt(-2 log u1), cut to
+    n.  Every ufunc runs in place (r in u1's array, the angle in u2's) and
+    writes the two halves straight into one output array.
+    """
     m = (n + 1) // 2
-    u1 = _uniforms(state, m)
-    u2 = _uniforms(state, m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2 * math.pi * u2),
-                        r * np.sin(2 * math.pi * u2)])
+    r = _uniforms(state, m)
+    theta = _uniforms(state, m)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2 * math.pi
+    z = np.empty(2 * m)
+    cos, sin = z[:m], z[m:]
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
+    cos *= r
+    sin *= r
     return z[:n]
 
 
@@ -275,12 +288,12 @@ _NOISE = 0.1
 
 
 def _gen_features(n: int, d: int, state: list[int]) -> np.ndarray:
+    """n x d normals, column j scaled in place by the j-th of d scales
+    spaced evenly in log from 1 to _CONDITION_SCALE."""
     X = _normals(state, n * d).reshape(n, d)
     if d > 1:
-        scales = np.exp(np.linspace(0.0, np.log(_CONDITION_SCALE), d))
-    else:
-        scales = np.array([1.0])
-    return X * scales
+        X *= np.exp(np.linspace(0.0, np.log(_CONDITION_SCALE), d))
+    return X
 
 
 def gen_logistic(n: int, d: int, seed: int) -> Dataset:

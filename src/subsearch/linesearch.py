@@ -3,16 +3,17 @@
 These operate on 1-d callbacks so callers decide whether evaluations are
 margin-space (free) or full-space (counted).
 
-Both inner searches, the Wolfe search here and `subsolver.solve`, stop at
+Every inner search, the two here and `subsolver.solve`, stops at
 the rounding floor: once neither the decrease a step predicts nor the change
 it makes is larger than a few ulps of |f| (`rounding_floor`), no step can
 change f and further trials only shuffle rounding noise.  This is the
 rounding-aware stop of Hager and Zhang's approximate Wolfe conditions (SIAM
 J. Optim. 2005).  Each search records why it ended in a `reason` shared by
-`WolfeResult` and `subsolver.SubSolveResult`:
+`WolfeResult`, `backtrack_half` and `subsolver.SubSolveResult`:
 
   "converged"       the search's own test holds (both Wolfe conditions;
-                    the subsolver's gradient tolerance)
+                    the Armijo test of the 1/L search; the subsolver's
+                    gradient tolerance)
   "rounding_floor"  no step can change f beyond rounding
   "max_iters"       the evaluation or iteration budget ran out
   "backtrack_fail"  no backtracked trial was accepted (subsolver)
@@ -176,26 +177,34 @@ MAX_L = 1e30
 
 def backtrack_half(value_at: Callable[[float], float],
                    f0: float, grad_sq: float,
-                   L: float) -> tuple[float, float, int]:
+                   L: float) -> tuple[float, float, int, Reason]:
     """Double L until f(w - (1/L) grad) <= f0 - (1/(2L)) ||grad||^2.
 
     value_at(L) must return the objective at the step with constant 1/L,
     and the search starts from the estimate `L` > 0.  Returns (L, accepted
-    value, number of doublings).  The accepted L is the one whose trial
-    evaluation satisfied the inequality directly.
+    value, number of doublings, reason).  With reason "converged" the
+    accepted L is the one whose trial evaluation satisfied the inequality
+    directly.  A rejected trial whose predicted decrease ||grad||^2 / L and
+    observed change |f - f0| are both within `rounding_floor(f0)` ends the
+    search with reason "rounding_floor": no step can change f beyond
+    rounding, so it returns the given L and f0, and the caller takes the
+    zero step.  A trial that stays non-finite or above the floor until L
+    passes MAX_L raises LineSearchError.
     """
     if grad_sq <= 0:
         raise LineSearchError("backtrack_half needs a nonzero gradient")
-    doublings = 0
+    floor = rounding_floor(f0)
+    L0, doublings = L, 0
     while True:
         f_trial = value_at(L)
         if np.isfinite(f_trial) and f_trial <= f0 - grad_sq / (2.0 * L):
-            break
+            return L, f_trial, doublings, "converged"
+        if grad_sq / L <= floor and abs(f_trial - f0) <= floor:
+            return L0, f0, doublings, "rounding_floor"
         L *= 2.0
         doublings += 1
         if L > MAX_L:
             raise LineSearchError(f"curvature estimate exceeded {MAX_L:g}")
-    return L, f_trial, doublings
 
 
 def fista_momentum(t: float) -> tuple[float, float]:

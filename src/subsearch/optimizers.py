@@ -310,12 +310,10 @@ def _backtrack(state, base, f0, grad, grad_image):
 
     The test is sigma = 1/2 and L persists across steps in state.L.  The
     first trial's image comes from the tracked one; each later trial
-    takes its own, one counted product per doubling.
+    takes its own, one counted product per doubling.  Where the search
+    stops at the rounding floor, the zero step from `base` is committed
+    (flag `rounding_floor`) and L is kept, as it is for a zero gradient.
     """
-    gsq = state.dot(grad, grad)
-    if gsq == 0:
-        state.advance([b.copy() for b in base], f0, grad, grad_image)
-        return StepRecord(f0, alpha1=0.0)
     trial = []
 
     def value_at(L):
@@ -324,9 +322,16 @@ def _backtrack(state, base, f0, grad, grad_image):
         trial[:] = [*params, image]
         return state.value(trial)
 
-    state.L, f_t, doublings = backtrack_half(value_at, f0, gsq, state.L)
-    state.advance(trial, f_t, grad, grad_image)
-    return StepRecord(f_t, alpha1=1.0 / state.L, inner_iters=doublings)
+    gsq = state.dot(grad, grad)
+    doublings, reason = 0, None
+    if gsq:
+        state.L, f_t, doublings, reason = backtrack_half(value_at, f0, gsq,
+                                                         state.L)
+    if reason == "converged":
+        state.advance(trial, f_t, grad, grad_image)
+        return StepRecord(f_t, alpha1=1.0 / state.L, inner_iters=doublings)
+    state.advance([b.copy() for b in base], f0, grad, grad_image)
+    return StepRecord(f0, alpha1=0.0, inner_iters=doublings, flag=reason)
 
 
 def apply_rule(state, rule, dirs, slots, grad, grad_image, flag=None,

@@ -434,3 +434,61 @@ def test_uniforms_match_scalar_loop_at_block_edges():
                 assert out.shape == (n,) and out.dtype == np.float64
                 assert np.array_equal(out, _scalar_uniforms(slow, n))
                 assert type(fast[0]) is int and fast[0] == slow[0]
+
+
+def _reference_normals(state, n):
+    """Box-Muller as one expression per array: the generator's formula
+    with a fresh array for every intermediate."""
+    m = (n + 1) // 2
+    u1 = data._uniforms(state, m)
+    u2 = data._uniforms(state, m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2 * math.pi * u2),
+                           r * np.sin(2 * math.pi * u2)])[:n]
+
+
+def test_in_place_normals_match_the_reference_formula():
+    b = data._BLOCK
+    for seed in (0, 1, -3, 2**70 + 3):
+        fast, slow = data._seed_state(seed), data._seed_state(seed)
+        for n in (0, 1, 2, 3, b - 1, b, b + 1, 2 * b + 1):
+            z = data._normals(fast, n)     # one state, carried across calls
+            assert z.shape == (n,) and z.dtype == np.float64
+            assert z.tobytes() == _reference_normals(slow, n).tobytes()
+            assert fast == slow
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (7, 3), (33, 5)])
+def test_features_match_the_reference_formula_at_odd_sizes(n, d):
+    fast, slow = data._seed_state(5), data._seed_state(5)
+    X = data._gen_features(n, d, fast)
+    scales = (np.exp(np.linspace(0.0, np.log(data._CONDITION_SCALE), d))
+              if d > 1 else np.array([1.0]))
+    ref = _reference_normals(slow, n * d).reshape(n, d) * scales
+    assert X.shape == (n, d) and X.tobytes() == ref.tobytes()
+    assert fast == slow
+
+
+def test_generated_arrays_share_no_memory():
+    state = data._seed_state(0)
+    a, b = data._normals(state, 5), data._normals(state, 5)
+    assert not np.shares_memory(a, b)
+    a, b = (data._gen_features(7, 3, data._seed_state(0)) for _ in range(2))
+    assert not np.shares_memory(a, b)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gen", [gen_logistic, gen_quadratic])
+def test_generator_peak_memory_stays_near_the_features(gen):
+    """Box-Muller writes its two halves into one output array and the
+    features are scaled in place: the traced peak stays within 2.25x the
+    bytes of X (it was 3.5x with a fresh array per intermediate)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        X = gen(2000, 200, 1).X.payload
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * X.nbytes

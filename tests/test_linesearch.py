@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from subsearch.linesearch import (LineSearchError, backtrack_half,
-                                  fista_momentum, strong_wolfe)
+                                  fista_momentum, rounding_floor,
+                                  strong_wolfe)
 
 
 def wolfe_holds(phi, dphi, res, c1=1e-4, c2=0.9):
@@ -67,7 +68,8 @@ def test_backtrack_half_doubles_until_sufficient_decrease():
         w = 1.0 - grad / L
         return 0.5 * L_true * w * w
 
-    L, f, doublings = backtrack_half(value_at, f0, grad * grad, 1.0)
+    L, f, doublings, reason = backtrack_half(value_at, f0, grad * grad, 1.0)
+    assert reason == "converged"
     assert f <= f0 - grad * grad / (2 * L)
     assert L == 2.0 ** doublings >= L_true / 2
     assert doublings >= 1
@@ -76,6 +78,39 @@ def test_backtrack_half_doubles_until_sufficient_decrease():
 def test_backtrack_half_rejects_zero_gradient():
     with pytest.raises(LineSearchError):
         backtrack_half(lambda L: 0.0, 1.0, 0.0, 1.0)
+
+
+def test_backtrack_half_stops_at_the_rounding_floor():
+    # f has stalled at 800 and the gradient is rounding-sized: every trial
+    # reads f0 give or take one ulp, so the Armijo test passes only where
+    # rounding happens to favour it
+    f0, ulp = 800.0, np.spacing(800.0)
+    grad_sq = 1e-3 * rounding_floor(f0)
+    trials = []
+
+    def stalled(L):
+        trials.append(L)
+        return f0 + ulp
+
+    assert backtrack_half(stalled, f0, grad_sq, 4.0) == (
+        4.0, f0, 0, "rounding_floor")
+    assert trials == [4.0]
+
+    # a predicted decrease above the floor keeps doubling until it is not,
+    # and returns the given L, not the doubled one
+    trials.clear()
+    L, f, doublings, reason = backtrack_half(stalled, f0,
+                                             4.0 * rounding_floor(f0), 1.0)
+    assert (L, f, reason) == (1.0, f0, "rounding_floor")
+    assert doublings == 2 and trials == [1.0, 2.0, 4.0]
+
+    # a trial that clears the Armijo test is still taken, floor or not
+    assert backtrack_half(lambda L: f0 - ulp, f0, grad_sq, 4.0) == (
+        4.0, f0 - ulp, 0, "converged")
+
+    # a trial that never turns finite still exhausts the curvature cap
+    with pytest.raises(LineSearchError, match="curvature estimate"):
+        backtrack_half(lambda L: float("inf"), f0, grad_sq, 4.0)
 
 
 def test_fista_schedule_matches_reference():

@@ -102,6 +102,23 @@ def test_rank2_converges_toward_inverse_covariance():
     assert recs[-1].f >= fstar - 1e-10
 
 
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "rank-1's power-iteration proposal falls into a 2-cycle of nearly "
+    "orthogonal directions with step sizes near 0, and f stalls far above "
+    "the optimum"))
+def test_rank1_reaches_the_closed_form_optimum():
+    # after 200 steps f is 67.917 against f* = 27.348 (1.48 relative); at
+    # 200x20 (seeds 1-4, 500 steps) f - f* stays 3.97-4.50 times f*, while
+    # rank-1 steps along the top eigenvector of S - V^-1 reach f* in 20
+    from subsearch.data import gen_logistic
+
+    X = gen_logistic(60, 8, 1).X.dense()
+    S = X.T @ X / 60 + np.eye(8)
+    fstar = 8 + ld.chol_logdet(S)       # at V = S^-1
+    _, recs = ld.run(S, 1, 200)
+    assert abs(recs[-1].f - fstar) <= 1e-6 * abs(fstar)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_rank2_on_nearly_collinear_proposals_stays_exact(monkeypatch, seed):
     """On these covariances the proposal v = S u - V^{-1}u becomes nearly

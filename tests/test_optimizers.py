@@ -84,6 +84,21 @@ def test_one_over_l_steps_spend_two_products_plus_their_doublings(model,
     assert any(r.inner_iters for r in recs)
 
 
+def test_one_over_l_stops_at_the_rounding_floor_instead_of_failing():
+    # from step 14 on f is stuck and the Armijo test passes only by
+    # rounding; the doubling search used to run L past its 1e30 cap at
+    # step 24 and fail the run
+    obj = LcpObjective("least_squares", gen_quadratic(5, 1, seed=1), 0.0)
+    state, recs = run("gd(1/l)", obj, 30)
+    assert len(recs) == 15              # the second zero step is a fixed point
+    assert all(r.flag is None and r.alpha1 > 0 for r in recs[:13])
+    assert [(r.flag, r.alpha1) for r in recs[13:]] == [
+        ("rounding_floor", 0.0)] * 2
+    assert recs[12].f == recs[13].f == recs[14].f == state.f
+    assert [r.products for r in recs] == [2 + r.inner_iters for r in recs]
+    assert audit_margin(state) <= 1e-8
+
+
 def test_margin_drift_stays_small(logistic_obj):
     state, _ = run("gd+m(so)", logistic_obj, 200)
     assert audit_margin(state) <= 1e-10

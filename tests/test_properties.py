@@ -103,7 +103,8 @@ def _every_case(test):
        seed=st.integers(0, 10 ** 6), lam=st.booleans(),
        sparse=st.booleans(), quadratic=st.booleans())
 @_every_case
-# the 1/L search passes its curvature cap at step 24, in the loop and in run
+# the 1/L search reaches the rounding floor at step 14, and run stops at
+# its fixed point one step later while the loop repeats that zero step
 @example(case=("lsq", "gd(1/l)"), n=5, d=1, hidden=1, seed=1, lam=False,
          sparse=False, quadratic=False)
 def test_a_run_stops_only_where_every_later_step_repeats_its_last(

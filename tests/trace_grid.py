@@ -17,7 +17,9 @@ is known.  logistic, lsq and net2 also get `<model>__ref_csr__lam<λ>.txt`,
 the same reference read through `data=` from a libsvm file of the same
 generator's dataset (written with `write_libsvm`), so their references run
 on a CSR payload.  `--compare` lists the files that differ, each CSV with the
-largest relative difference of f, whether `products_cum` and `inner_iters`
+largest relative difference of f and of every other numeric column that
+moved (subopt, gnorm and the step sizes alpha1 to delta; a blank cell
+against a number reads inf), whether `products_cum` and `inner_iters`
 match row for row and each grid's total inner iterations (A -> B), any
 other file with its first differing line, and the files that exist in one
 grid only, as `only in A` or `only in B`; it exits 1 if there are any.  A
@@ -28,6 +30,7 @@ bitwise fixed point on one side: it is listed as `fixed-point prefix
 collecting this file.
 """
 
+import math
 import re
 import sys
 import tempfile
@@ -126,18 +129,32 @@ def compare(a: Path, b: Path) -> list[str]:
                     and (a / name).read_bytes() == (b / name).read_bytes())]
 
 
+# the columns whose largest relative difference `--compare` reports
+NUMERIC = ("f", "subopt", "gnorm", "alpha1", "beta1", "alpha2", "beta2",
+           "gamma", "delta")
+
+
 def _columns(path: Path):
-    """The f, products_cum and inner_iters columns of a grid CSV, or None
-    when the file holds no trace."""
+    """A grid CSV's cells by column name, or None when the file holds no
+    trace."""
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
-    names = ("f", "products_cum", "inner_iters")
-    if not set(names) <= set(header):
+    if not {*NUMERIC, "products_cum", "inner_iters"} <= set(header):
         return None
     rows = [line.split(",") for line in lines[1:]]
-    f, cum, inner = (header.index(name) for name in names)
-    return ([float(r[f]) for r in rows], [r[cum] for r in rows],
-            [int(r[inner]) for r in rows])
+    return {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+
+def _rel(x: str, y: str) -> float:
+    """The relative difference of two cells; a blank or non-finite cell
+    against a different one is inf."""
+    if x == y:
+        return 0.0
+    if not (x and y):
+        return math.inf
+    x, y = float(x), float(y)
+    rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
+    return rel if math.isfinite(rel) else math.inf
 
 
 def _first_difference(a: Path, b: Path) -> str:
@@ -170,10 +187,10 @@ def _fixed_point_prefix(a: Path, b: Path) -> bool:
 def describe(a: Path, b: Path) -> str:
     """How two differing grid files differ: which grid alone holds the
     file; for a CSV that stopped at its fixed point on one side, the row
-    counts (A -> B); for any other CSV, the largest relative f difference,
-    whether products_cum and inner_iters match on every row, and each
-    side's total inner iterations; for any other file, its first differing
-    line."""
+    counts (A -> B); for any other CSV, the largest relative difference of
+    f and of every other NUMERIC column that moved, whether products_cum
+    and inner_iters match on every row, and each side's total inner
+    iterations; for any other file, its first differing line."""
     if not (a.is_file() and b.is_file()):
         return "only in " + ("A" if a.is_file() else "B")
     if a.suffix != ".csv":
@@ -182,18 +199,22 @@ def describe(a: Path, b: Path) -> str:
     if ca is None or cb is None:
         return "no trace in " + " and ".join(
             str(p.parent) for p, c in ((a, ca), (b, cb)) if c is None)
-    (fa, pa, ia), (fb, pb, ib) = ca, cb
+    rows_a, rows_b = len(ca["f"]), len(cb["f"])
     if _fixed_point_prefix(a, b):
-        return f"fixed-point prefix ({len(fa)} -> {len(fb)} rows)"
-    rel = max((abs(x - y) / max(abs(x), abs(y), 1e-300)
-               for x, y in zip(fa, fb)), default=0.0)
-    rows = "" if len(fa) == len(fb) else f", {len(fa)} vs {len(fb)} rows"
+        return f"fixed-point prefix ({rows_a} -> {rows_b} rows)"
+    moved = [(name, max(map(_rel, ca[name], cb[name]), default=0.0))
+             for name in NUMERIC]
+    diffs = ", ".join(f"{name} {rel:.3g}" for name, rel in moved
+                      if name == "f" or rel)
+    rows = "" if rows_a == rows_b else f", {rows_a} vs {rows_b} rows"
 
-    def same(x, y):
-        return "matches" if x == y else "differs"
+    def same(name):
+        return "matches" if ca[name] == cb[name] else "differs"
 
-    return (f"max rel f diff {rel:.3g}, products_cum {same(pa, pb)}, "
-            f"inner_iters {same(ia, ib)} ({sum(ia)} -> {sum(ib)}){rows}")
+    inner_a, inner_b = (sum(map(int, c["inner_iters"])) for c in (ca, cb))
+    return (f"max rel diff {diffs}, products_cum {same('products_cum')}, "
+            f"inner_iters {same('inner_iters')} ({inner_a} -> {inner_b})"
+            f"{rows}")
 
 
 def main(argv):
