@@ -51,6 +51,106 @@ _PARSE_LINES = 256
 # every byte but the space and the colon, which separate and split tokens
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
+# the bytes of canonical input: all that write_libsvm emits, read by the
+# array route; any other byte sends the whole input to the string route
+_CANONICAL = b"0123456789+-.eE: \n"
+# bytes per block of the array route (each block ends at a newline): enough
+# that a block's numpy calls cost little next to its casts, few enough that
+# its arrays stay small next to the CSR
+_BLOCK_BYTES = 1 << 17
+# the longest index read by digit arithmetic (10^18 < 2^63) and the widest
+# numeric field cast; longer ones take the string route
+_MAX_DIGITS = 18
+_MAX_FIELD = 32
+
+
+def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
+    """A canonical block's labels, features per row, 0-based indices and
+    values, or None when a byte is not canonical, a field is too long for
+    the array route, or any line is malformed.
+
+    Token edges, lines and colons are found by array operations on the
+    bytes, indices are read by digit arithmetic, and labels and values are
+    converted by one fixed-width bytes-to-float64 cast, which reads what
+    float() reads, to the same bits.
+    """
+    if block.translate(None, _CANONICAL):
+        return None
+    # zero bytes (separators) around the block, so that the _MAX_DIGITS bytes
+    # before any colon and the _MAX_FIELD bytes from any token start lie in
+    # the buffer
+    buf = np.zeros(_MAX_DIGITS + len(block) + _MAX_FIELD, np.uint8)
+    buf[_MAX_DIGITS:_MAX_DIGITS + len(block)] = np.frombuffer(block, np.uint8)
+    in_token = buf > 32                     # not a space, newline or pad
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # a line's first token is its label, each later one a feature
+    line = np.searchsorted(np.flatnonzero(buf == 10), starts)
+    is_label = np.ones(starts.size, bool)
+    np.not_equal(line[1:], line[:-1], out=is_label[1:])
+    feat = np.flatnonzero(~is_label)
+    # as many colons as features, and only digits from the k-th feature
+    # token's start to the k-th colon, which so lies in that token: one colon
+    # per feature, none in a label (an index of no digits reads 0, which the
+    # order check refuses)
+    colons = np.flatnonzero(buf == 58)
+    if colons.size != feat.size:
+        return None
+    width = colons - starts[feat]
+    if np.any(width > _MAX_DIGITS):
+        return None
+    # the indices, a digit place at a time from the widest: k bytes before
+    # each colon, where a byte before the index counts as 0
+    idx = np.zeros(feat.size, np.int64)
+    for k in range(int(width.max(initial=0)), 0, -1):
+        digit = buf[colons - k] - 48        # any other byte wraps to >= 10
+        digit *= k <= width
+        if not np.all(digit < 10):
+            return None
+        idx *= 10
+        idx += digit
+    # each numeric field (a label, or a value after its colon), padded with
+    # zero bytes to the widest, read by one cast, which refuses an empty one
+    first = starts.copy()
+    first[feat] = colons + 1
+    size = ends - first
+    w = int(size.max(initial=1))
+    if w > _MAX_FIELD:
+        return None
+    fields = np.lib.stride_tricks.sliding_window_view(buf, w)[first]
+    fields *= np.arange(w) < size[:, None]
+    try:
+        nums = fields.view(f"S{w}").ravel().astype(np.float64)
+    except ValueError:
+        return None
+    # each token's index, 0 for a label: every feature's must exceed the
+    # token's before it
+    order = np.zeros(starts.size, np.int64)
+    order[feat] = idx
+    if not (np.all((order[1:] > order[:-1]) | is_label[1:])
+            and np.all(np.isfinite(nums))):
+        return None
+    cnt = np.diff(np.flatnonzero(is_label), append=starts.size) - 1
+    idx -= 1
+    return nums[is_label], cnt, idx, nums[feat]
+
+
+def _array_blocks(text: str | bytes):
+    """The array route: each block's parts from _array_block, cut at
+    newlines every _BLOCK_BYTES; text that is not ASCII yields None."""
+    as_str = isinstance(text, str)
+    if as_str and not text.isascii():
+        yield None
+        return
+    newline = "\n" if as_str else b"\n"
+    start = 0
+    while start < len(text):
+        # through the first newline at or past the block size, or to the end
+        stop = text.find(newline, start + _BLOCK_BYTES - 1) + 1 or len(text)
+        block = text[start:stop]
+        yield _array_block(block.encode("ascii") if as_str else block)
+        start = stop
+
 
 def _check_lines(lines: list[str], lineno: int) -> None:
     """Raise the ParseError of the first malformed line in `lines`, whose
@@ -126,21 +226,11 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
     return lab, cnt, idx, val
 
 
-def parse_libsvm(text: str | bytes) -> Dataset:
-    """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
-
-    Labels and values must be finite.  The feature dimension is the maximum
-    index seen.  When exactly two distinct label values occur they are
-    mapped to {-1,+1} (smaller -> -1).  Bytes are decoded as UTF-8.
-
-    Lines are read in blocks of _PARSE_LINES.  Each block's labels, indices
-    and values are converted by one call per field and checked as arrays,
-    then appended to typed buffers of 8 bytes per entry, from which the CSR
-    is built with no COO step; so the parse holds the text's lines and those
-    buffers, not a Python object per token.  A block that fails a check is
-    walked line by line, which raises the first error as a ParseError with
-    its line number (invalid UTF-8 included).
-    """
+def _string_blocks(text: str | bytes):
+    """The string route: the parts of each block of _PARSE_LINES lines from
+    _parse_block.  A refused block is walked line by line, which raises its
+    first error as a ParseError with its line number (invalid UTF-8
+    included)."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -148,8 +238,6 @@ def parse_libsvm(text: str | bytes) -> Dataset:
             head = text[:e.start].decode("utf-8")
             raise ParseError(len((head + ".").splitlines()),
                              "not valid UTF-8") from None
-    # labels, features per row, indices, values
-    buffers = array("d"), array("q"), array("q"), array("d")
     lines = text.splitlines()
     for start in range(0, len(lines), _PARSE_LINES):
         block = lines[start:start + _PARSE_LINES]
@@ -157,9 +245,47 @@ def parse_libsvm(text: str | bytes) -> Dataset:
         if parts is None:
             _check_lines(block, start + 1)
             raise AssertionError("line check passed a refused block")
+        yield parts
+
+
+def _fill(blocks) -> tuple[array, ...] | None:
+    """Typed buffers of the labels, features per row, indices and values of
+    every block's parts, or None at the first refused block."""
+    buffers = array("d"), array("q"), array("q"), array("d")
+    for parts in blocks:
+        if parts is None:
+            return None
         for buf, part in zip(buffers, parts):
             buf.frombytes(part.tobytes())
-    del lines
+    return buffers
+
+
+def parse_libsvm(text: str | bytes) -> Dataset:
+    """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
+
+    Labels and values must be finite.  The feature dimension is the maximum
+    index seen.  When exactly two distinct label values occur they are
+    mapped to {-1,+1} (smaller -> -1).  Bytes are decoded as UTF-8.
+
+    Two routes read the text in blocks and append each block's labels,
+    indices and values, checked as arrays, to typed buffers of 8 bytes per
+    entry, from which the CSR is built with no COO step; so the parse holds
+    the text, one block's arrays and those buffers, not a Python object per
+    token.  The array route reads canonical text, whose bytes are all in
+    `0-9 + - . e E :`, space and newline (all that write_libsvm emits), in
+    blocks of about _BLOCK_BYTES: numpy finds the tokens, lines and colons,
+    indices of up to 18 digits are read by digit arithmetic, and labels and
+    values by one bytes-to-float64 cast per block.  Any other text (comments,
+    tabs, CRs, non-ASCII, signed, grouped or 19-digit indices, numbers over
+    _MAX_FIELD bytes, inf or nan), and any text with a block the array
+    route refuses, malformed lines included, is read whole by the string
+    route, in blocks of _PARSE_LINES lines converted by one call per field;
+    a block it refuses is walked line by line, which raises the first error
+    as a ParseError with its line number (invalid UTF-8 included).  Both
+    routes give the same bits.
+    """
+    # a refused array route yields None, and the string route reads it all
+    buffers = _fill(_array_blocks(text)) or _fill(_string_blocks(text))
     labels, counts, cols, vals = (np.frombuffer(buf, dtype=buf.typecode)
                                   for buf in buffers)
     n = labels.size

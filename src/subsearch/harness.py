@@ -166,6 +166,9 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
                 ds = parse_libsvm(fh.read())
         except OSError as e:
             raise ConfigError(f"cannot read {cfg.data}: {e}")
+        if ds.d == 0:                   # labels only: as --d 0 would be
+            raise ConfigError(f"d must be >= 1; {cfg.data} has no feature "
+                              f"columns")
     elif cfg.kind == "logistic":
         ds = gen_logistic(cfg.n, cfg.d, cfg.seed)
     elif cfg.kind == "quadratic":

@@ -121,6 +121,24 @@ def test_invalid_utf8_data_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
 
 
+def test_a_data_file_without_feature_columns_is_usage_error(tmp_path,
+                                                            capsys):
+    """A labels-only file has d = 0, which every model refuses as --d 0:
+    logdet's run used to fail at its first step, its ref printed f* = 0,
+    and the other models ran a zero-dimensional problem."""
+    labels = tmp_path / "labels.libsvm"
+    labels.write_text("1\n-1\n\n1\n")
+    out = tmp_path / "out.txt"
+    for model, method in (("logistic", "gd(lo)"), ("lsq", "gd(lo)"),
+                          ("net2", "gd(lo)"), ("logdet", "rank1")):
+        for command in ("run", "ref"):
+            assert main([command, "--data", str(labels), "--model", model,
+                         "--method", method, "--iters", "2",
+                         "--out", str(out)]) == 1, (command, model)
+            assert "d must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_json_config(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     out = tmp_path / "t.csv"

@@ -1,7 +1,9 @@
 """Dataset parsing, standardization, and synthetic generators."""
 
 import hashlib
+import itertools
 import math
+import re
 import warnings
 from array import array
 from unittest import mock
@@ -232,7 +234,8 @@ BAD_ROWS = [
     "1 3:1 3:2", "1 5:1 2:1", "1 -1:1", "1 9223372036854775808:1",
     "1 99999999999999999999:1", "1 -9223372036854775809:1", "1 1:nan",
     "1 2:inf", "1 1:-Infinity", "nan 1:1", "inf", "-inf 2:1", "x 1:1",
-    "1:1 2:1", "1 1:1e999", "1 2:1 1:x", "1 1:x 1:1"]
+    "1:1 2:1", "1 1:1e999", "1 2:1 1:x", "1 1:x 1:1",
+    "1 1:2\x00"]     # a NUL, which a NUL-padded fixed-width cast would drop
 
 
 @given(st.data())
@@ -255,6 +258,185 @@ def test_block_parse_raises_the_line_loops_errors(draw):
             _loop_parse(text)
         want = (str(e.value), e.value.lineno)
         assert _parse_each_block_size(text) == [want] * len(BLOCK_SIZES)
+
+
+def _canonical(text):
+    return not text.encode().translate(None, data._CANONICAL)
+
+
+# blocks of 1 and 16 bytes hold one line each, 64 bytes a few lines, and the
+# last is the route's own size
+ARRAY_BLOCK_SIZES = (1, 16, 64, data._BLOCK_BYTES)
+CANONICAL_BAD_ROWS = [row for row in BAD_ROWS if _canonical(row)] + [
+    "1 1:", "1 1:.", "1 1:1e", "1 2:1.2.3", "1 1:--1", "1e 1:1", "- 1:1",
+    "1 1:1 1:2", "1 1:1 2::1", "1 01:1 1:2", "1 1:1e999 2:1", "1 1:1 :",
+    "1 1:-1e400", "1 1234567890123456789:1 5:1"]
+
+
+def _string_route_refused():
+    return mock.patch.object(data, "_string_blocks",
+                             side_effect=AssertionError("string route"))
+
+
+def _parse_each_array_block_size(text, as_str=True):
+    """parse_libsvm of the text's bytes, and of the text unless `as_str` is
+    false, at every array block size: the Dataset, or the ParseError's
+    message and line number."""
+    out = []
+    for size in ARRAY_BLOCK_SIZES:
+        for given_text in (text, text.encode())[not as_str:]:
+            with mock.patch.object(data, "_BLOCK_BYTES", size):
+                try:
+                    out.append(parse_libsvm(given_text))
+                except ParseError as e:
+                    out.append((str(e), e.lineno))
+    return out
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_canonical_numbers = st.one_of(
+    _finite.map(repr), _finite.map("%.17g".__mod__),
+    st.sampled_from(["1", "-1", "+1", "0", "-0", "1e3", "2.5E-2", ".5", "5.",
+                     "1e-320", "+.5e+3", "007", "0." + "1" * 40]))
+# 1 to 19 digits, so past 2^63 - 1 too
+_canonical_index = st.integers(1, 19).flatmap(
+    lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
+_gaps = st.sampled_from([" ", " ", "  ", "   "])
+
+
+@st.composite
+def _canonical_row(draw):
+    idx = sorted(draw(st.sets(st.one_of(st.integers(1, 40), _canonical_index),
+                              max_size=6)))
+    tokens = [draw(_canonical_numbers)]
+    tokens += ["%d:%s" % (i, draw(_canonical_numbers)) for i in idx]
+    line = draw(st.sampled_from(["", " "]))
+    for tok in tokens:
+        line += tok + draw(_gaps)
+    return line.rstrip() if draw(st.booleans()) else line
+
+
+_canonical_line = st.one_of(_canonical_row(), _canonical_row(),
+                            st.sampled_from(["", " ", "   "]))
+
+
+def _beyond_array_route(text):
+    """A 19-digit index or a number wider than the array route casts."""
+    return (re.search(r"\d{19}:", text) is not None
+            or max(map(len, re.split("[ \n:]", text))) > data._MAX_FIELD)
+
+
+def _canonical_text(draw, lines):
+    return "\n".join(lines) + draw.draw(st.sampled_from(["", "\n"]))
+
+
+@given(st.data())
+def test_array_route_matches_line_loop_on_canonical_text(draw):
+    """Text of write_libsvm's bytes: %.17g and repr values, 1- to 19-digit
+    indices, label-only rows, extra spaces and blank lines, with rows across
+    block edges, as str and as bytes: the CSR's bytes and dtypes, y and
+    label kind equal the line loop's.  Text with no index above 18 digits
+    and no number above 32 bytes never enters the string route."""
+    text = _canonical_text(draw, draw.draw(st.lists(_canonical_line,
+                                                    max_size=12)))
+    assert _canonical(text)
+    try:
+        want = _loop_parse(text)
+    except ParseError as e:     # no rows, or an index above 2^63 - 1
+        assert _parse_each_array_block_size(text) == [
+            (str(e), e.lineno)] * 2 * len(ARRAY_BLOCK_SIZES)
+        return
+    if _beyond_array_route(text):
+        got = _parse_each_array_block_size(text)
+    else:
+        with _string_route_refused():
+            got = _parse_each_array_block_size(text)
+    for one in got:
+        _same_dataset(one, want)
+
+
+@given(st.data())
+def test_array_route_raises_the_line_loops_errors(draw):
+    """Every malformed row that keeps to write_libsvm's bytes (missing,
+    extra or misplaced colons, bad or zero or repeated or too-large indices,
+    empty, overflowing or unreadable numbers), placed anywhere in canonical
+    text: the first error's message and line number equal the line loop's,
+    at every array block size, from bytes (str takes the same route)."""
+    lines = draw.draw(st.lists(_canonical_line, max_size=8))
+    at = draw.draw(st.integers(0, len(lines)))
+    for bad in CANONICAL_BAD_ROWS:
+        text = _canonical_text(draw, lines[:at] + [bad] + lines[at:])
+        assert _canonical(text)
+        with pytest.raises(ParseError) as e:
+            _loop_parse(text)
+        want = (str(e.value), e.value.lineno)
+        assert _parse_each_array_block_size(text, as_str=False) == [
+            want] * len(ARRAY_BLOCK_SIZES)
+
+
+_FLOAT_BYTES = "0123456789+-.eE"
+
+
+def _cast_matches_float(strings):
+    """The array route's cast, a string NUL-padded to the widest field
+    read as float64, gives float()'s bits, and raises where float() does."""
+    for s in strings:
+        try:
+            want = np.float64(float(s)).tobytes()
+        except ValueError:
+            want = None
+        try:
+            got = np.array([s.encode()], f"S{data._MAX_FIELD}").astype(
+                np.float64).tobytes()
+        except ValueError:
+            got = None
+        assert got == want, s
+
+
+def test_fixed_width_cast_reads_what_float_reads_on_short_strings():
+    """Every string of up to 3 bytes from [0-9+-.eE], the empty one too."""
+    _cast_matches_float("".join(p) for k in range(4)
+                        for p in itertools.product(_FLOAT_BYTES, repeat=k))
+
+
+@given(st.lists(st.one_of(
+    st.text(_FLOAT_BYTES, max_size=data._MAX_FIELD),
+    _finite.map(repr), _finite.map("%.17g".__mod__),
+    st.sampled_from(["4.9406564584124654e-324", "2.4703282292062328e-324",
+                     "2.2250738585072011e-308", "1.7976931348623157e308",
+                     "1.7976931348623159e308", "1e999", "-1e-999", "0e0",
+                     "1e", "e1", "1.e5", "+.e1", "--1", "1e+-5", "9" * 32,
+                     "0." + "0" * 29 + "1"])), max_size=40))
+def test_fixed_width_cast_reads_what_float_reads(strings):
+    """Random strings from [0-9+-.eE], %.17g and repr of any finite float,
+    subnormals, rounding ties, overflow and near-misses of the grammar."""
+    _cast_matches_float(strings)
+
+
+def test_written_datasets_take_the_array_route():
+    """write_libsvm's text of a generated dataset and of a 10^4 x 10^3 CSR
+    with 5 nonzeros per row parses without entering the string route, so
+    a slip in the array route's grammar cannot quietly cost its speed."""
+    import scipy.sparse as sp
+    from subsearch.counted import CountedMatrix
+
+    rng = np.random.default_rng(0)
+    n, d, k = 10_000, 1_000, 5
+    cols = rng.integers(0, d // k, n)[:, None] + np.arange(0, d, d // k)
+    X = sp.csr_matrix((rng.standard_normal(n * k), cols.ravel(),
+                       np.arange(0, n * k + 1, k)), shape=(n, d))
+    sparse = Dataset(CountedMatrix(X), rng.choice([-1.0, 1.0], n), "binary")
+    for ds in (gen_logistic(200, 20, seed=1), sparse):
+        text = write_libsvm(ds)
+        with _string_route_refused():
+            got = [parse_libsvm(text), parse_libsvm(text.encode())]
+        Q = sp.csr_matrix(ds.X.payload)
+        for again in got:
+            P = again.X.payload
+            assert P.shape == Q.shape
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(P, field), getattr(Q, field))
+            assert again.y.tobytes() == ds.y.tobytes()
 
 
 @given(st.data())
