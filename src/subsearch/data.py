@@ -1,11 +1,16 @@
-"""Dataset parsing, standardization, and seeded synthetic generators."""
+"""Dataset parsing, standardization, and seeded synthetic generators.
+
+LIBSVM text is read by one of two routes.  The array route reads byte-clean
+text (what write_libsvm emits, CRLF line ends and tab separators included)
+with array operations over its bytes; the line route reads everything else
+one line at a time and reports every error with its line number.
+"""
 
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -45,34 +50,32 @@ def _map_binary(labels: np.ndarray) -> tuple[np.ndarray, str]:
 
 # the largest feature index the int64 index buffers hold
 _MAX_INDEX = 2 ** 63 - 1
-# lines per block: enough that a block's work runs in a few C-level calls,
-# few enough that its token strings stay small next to the CSR
-_PARSE_LINES = 256
-# every byte but the space and the colon, which separate and split tokens
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b" :")
 
-# the bytes of canonical input: all that write_libsvm emits, read by the
-# array route; any other byte sends the whole input to the string route
-_CANONICAL = b"0123456789+-.eE: \n"
+# the bytes of byte-clean input, read by the array route: all that
+# write_libsvm emits, tabs and CRs; any other byte sends the whole input to
+# the line route
+_CANONICAL = b"0123456789+-.eE: \t\r\n"
 # bytes per block of the array route (each block ends at a newline): enough
 # that a block's numpy calls cost little next to its casts, few enough that
 # its arrays stay small next to the CSR
 _BLOCK_BYTES = 1 << 17
 # the longest index read by digit arithmetic (10^18 < 2^63) and the widest
-# numeric field cast; longer ones take the string route
+# numeric field cast; longer ones take the line route
 _MAX_DIGITS = 18
 _MAX_FIELD = 32
 
 
 def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
-    """A canonical block's labels, features per row, 0-based indices and
-    values, or None when a byte is not canonical, a field is too long for
-    the array route, or any line is malformed.
+    """A byte-clean block's labels, features per row, 0-based indices and
+    values, or None when a byte is not in _CANONICAL, a CR ends a line
+    without a newline (str.splitlines breaks a line there), a field is too
+    long for the array route, or any line is malformed.
 
     Token edges, lines and colons are found by array operations on the
-    bytes, indices are read by digit arithmetic, and labels and values are
-    converted by one fixed-width bytes-to-float64 cast, which reads what
-    float() reads, to the same bits.
+    bytes (spaces, tabs and CRs all separate tokens), indices are read by
+    digit arithmetic, and labels and values are converted by one
+    fixed-width bytes-to-float64 cast, which reads what float() reads, to
+    the same bits.
     """
     if block.translate(None, _CANONICAL):
         return None
@@ -81,7 +84,10 @@ def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
     # the buffer
     buf = np.zeros(_MAX_DIGITS + len(block) + _MAX_FIELD, np.uint8)
     buf[_MAX_DIGITS:_MAX_DIGITS + len(block)] = np.frombuffer(block, np.uint8)
-    in_token = buf > 32                     # not a space, newline or pad
+    # str.splitlines breaks a line at a CR that no newline follows
+    if b"\r" in block and np.any(buf[np.flatnonzero(buf == 13) + 1] != 10):
+        return None
+    in_token = buf > 32             # not a space, tab, CR, newline or pad
     edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
     starts, ends = edges[0::2], edges[1::2]
     # a line's first token is its label, each later one a feature
@@ -152,10 +158,32 @@ def _array_blocks(text: str | bytes):
         start = stop
 
 
-def _check_lines(lines: list[str], lineno: int) -> None:
-    """Raise the ParseError of the first malformed line in `lines`, whose
-    first line is line `lineno` of the input."""
-    for lineno, line in enumerate(lines, start=lineno):
+def _fill(blocks) -> tuple[array, ...] | None:
+    """Typed buffers of the labels, features per row, indices and values of
+    every block's parts, or None at the first refused block."""
+    buffers = array("d"), array("q"), array("q"), array("d")
+    for parts in blocks:
+        if parts is None:
+            return None
+        for buf, part in zip(buffers, parts):
+            buf.frombytes(part.tobytes())
+    return buffers
+
+
+def _read_lines(text: str | bytes) -> tuple[array, ...]:
+    """The line route: the typed buffers of _fill, read one line of
+    str.splitlines at a time, or the first malformed line's ParseError with
+    its line number (invalid UTF-8 included)."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = text[:e.start].decode("utf-8")
+            raise ParseError(len((head + ".").splitlines()),
+                             "not valid UTF-8") from None
+    buffers = labels, counts, cols, vals = (array("d"), array("q"),
+                                            array("q"), array("d"))
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -180,83 +208,11 @@ def _check_lines(lines: list[str], lineno: int) -> None:
                 raise ParseError(lineno, f"feature index {idx} above 2^63 - 1")
             if not math.isfinite(val):
                 raise ParseError(lineno, f"value {val_s!r} is not finite")
+            cols.append(idx - 1)
+            vals.append(val)
             prev_idx = idx
-
-
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
-    """A block's labels, features per row, 0-based indices and values, or
-    None when any line in it is malformed.
-
-    Each field is converted by one map over the block's tokens, and every
-    check is an array operation.
-    """
-    if "#" in "".join(lines):
-        lines = [ln.split("#", 1)[0] for ln in lines]
-    rows = [t for t in map(str.split, lines) if t]
-    cnt = np.fromiter(map(len, rows), np.int64, len(rows))
-    cnt -= 1
-    n_feats = int(cnt.sum())
-    try:
-        lab = np.fromiter(map(float, [t[0] for t in rows]), np.float64,
-                          len(rows))
-    except ValueError:
-        return None
-    feats = " ".join(chain.from_iterable(t[1:] for t in rows))
-    del rows        # a block holds its tokens in one form at a time
-    # exactly one colon per feature token: the separators alternate
-    seps = feats.encode("utf-8", "surrogatepass").translate(
-        None, _NOT_SEPARATOR)
-    if seps != (b": " * n_feats)[:-1]:
-        return None
-    fields = feats.replace(":", " ").split(" ") if n_feats else []
-    del feats
-    try:
-        idx = np.fromiter(map(int, fields[0::2]), np.int64, n_feats)
-        val = np.fromiter(map(float, fields[1::2]), np.float64, n_feats)
-    except (ValueError, OverflowError):     # OverflowError: |idx| >= 2^63
-        return None
-    # each index must exceed the one before it in its row, or 0 at a row start
-    prev = np.empty_like(idx)
-    prev[1:] = idx[:-1]
-    prev[(np.cumsum(cnt) - cnt)[cnt > 0]] = 0
-    if not (np.all(idx > prev) and np.all(np.isfinite(lab))
-            and np.all(np.isfinite(val))):
-        return None
-    idx -= 1
-    return lab, cnt, idx, val
-
-
-def _string_blocks(text: str | bytes):
-    """The string route: the parts of each block of _PARSE_LINES lines from
-    _parse_block.  A refused block is walked line by line, which raises its
-    first error as a ParseError with its line number (invalid UTF-8
-    included)."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            head = text[:e.start].decode("utf-8")
-            raise ParseError(len((head + ".").splitlines()),
-                             "not valid UTF-8") from None
-    lines = text.splitlines()
-    for start in range(0, len(lines), _PARSE_LINES):
-        block = lines[start:start + _PARSE_LINES]
-        parts = _parse_block(block)
-        if parts is None:
-            _check_lines(block, start + 1)
-            raise AssertionError("line check passed a refused block")
-        yield parts
-
-
-def _fill(blocks) -> tuple[array, ...] | None:
-    """Typed buffers of the labels, features per row, indices and values of
-    every block's parts, or None at the first refused block."""
-    buffers = array("d"), array("q"), array("q"), array("d")
-    for parts in blocks:
-        if parts is None:
-            return None
-        for buf, part in zip(buffers, parts):
-            buf.frombytes(part.tobytes())
+        labels.append(label)
+        counts.append(len(tokens) - 1)
     return buffers
 
 
@@ -267,25 +223,19 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     index seen.  When exactly two distinct label values occur they are
     mapped to {-1,+1} (smaller -> -1).  Bytes are decoded as UTF-8.
 
-    Two routes read the text in blocks and append each block's labels,
-    indices and values, checked as arrays, to typed buffers of 8 bytes per
-    entry, from which the CSR is built with no COO step; so the parse holds
-    the text, one block's arrays and those buffers, not a Python object per
-    token.  The array route reads canonical text, whose bytes are all in
-    `0-9 + - . e E :`, space and newline (all that write_libsvm emits), in
-    blocks of about _BLOCK_BYTES: numpy finds the tokens, lines and colons,
-    indices of up to 18 digits are read by digit arithmetic, and labels and
-    values by one bytes-to-float64 cast per block.  Any other text (comments,
-    tabs, CRs, non-ASCII, signed, grouped or 19-digit indices, numbers over
-    _MAX_FIELD bytes, inf or nan), and any text with a block the array
-    route refuses, malformed lines included, is read whole by the string
-    route, in blocks of _PARSE_LINES lines converted by one call per field;
-    a block it refuses is walked line by line, which raises the first error
-    as a ParseError with its line number (invalid UTF-8 included).  Both
-    routes give the same bits.
+    Byte-clean text (bytes in _CANONICAL, every CR before a newline: what
+    write_libsvm emits, CRLF line ends and tab separators too) takes the
+    array route, a block of about _BLOCK_BYTES at a time.  Any other text
+    (comments, other line breaks, non-ASCII, signed, grouped or 19-digit
+    indices, numbers over _MAX_FIELD bytes, inf or nan), and any text with
+    a block the array route refuses, malformed lines included, is read whole
+    by the line route, which raises the first error as a ParseError with
+    its line number (invalid UTF-8 included).  Both routes append to typed
+    buffers of 8 bytes per entry, from which the CSR is built with no COO
+    step, and both give the same bits.
     """
-    # a refused array route yields None, and the string route reads it all
-    buffers = _fill(_array_blocks(text)) or _fill(_string_blocks(text))
+    # a refused array route yields None, and the line route reads it all
+    buffers = _fill(_array_blocks(text)) or _read_lines(text)
     labels, counts, cols, vals = (np.frombuffer(buf, dtype=buf.typecode)
                                   for buf in buffers)
     n = labels.size

@@ -390,12 +390,23 @@ MF_BUDGETS = {
 }
 
 
+def _step_inputs(state: MfState) -> tuple:
+    """Everything a simul or momentum-both-inexact step reads.  Those read
+    no step counter, unlike altmin's schedule and the momentum restart."""
+    return (state.U, state.W, state.M, state.U_prev, state.W_prev,
+            state.M_prev, state.f, state.alt_prev, state.last_theta)
+
+
 def run(scheme: str, X: np.ndarray, rank: int, iters: int, seed: int = 0,
         callback=None) -> tuple[MfState, list[StepRecord]]:
+    """Apply `scheme` for up to `iters` steps (see `optimizers.drive`);
+    simul and momentum-both-inexact stop at their bitwise fixed point."""
     if scheme not in MF_SCHEMES:
         raise KeyError(f"unknown scheme {scheme!r}")
     state = init_state(X, rank, seed)
+    inputs = ((lambda: _step_inputs(state))
+              if scheme in ("simul", "momentum-both-inexact") else None)
     return drive(scheme, MF_SCHEMES[scheme], state, iters,
                  state.counter.read,
                  lambda st: ("product", audit_product(st), 1e-8),
-                 50, callback)
+                 50, callback, inputs)

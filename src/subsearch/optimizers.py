@@ -594,7 +594,7 @@ def _same_bits(a, b) -> bool:
 
 
 def drive(name, step, state, iters, meter, audit, audit_cadence,
-          callback=None):
+          callback=None, inputs=None):
     """The step loop behind every model's `run`; returns (state, records).
 
     Each record gets the products `meter` counted during its step and the
@@ -604,12 +604,13 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
     A failing step is re-raised naming `name` and the iteration.
     `callback(k, state, record)` runs after each step.
 
-    `iters` is an upper bound.  A state that lists its `step_inputs` (every
-    `TrackedState`) ends the run at its bitwise fixed point: once a step
-    leaves them as it found them, every later step would repeat its record
-    and state bitwise, so that step is audited and its record is the last.
+    `iters` is an upper bound.  Where `inputs()` lists everything a step
+    reads (by default the state's `step_inputs`, which every `TrackedState`
+    has), the run ends at its bitwise fixed point: once a step leaves them
+    as it found them, every later step would repeat its record and state
+    bitwise, so that step is audited and its record is the last.
     """
-    inputs = getattr(state, "step_inputs", None)
+    inputs = inputs or getattr(state, "step_inputs", None)
     records = []
     for k in range(iters):
         start = inputs() if inputs else None

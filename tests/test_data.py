@@ -74,8 +74,8 @@ def test_round_trip():
 
 
 def _loop_parse(text):
-    """The per-line parse that the block parser replaced: the oracle for
-    its results and its errors."""
+    """An independent per-line parse, written apart from parse_libsvm's
+    routes: the oracle for their results and their errors."""
     import scipy.sparse as sp
     from subsearch.counted import CountedMatrix
 
@@ -142,22 +142,29 @@ def _loop_write(ds):
     return "\n".join(lines) + "\n"
 
 
-# blocks of 1, 2 and 3 lines put every line next to a block edge, and 256
-# is the parser's own size
-BLOCK_SIZES = (1, 2, 3, data._PARSE_LINES)
+# blocks of 1 and 16 bytes hold one line each, 64 bytes a few lines, and the
+# last is the route's own size
+ARRAY_BLOCK_SIZES = (1, 16, 64, data._BLOCK_BYTES)
 BIG_INDEX = 2 ** 63 - 1
 
 
-def _parse_each_block_size(text):
-    """parse_libsvm at every block size: the Dataset, or the ParseError's
+def _line_route_refused():
+    return mock.patch.object(data, "_read_lines",
+                             side_effect=AssertionError("line route"))
+
+
+def _parse_each_array_block_size(text, as_str=True):
+    """parse_libsvm of the text's bytes, and of the text unless `as_str` is
+    false, at every array block size: the Dataset, or the ParseError's
     message and line number."""
     out = []
-    for size in BLOCK_SIZES:
-        with mock.patch.object(data, "_PARSE_LINES", size):
-            try:
-                out.append(parse_libsvm(text))
-            except ParseError as e:
-                out.append((str(e), e.lineno))
+    for size in ARRAY_BLOCK_SIZES:
+        for given_text in (text, text.encode())[not as_str:]:
+            with mock.patch.object(data, "_BLOCK_BYTES", size):
+                try:
+                    out.append(parse_libsvm(given_text))
+                except ParseError as e:
+                    out.append((str(e), e.lineno))
     return out
 
 
@@ -216,16 +223,16 @@ def test_block_parse_matches_line_loop_on_valid_text(draw):
     """Blank and comment lines, every line ending splitlines knows, tabs,
     label-only rows, signs, exponents, digit groups and indices up to
     2^63 - 1: the CSR's bytes and dtypes, y and label kind all equal the
-    line loop's, at every block size."""
+    line loop's, at every array block size, as str and as bytes."""
     lines = draw.draw(st.lists(_line, max_size=12))
     text = _join(draw.draw, lines)
     try:
         want = _loop_parse(text)
     except ParseError as e:                     # no rows: empty input
-        assert _parse_each_block_size(text) == [
-            (str(e), e.lineno)] * len(BLOCK_SIZES)
+        assert _parse_each_array_block_size(text) == [
+            (str(e), e.lineno)] * 2 * len(ARRAY_BLOCK_SIZES)
         return
-    for got in _parse_each_block_size(text):
+    for got in _parse_each_array_block_size(text):
         _same_dataset(got, want)
 
 
@@ -235,15 +242,17 @@ BAD_ROWS = [
     "1 99999999999999999999:1", "1 -9223372036854775809:1", "1 1:nan",
     "1 2:inf", "1 1:-Infinity", "nan 1:1", "inf", "-inf 2:1", "x 1:1",
     "1:1 2:1", "1 1:1e999", "1 2:1 1:x", "1 1:x 1:1",
-    "1 1:2\x00"]     # a NUL, which a NUL-padded fixed-width cast would drop
+    "1 1:2\x00",     # a NUL, which a NUL-padded fixed-width cast would drop
+    "1\r1:1 2:1"]    # a lone CR, at which str.splitlines breaks the line
 
 
 @given(st.data())
 def test_block_parse_raises_the_line_loops_errors(draw):
     """Missing or extra colons, non-integer, zero, repeated or too-large
-    indices, non-finite labels and values, bad labels, each placed anywhere,
-    near block edges and in later blocks, some after another bad line: the
-    first error's message and line number equal the line loop's."""
+    indices, non-finite labels and values, bad labels, a lone CR, each
+    placed anywhere, near block edges and in later blocks, some after
+    another bad line: the first error's message and line number equal the
+    line loop's, at every array block size, as str and as bytes."""
     lines = draw.draw(st.lists(_line, max_size=10))
     at = draw.draw(st.integers(0, len(lines)))
     if draw.draw(st.booleans()):
@@ -257,40 +266,18 @@ def test_block_parse_raises_the_line_loops_errors(draw):
         with pytest.raises(ParseError) as e:
             _loop_parse(text)
         want = (str(e.value), e.value.lineno)
-        assert _parse_each_block_size(text) == [want] * len(BLOCK_SIZES)
+        assert _parse_each_array_block_size(text) == [
+            want] * 2 * len(ARRAY_BLOCK_SIZES)
 
 
 def _canonical(text):
     return not text.encode().translate(None, data._CANONICAL)
 
 
-# blocks of 1 and 16 bytes hold one line each, 64 bytes a few lines, and the
-# last is the route's own size
-ARRAY_BLOCK_SIZES = (1, 16, 64, data._BLOCK_BYTES)
 CANONICAL_BAD_ROWS = [row for row in BAD_ROWS if _canonical(row)] + [
     "1 1:", "1 1:.", "1 1:1e", "1 2:1.2.3", "1 1:--1", "1e 1:1", "- 1:1",
     "1 1:1 1:2", "1 1:1 2::1", "1 01:1 1:2", "1 1:1e999 2:1", "1 1:1 :",
     "1 1:-1e400", "1 1234567890123456789:1 5:1"]
-
-
-def _string_route_refused():
-    return mock.patch.object(data, "_string_blocks",
-                             side_effect=AssertionError("string route"))
-
-
-def _parse_each_array_block_size(text, as_str=True):
-    """parse_libsvm of the text's bytes, and of the text unless `as_str` is
-    false, at every array block size: the Dataset, or the ParseError's
-    message and line number."""
-    out = []
-    for size in ARRAY_BLOCK_SIZES:
-        for given_text in (text, text.encode())[not as_str:]:
-            with mock.patch.object(data, "_BLOCK_BYTES", size):
-                try:
-                    out.append(parse_libsvm(given_text))
-                except ParseError as e:
-                    out.append((str(e), e.lineno))
-    return out
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -301,7 +288,7 @@ _canonical_numbers = st.one_of(
 # 1 to 19 digits, so past 2^63 - 1 too
 _canonical_index = st.integers(1, 19).flatmap(
     lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
-_gaps = st.sampled_from([" ", " ", "  ", "   "])
+_gaps = st.sampled_from([" ", " ", "  ", "   ", "\t", " \t"])
 
 
 @st.composite
@@ -317,26 +304,27 @@ def _canonical_row(draw):
 
 
 _canonical_line = st.one_of(_canonical_row(), _canonical_row(),
-                            st.sampled_from(["", " ", "   "]))
+                            st.sampled_from(["", " ", "   ", "\t"]))
 
 
 def _beyond_array_route(text):
     """A 19-digit index or a number wider than the array route casts."""
     return (re.search(r"\d{19}:", text) is not None
-            or max(map(len, re.split("[ \n:]", text))) > data._MAX_FIELD)
+            or max(map(len, re.split("[ \t\r\n:]", text))) > data._MAX_FIELD)
 
 
 def _canonical_text(draw, lines):
-    return "\n".join(lines) + draw.draw(st.sampled_from(["", "\n"]))
+    end = draw.draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw.draw(st.sampled_from(["", end]))
 
 
 @given(st.data())
 def test_array_route_matches_line_loop_on_canonical_text(draw):
-    """Text of write_libsvm's bytes: %.17g and repr values, 1- to 19-digit
-    indices, label-only rows, extra spaces and blank lines, with rows across
-    block edges, as str and as bytes: the CSR's bytes and dtypes, y and
+    """Text of write_libsvm's bytes, tabs and CRLF line ends: %.17g and repr
+    values, 1- to 19-digit indices, label-only rows, extra spaces and tabs
+    and blank lines, with rows across block edges, as str and as bytes: the CSR's bytes and dtypes, y and
     label kind equal the line loop's.  Text with no index above 18 digits
-    and no number above 32 bytes never enters the string route."""
+    and no number above 32 bytes never enters the line route."""
     text = _canonical_text(draw, draw.draw(st.lists(_canonical_line,
                                                     max_size=12)))
     assert _canonical(text)
@@ -349,7 +337,7 @@ def test_array_route_matches_line_loop_on_canonical_text(draw):
     if _beyond_array_route(text):
         got = _parse_each_array_block_size(text)
     else:
-        with _string_route_refused():
+        with _line_route_refused():
             got = _parse_each_array_block_size(text)
     for one in got:
         _same_dataset(one, want)
@@ -359,9 +347,10 @@ def test_array_route_matches_line_loop_on_canonical_text(draw):
 def test_array_route_raises_the_line_loops_errors(draw):
     """Every malformed row that keeps to write_libsvm's bytes (missing,
     extra or misplaced colons, bad or zero or repeated or too-large indices,
-    empty, overflowing or unreadable numbers), placed anywhere in canonical
-    text: the first error's message and line number equal the line loop's,
-    at every array block size, from bytes (str takes the same route)."""
+    empty, overflowing or unreadable numbers, a lone CR), placed anywhere in
+    canonical text: the first error's message and line number equal the
+    line loop's, at every array block size, from bytes (str takes the same
+    route)."""
     lines = draw.draw(st.lists(_canonical_line, max_size=8))
     at = draw.draw(st.integers(0, len(lines)))
     for bad in CANONICAL_BAD_ROWS:
@@ -415,8 +404,12 @@ def test_fixed_width_cast_reads_what_float_reads(strings):
 
 def test_written_datasets_take_the_array_route():
     """write_libsvm's text of a generated dataset and of a 10^4 x 10^3 CSR
-    with 5 nonzeros per row parses without entering the string route, so
-    a slip in the array route's grammar cannot quietly cost its speed."""
+    with 5 nonzeros per row parses without entering the line route, so a
+    slip in the array route's grammar cannot quietly cost its speed; so
+    does that text with CRLF line ends or with tab separators, to the line
+    loop's bits.  With a lone CR, VT, FF or FS line break instead, each of
+    which str.splitlines breaks a line at, it takes the line route, to the
+    line loop's bits too."""
     import scipy.sparse as sp
     from subsearch.counted import CountedMatrix
 
@@ -428,7 +421,7 @@ def test_written_datasets_take_the_array_route():
     sparse = Dataset(CountedMatrix(X), rng.choice([-1.0, 1.0], n), "binary")
     for ds in (gen_logistic(200, 20, seed=1), sparse):
         text = write_libsvm(ds)
-        with _string_route_refused():
+        with _line_route_refused():
             got = [parse_libsvm(text), parse_libsvm(text.encode())]
         Q = sp.csr_matrix(ds.X.payload)
         for again in got:
@@ -437,6 +430,21 @@ def test_written_datasets_take_the_array_route():
             for field in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(P, field), getattr(Q, field))
             assert again.y.tobytes() == ds.y.tobytes()
+        for form in (text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            want = _loop_parse(form)
+            with _line_route_refused():
+                for given_text in (form, form.encode()):
+                    _same_dataset(parse_libsvm(given_text), want)
+
+    text = write_libsvm(gen_logistic(200, 20, seed=1))
+    for brk in ("\r", "\x0b", "\x0c", "\x1c"):
+        form = text.replace("\n", brk)
+        want = _loop_parse(form)
+        with mock.patch.object(data, "_read_lines",
+                               wraps=data._read_lines) as line_route:
+            for given_text in (form, form.encode()):
+                _same_dataset(parse_libsvm(given_text), want)
+        assert line_route.call_count == 2, repr(brk)
 
 
 @given(st.data())

@@ -1,12 +1,14 @@
 """Matrix factorization schemes: expansion oracles, budgets, drift."""
 
+import dataclasses
+import struct
 from functools import partial
 
 import numpy as np
 import pytest
 
 from subsearch import matfact as mf
-from subsearch.data import _normals, _seed_state
+from subsearch.data import _normals, _seed_state, gen_logistic
 
 
 def make_X(n=20, d=12, seed=5):
@@ -115,6 +117,51 @@ def test_budgets_exact():
             if scheme in ("momentum-u", "momentum-both") and k % 10 == 0:
                 expected += 1
             assert r.products == expected, (scheme, k, r.products)
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return value
+
+
+def _record_bits(rec):
+    return _bits(tuple(getattr(rec, f.name) for f in dataclasses.fields(rec)
+                       if f.name != "elapsed_s"))
+
+
+# simul and the inexact scheme read no step counter, so they stop at their
+# bitwise fixed point; altmin's schedule and the exact momentum restart read
+# it, so those runs take every step
+@pytest.mark.parametrize("scheme, kept", [
+    ("altmin", 300), ("simul", 273), ("momentum-u", 300),
+    ("momentum-both", 300), ("momentum-both-inexact", 226)])
+def test_counter_free_schemes_stop_at_their_fixed_point(scheme, kept):
+    """`run` against a plain loop of the step function over all 300 steps:
+    its records are a bitwise prefix of the loop's, every dropped record
+    repeats the last kept one, and the final states hold the same bits
+    apart from the step counter."""
+    X = gen_logistic(80, 50, 3).X.dense()
+    loop_state = mf.init_state(X, 4, seed=3)
+    full = []
+    for _ in range(300):
+        before = loop_state.counter.read()
+        rec = mf.MF_SCHEMES[scheme](loop_state)
+        rec.products = loop_state.counter.read() - before
+        full.append(rec)
+
+    state, recs = mf.run(scheme, X, 4, 300, seed=3)
+    assert len(recs) == kept
+    assert list(map(_record_bits, recs)) == list(map(_record_bits,
+                                                     full[:kept]))
+    assert all(_record_bits(r) == _record_bits(recs[-1])
+               for r in full[kept:])
+    assert (_bits(mf._step_inputs(state))
+            == _bits(mf._step_inputs(loop_state)))
 
 
 def test_monotone(state):
