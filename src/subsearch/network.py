@@ -60,10 +60,13 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     Candidate values and gradients cost O(nrp) (plus O(drp) for the weight
     decay term), and the exact p x p Hessian O(nrp^2); all are analytic
     through tanh and use no counted products.  One trial point builds its
-    combined blocks, one tanh of the n x r pre-activations and the residual
-    once, shared by the value and the gradient at that theta (and so by the
-    Wolfe search's phi and dphi at one step size); the Hessian forms its own
-    image.  With u = tanh(M_c) v_c - y
+    combined blocks, one tanh H of the n x r pre-activations and the
+    residual u once, shared by the value, the gradient and the Hessian at
+    that theta (and so by the Wolfe search's phi and dphi at one step size).
+    The gradient and the Hessian share H' = 1 - H^2 and the block adjoints
+    gM = 2u o H' o v_c, gv = H^T 2u + lambda v_c and gW = lambda W_c, formed
+    once per trial point, so each direction's derivative is one dot product
+    per block it carries.  With u = tanh(M_c) v_c - y
     and a_j = du/dtheta_j = (H' o dM_j) v_c + H dv_j, where H = tanh(M_c),
     the Hessian is
 
@@ -93,6 +96,19 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
 
     at = memo_last(point)
 
+    def adjoints(theta):
+        # u2 = 2u, H' and the block adjoints gM, gv, gW of the docstring
+        W_c, v_c, H, resid = at(theta)
+        u2 = 2.0 * resid
+        Hp = 1.0 - H * H
+        gM = u2[:, None] * (Hp * v_c)
+        gv = H.T @ u2
+        if lam > 0:
+            gv += lam * v_c
+        return u2, Hp, gM, gv, (lam * W_c if lam > 0 else None)
+
+    adj = memo_last(adjoints)
+
     def value(theta):
         W_c, v_c, _, resid = at(theta)
         val = float(resid @ resid)
@@ -101,22 +117,15 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
         return val
 
     def grad(theta):
-        W_c, v_c, H, resid = at(theta)
-        gg = 2.0 * resid
-        Hp = 1.0 - H * H
-        out = np.empty(p)
+        _, _, gM, gv, gW = adj(theta)
+        out = np.zeros(p)
         for j, (dW, dv, dM) in enumerate(dirs):
-            t = 0.0
             if dM is not None:
-                t += float(gg @ ((Hp * dM) @ v_c))
+                out[j] += np.vdot(gM, dM)
             if dv is not None:
-                t += float(gg @ (H @ dv))
-            if lam > 0:
-                if dW is not None:
-                    t += lam * float(np.sum(W_c * dW))
-                if dv is not None:
-                    t += lam * float(v_c @ dv)
-            out[j] = t
+                out[j] += gv @ dv
+            if gW is not None and dW is not None:
+                out[j] += np.vdot(gW, dW)
         return out
 
     stacks = None
@@ -142,18 +151,17 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
         if stacks is None:
             stacks = direction_stacks()
         DM, DV, K = stacks
-        M_c = M + np.tensordot(theta, DM, 1)
-        v_c = v + theta @ DV
-        H = np.tanh(M_c)
-        Hp = 1.0 - H * H
-        u = H @ v_c - y
-        A = (Hp * DM) @ v_c + DV @ H.T              # rows a_j, (p, n)
+        _, v_c, H, _ = at(theta)
+        u2, Hp, gM, _, _ = adj(theta)
+        DMHp = DM * Hp
+        A = DMHp @ v_c + DV @ H.T                   # rows a_j, (p, n)
         # u.da_j/dtheta_k = sum_il u_i H''_il dM_j,il dM_k,il v_l + B_jk + B_kj
-        # with H'' = -2 H H' and B_jk = sum_il u_i H'_il dM_j,il dv_k,l
-        P = (u[:, None] * (-2.0 * H * Hp) * v_c).ravel()
+        # with H'' = -2 H H' and B_jk = sum_il u_i H'_il dM_j,il dv_k,l;
+        # 2 u_i H''_il v_l = -2 H_il gM_il and 2B = (u2^T (DM o H')) DV^T
         DMf = DM.reshape(p, n * r)
-        B = (DM * (u[:, None] * Hp)).sum(axis=1) @ DV.T
-        out = 2.0 * (A @ A.T + (DMf * P) @ DMf.T + B + B.T) + K
+        B2 = (u2 @ DMHp) @ DV.T
+        out = (2.0 * (A @ A.T) + (DMf * (-2.0 * H * gM).ravel()) @ DMf.T
+               + B2 + B2.T + K)
         return 0.5 * (out + out.T)
 
     return SubProblem(p, value, grad, hess)

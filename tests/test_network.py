@@ -8,7 +8,7 @@ from subsearch.network import (NET_LO_SO_METHODS, NET_METHODS,
                                NET_MONOTONE_METHODS, NetObjective, NetState,
                                audit_activations, backward, init_params,
                                init_state, run, subspace_restrict)
-from subsearch.optimizers import apply_rule, momentum_dir
+from subsearch.optimizers import _apply, apply_rule, momentum_dir
 
 
 @pytest.fixture(scope="module")
@@ -168,28 +168,82 @@ def test_restriction_matches_full_objective(obj):
             1.0, np.linalg.norm(g_fd))
 
 
-@pytest.mark.parametrize("reg", [False, True])
-def test_restriction_hessian_matches_finite_differences(obj, obj_reg, reg):
-    # the gd+m(so+sb) layout: per-layer gradient and momentum directions,
-    # with None in the slots a direction does not touch
-    o = obj_reg if reg else obj
+def _layout(kind, rng, Xd, r):
+    """Random directions in one of the restriction's layouts: "sb" (two
+    first-layer slots, then two second-layer slots), "full" (dW, dv, dM)
+    triples, a non-contiguous "mix", and "zero", which holds an all-None and
+    an all-zero direction among nonzero ones."""
+    d = Xd.shape[1]
+
+    def first():
+        dW = rng.standard_normal((d, r))
+        return (dW, None, Xd @ dW)
+
+    def second():
+        return (None, rng.standard_normal(r), None)
+
+    def full():
+        dW = rng.standard_normal((d, r))
+        return (dW, rng.standard_normal(r), Xd @ dW)
+
+    if kind == "sb":
+        return [first(), first(), second(), second()]
+    if kind == "full":
+        return [full(), full(), full()]
+    if kind == "mix":
+        return [second(), full(), first(), second(), first()]
+    zero = (np.zeros((d, r)), np.zeros(r), np.zeros((Xd.shape[0], r)))
+    return [full(), (None, None, None), first(), zero, second()]
+
+
+@pytest.mark.parametrize("kind", ["sb", "full", "mix", "zero"])
+@pytest.mark.parametrize("hidden", [1, 4])
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_restriction_derivatives_match_finite_differences(kind, hidden,
+                                                          lam_scale):
+    # grad against central differences of value, hess against central
+    # differences of grad
+    ds = gen_quadratic(40, 6, seed=3)
+    o = NetObjective(ds, hidden=hidden, l2_lambda=lam_scale / ds.n)
     Xd = o.X.dense()
     rng = np.random.default_rng(11)
-    W = rng.standard_normal((6, 4)) * 0.3
-    v = rng.standard_normal(4) * 0.3
-    dW1, dW2 = rng.standard_normal((2, 6, 4))
-    dv1, dv2 = rng.standard_normal((2, 4))
-    dirs = [(dW1, None, Xd @ dW1), (dW2, None, Xd @ dW2),
-            (None, dv1, None), (None, dv2, None)]
+    W = rng.standard_normal((6, hidden)) * 0.3
+    v = rng.standard_normal(hidden) * 0.3
+    dirs = _layout(kind, rng, Xd, hidden)
+    p = len(dirs)
     sp = subspace_restrict(o, W, v, Xd @ W, dirs)
     h = 1e-6
     for _ in range(3):
-        theta = rng.standard_normal(4) * 0.3
+        theta = rng.standard_normal(p) * 0.3
+        g = sp.grad(theta)
+        g_fd = np.array([(sp.value(theta + h * e) - sp.value(theta - h * e))
+                         / (2 * h) for e in np.eye(p)])
+        assert np.max(np.abs(g - g_fd)) < 1e-5 * max(1.0, np.max(np.abs(g)))
         H = sp.hess(theta)
         H_fd = np.array([(sp.grad(theta + h * e) - sp.grad(theta - h * e))
-                         / (2 * h) for e in np.eye(4)])
-        assert np.allclose(H, H.T)
+                         / (2 * h) for e in np.eye(p)])
+        assert np.array_equal(H, H.T)
         assert np.max(np.abs(H - H_fd)) < 1e-5 * max(1.0, np.max(np.abs(H)))
+        if kind == "zero":
+            assert not g[[1, 3]].any() and not H[[1, 3]].any()
+
+
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_restriction_value_is_the_committed_value(lam_scale):
+    # an SO step records f at _apply(blocks, dirs, theta); the restriction's
+    # trial value must be that f bit for bit
+    ds = gen_quadratic(40, 6, seed=3)
+    o = NetObjective(ds, hidden=3, l2_lambda=lam_scale / ds.n)
+    rng = np.random.default_rng(5)
+    state = init_state(o, params=(rng.standard_normal((6, 3)) * 0.3,
+                                  rng.standard_normal(3) * 0.3))
+    for kind in ("sb", "full", "mix", "zero"):
+        dirs = _layout(kind, rng, o.X.dense(), 3)
+        sp = subspace_restrict(o, state.W, state.v, state.M, dirs)
+        thetas = [rng.standard_normal(len(dirs)) * 0.3 for _ in range(3)]
+        for theta in [*thetas, state.subspace_solve(dirs, None).theta]:
+            assert (sp.value(theta)
+                    == state.value(_apply(state.blocks, dirs, theta))), kind
 
 
 def test_so_sb_subsolves_take_few_newton_iterations(obj_reg):

@@ -260,7 +260,7 @@ def test_one_tanh_per_net_trial_point(monkeypatch):
     sp = _restrictions("net2", 1.0)()
     seen = _spy(monkeypatch, "tanh")
     theta = np.array([0.3, -0.2])
-    sp.value(theta), sp.grad(theta), sp.value(theta)
+    sp.value(theta), sp.grad(theta), sp.hess(theta), sp.value(theta)
     assert seen == [30 * 3]
 
 
