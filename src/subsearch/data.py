@@ -56,13 +56,126 @@ _MAX_INDEX = 2 ** 63 - 1
 # the line route
 _CANONICAL = b"0123456789+-.eE: \t\r\n"
 # bytes per block of the array route (each block ends at a newline): enough
-# that a block's numpy calls cost little next to its casts, few enough that
-# its arrays stay small next to the CSR
+# that a block's numpy calls cost little next to its number reading, few
+# enough that its arrays stay small next to the CSR
 _BLOCK_BYTES = 1 << 17
 # the longest index read by digit arithmetic (10^18 < 2^63) and the widest
 # numeric field cast; longer ones take the line route
 _MAX_DIGITS = 18
 _MAX_FIELD = 32
+
+# the widest number _decimals reads, 3 groups of 8 bytes as its merges
+# assume: more than the 23 bytes of %.17g's widest fixed-point form, and
+# fewer than 29, since 10^k is exact in a 64-bit significand for k <= 27
+_SPAN = 24
+_POW10 = np.cumprod(np.r_[1, np.full(_SPAN - 1, 10)].astype(np.longdouble))
+_POW10_INT = 10 ** np.arange(20, dtype=np.uint64)
+# rows of a _decimals window: bytes before a field's end, from _SPAN to 1
+_PLACES = np.arange(_SPAN, 0, -1, dtype=np.uint8)[:, None]
+_SIGNS = np.where(np.arange(256) == ord("-"), -1.0, 1.0)
+
+
+def _decimals(buf: np.ndarray, first: np.ndarray,
+              ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each field buf[first:ends] read as float64, and a mask of the fields
+    whose reading has float()'s bits; the others are left to _cast.
+
+    buf holds _SPAN bytes before every field.  A field is read when it is
+    an optional sign and then digits with at most one dot among them (1.,
+    .5 and -0 too), of at most _SPAN bytes and 19 significant digits
+    (leading zeros do not count): its digits, the dot skipped, make an
+    integer m < 10^19 < 2^64, and with k fraction digits q = m / 10^k is
+    one division of two exact longdouble operands, so q is the exact
+    decimal rounded once to 64 bits.  Rounding q to
+    float64 then rounds the decimal as float() does, unless q lies halfway
+    between two doubles (its low 11 significand bits read 0x400), where the
+    decimal may lie on either side: those fields are left to _cast too.
+    The sign is applied last, so -0 reads -0.0.
+    """
+    size = ends - first
+    n = size.size
+    # the last _SPAN bytes of each field, one row per place before its end
+    # (a field's bytes fill its last rows), zeroed outside the field
+    spans = np.ndarray((buf.size - _SPAN + 1,), f"S{_SPAN}", buf,
+                       strides=(1,))
+    w = spans[ends - _SPAN].view(np.uint8).reshape(n, _SPAN).T.copy()
+    mask = np.less_equal(_PLACES, np.minimum(size, _SPAN).astype(np.uint8)
+                         ).view(np.uint8)
+    w *= mask
+    w -= 48                     # digits read 0-9, a dot 254
+    np.equal(w, 254, out=mask.view(bool))
+    dots = mask.sum(axis=0, dtype=np.uint8)
+    mask *= _PLACES
+    k = mask.sum(axis=0, dtype=np.uint8) - dots   # places after the dot
+    np.less(w, 10, out=mask.view(bool))
+    low = mask[8:].sum(axis=0, dtype=np.uint8)    # digits in the last 16
+    digits = low + mask[:8].sum(axis=0, dtype=np.uint8)
+    w *= mask                   # a dot, sign or pad byte reads 0
+    mask *= 9                   # the tens of a row: 10 for a digit, else 1
+    mask += 1
+    # pairs of rows (a, b) merge into a * tens(b) + b with tens(a) * tens(b):
+    # 24 rows of digits to 12 of 2 (uint8), 6 of 4 (uint16), 3 of 8 (uint32)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        a = w[0::2].astype(dtype, copy=False)
+        a *= mask[1::2]
+        a += w[1::2]
+        tens = mask[0::2].astype(dtype, copy=False)
+        tens *= mask[1::2]
+        w, mask = a, tens
+    m = w[1].astype(np.uint64)
+    m *= mask[2]
+    m += w[2]                   # the last 16 rows' digits, below 10^16
+    sign = buf[first]
+    exact = ((size <= _SPAN) & (dots <= 1) & (digits > 0)
+             & (digits + dots + ((sign == 43) | (sign == 45)) == size)
+             & (w[0] < _POW10_INT[19 - low]))    # so m < 10^19
+    m += w[0] * _POW10_INT[low]
+    q = m.astype(np.longdouble)
+    q /= _POW10.take(k, mode="clip")    # two dots can make k any byte
+    exact &= (q.view(np.uint64)[0::2] & 0x7FF) != 0x400
+    nums = q.astype(np.float64)
+    nums *= _SIGNS[sign]
+    return nums, exact
+
+
+def _cast(buf: np.ndarray, first: np.ndarray,
+          ends: np.ndarray) -> np.ndarray | None:
+    """The fields buf[first:ends] read by one fixed-width bytes-to-float64
+    cast, which reads what float() reads, to the same bits, or None when a
+    field is wider than _MAX_FIELD or float() refuses one (an empty one
+    too).  buf holds _MAX_FIELD bytes after every field's start."""
+    size = ends - first
+    w = int(size.max(initial=1))
+    if w > _MAX_FIELD:
+        return None
+    # each field padded with zero bytes to the widest
+    fields = np.lib.stride_tricks.sliding_window_view(buf, w)[first]
+    fields *= np.arange(w) < size[:, None]
+    try:
+        return fields.view(f"S{w}").ravel().astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _extended_is_exact() -> bool:
+    """Whether this platform's longdouble carries the 64-bit significand
+    that _decimals needs, stored first in 16 bytes, checked on decimals
+    that round, a tie and a signed zero against float()."""
+    if (np.finfo(np.longdouble).nmant != 63
+            or np.dtype(np.longdouble).itemsize != 16):
+        return False
+    text = b" 0.1 -2.5 9007199254740993 0.30000000000000004 -0 .5 "
+    buf = np.zeros(_SPAN + len(text), np.uint8)
+    buf[_SPAN:] = np.frombuffer(text, np.uint8)
+    edges = np.flatnonzero(np.diff(buf > 32)) + 1
+    nums, exact = _decimals(buf, edges[0::2], edges[1::2])
+    want = np.array([float(s) for s in text.split()])
+    return (exact.tolist() == [True, True, False, True, True, True]
+            and nums[exact].tobytes() == want[exact].tobytes())
+
+
+# a platform fact: whether _decimals reads numbers, or _cast reads them all
+_EXTENDED = _extended_is_exact()
 
 
 def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
@@ -73,27 +186,30 @@ def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
 
     Token edges, lines and colons are found by array operations on the
     bytes (spaces, tabs and CRs all separate tokens), indices are read by
-    digit arithmetic, and labels and values are converted by one
-    fixed-width bytes-to-float64 cast, which reads what float() reads, to
-    the same bits.
+    digit arithmetic, and labels and values by _decimals, with _cast
+    reading the fields it leaves (exponent forms, ties, more than 19
+    significant digits or _SPAN bytes) and refusing the malformed ones;
+    both read what float() reads, to the same bits.
     """
     if block.translate(None, _CANONICAL):
         return None
-    # zero bytes (separators) around the block, so that the _MAX_DIGITS bytes
-    # before any colon and the _MAX_FIELD bytes from any token start lie in
-    # the buffer
-    buf = np.zeros(_MAX_DIGITS + len(block) + _MAX_FIELD, np.uint8)
-    buf[_MAX_DIGITS:_MAX_DIGITS + len(block)] = np.frombuffer(block, np.uint8)
+    # zero bytes (separators) around the block, so that the _SPAN bytes
+    # before any token end (_SPAN >= _MAX_DIGITS, so the digits before any
+    # colon too) and the _MAX_FIELD bytes from any token start lie in the
+    # buffer
+    buf = np.zeros(_SPAN + len(block) + _MAX_FIELD, np.uint8)
+    buf[_SPAN:_SPAN + len(block)] = np.frombuffer(block, np.uint8)
     # str.splitlines breaks a line at a CR that no newline follows
     if b"\r" in block and np.any(buf[np.flatnonzero(buf == 13) + 1] != 10):
         return None
-    in_token = buf > 32             # not a space, tab, CR, newline or pad
-    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    # edges of tokens: bytes above 32 (not a space, tab, CR, newline or pad)
+    edges = np.flatnonzero(np.diff(buf > 32)) + 1
     starts, ends = edges[0::2], edges[1::2]
     # a line's first token is its label, each later one a feature
     line = np.searchsorted(np.flatnonzero(buf == 10), starts)
     is_label = np.ones(starts.size, bool)
     np.not_equal(line[1:], line[:-1], out=is_label[1:])
+    del line                # dead arrays go early, to lower the peak
     feat = np.flatnonzero(~is_label)
     # as many colons as features, and only digits from the k-th feature
     # token's start to the k-th colon, which so lies in that token: one colon
@@ -115,20 +231,20 @@ def _array_block(block: bytes) -> tuple[np.ndarray, ...] | None:
             return None
         idx *= 10
         idx += digit
-    # each numeric field (a label, or a value after its colon), padded with
-    # zero bytes to the widest, read by one cast, which refuses an empty one
+    del width
+    # each numeric field: a label, or a value after its colon
     first = starts.copy()
     first[feat] = colons + 1
-    size = ends - first
-    w = int(size.max(initial=1))
-    if w > _MAX_FIELD:
+    del colons
+    if _EXTENDED:
+        nums, exact = _decimals(buf, first, ends)
+    else:
+        nums, exact = np.empty(first.size), np.zeros(first.size, bool)
+    rest = np.flatnonzero(~exact)
+    cast = _cast(buf, first[rest], ends[rest])
+    if cast is None:
         return None
-    fields = np.lib.stride_tricks.sliding_window_view(buf, w)[first]
-    fields *= np.arange(w) < size[:, None]
-    try:
-        nums = fields.view(f"S{w}").ravel().astype(np.float64)
-    except ValueError:
-        return None
+    nums[rest] = cast
     # each token's index, 0 for a label: every feature's must exceed the
     # token's before it
     order = np.zeros(starts.size, np.int64)
@@ -225,7 +341,10 @@ def parse_libsvm(text: str | bytes) -> Dataset:
 
     Byte-clean text (bytes in _CANONICAL, every CR before a newline: what
     write_libsvm emits, CRLF line ends and tab separators too) takes the
-    array route, a block of about _BLOCK_BYTES at a time.  Any other text
+    array route, a block of about _BLOCK_BYTES at a time: numbers of the
+    form [+-]digits[.digits] are read by digit arithmetic and one
+    extended-precision division where this platform's longdouble has a
+    64-bit significand, and the rest by a fixed-width cast.  Any other text
     (comments, other line breaks, non-ASCII, signed, grouped or 19-digit
     indices, numbers over _MAX_FIELD bytes, inf or nan), and any text with
     a block the array route refuses, malformed lines included, is read whole

@@ -98,7 +98,17 @@ def _newton_direction(H, g, tol):
     not move the objective.  When a flat mode carries more gradient than
     that, every mode is solved for, an exactly zero eigenvalue taking the
     flat threshold as its magnitude.  An exactly zero H gives -g.
+
+    The eigenvalues alone settle the common case: when the smallest clears
+    the flat threshold, H is positive definite with no flat mode, and one
+    LU solve gives the step; the eigenvectors are formed only otherwise.
     """
+    w = np.linalg.eigvalsh(H)
+    if w[0] > _FLAT_RCOND * max(-w[0], w[-1]):
+        try:
+            return np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:   # singular to LU: solve per mode
+            pass
     w, V = np.linalg.eigh(H)
     flat = _FLAT_RCOND * float(np.max(np.abs(w)))
     if flat == 0:

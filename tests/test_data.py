@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from array import array
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -402,14 +403,78 @@ def test_fixed_width_cast_reads_what_float_reads(strings):
     _cast_matches_float(strings)
 
 
-def test_written_datasets_take_the_array_route():
-    """write_libsvm's text of a generated dataset and of a 10^4 x 10^3 CSR
-    with 5 nonzeros per row parses without entering the line route, so a
-    slip in the array route's grammar cannot quietly cost its speed; so
-    does that text with CRLF line ends or with tab separators, to the line
-    loop's bits.  With a lone CR, VT, FF or FS line break instead, each of
-    which str.splitlines breaks a line at, it takes the line route, to the
-    line loop's bits too."""
+def _read_decimals(strings):
+    """_decimals over the strings laid out as _array_block lays out its
+    fields: _SPAN zero bytes before, one space between, _MAX_FIELD after."""
+    text = " ".join(strings).encode()
+    first = data._SPAN + np.cumsum([0] + [len(t) + 1 for t in strings[:-1]])
+    buf = np.zeros(data._SPAN + len(text) + data._MAX_FIELD, np.uint8)
+    buf[data._SPAN:data._SPAN + len(text)] = np.frombuffer(text, np.uint8)
+    return data._decimals(buf, first, first + list(map(len, strings)))
+
+
+def _decimal_reads(s):
+    """Whether _decimals reads s itself: an optional sign, then digits with
+    at most one dot among them, of at most _SPAN bytes and 19 significant
+    digits, whose value rounded to a 64-bit significand is not halfway
+    between two doubles (its low 11 bits 0x400)."""
+    m = re.fullmatch(r"[+-]?(\d*)(?:\.(\d*))?", s)
+    if not m or not (m[1] or m[2]) or len(s) > data._SPAN:
+        return False
+    if len((m[1] + (m[2] or "")).lstrip("0")) > 19:
+        return False
+    x = abs(Fraction(s))
+    if x == 0:
+        return True
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < Fraction(2) ** e:
+        e -= 1                              # so 2^e <= x < 2^(e + 1)
+    return round(x / Fraction(2) ** (e - 63)) & 0x7FF != 0x400
+
+
+@st.composite
+def _decimal(draw):
+    """[+-]digits[.digits] with leading and trailing zeros around 0 to 21
+    significant digits, the dot anywhere or nowhere, up to 26 bytes."""
+    sig = draw(st.sampled_from([0, 1, 2, 9, 15, 16, 17, 18, 19, 20, 21]))
+    digits = ("0" * draw(st.integers(0, 5))
+              + (str(draw(st.integers(10 ** (sig - 1), 10 ** sig - 1)))
+                 if sig else "")
+              + "0" * draw(st.integers(0, 5)))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    if dot is not None:
+        digits = digits[:dot] + "." + digits[dot:]
+    return (draw(st.sampled_from(["", "+", "-"])) + digits)[:26]
+
+
+# 2^53 + 1 and 2^54 + 2 lie halfway between two doubles; k = 27 and 28
+_DECIMAL_EDGES = [
+    "9007199254740993", "18014398509481986", "-9007199254740993.0",
+    "0", "-0", "+0", "-0.0", "-.0", "+.5", ".5", "-.5", "1.", "-1.",
+    "0." + "1" * 27, "0." + "1" * 28, "." + "9" * 27, "1" * 19, "1" * 20,
+    "0.00012345678901234567", "18446744073709551615", "9999999999999999999",
+    "", ".", "+", "-", "+.", "1.2.3", "1e5", "+-1", "1-", "--1", "1:2",
+    "0." + "0" * 21 + "1"]
+
+
+@pytest.mark.skipif(not data._EXTENDED, reason="no 64-bit longdouble")
+@given(st.lists(_decimal() | st.sampled_from(_DECIMAL_EDGES), min_size=1,
+                max_size=30))
+def test_decimals_read_what_float_reads_or_leave_it_to_the_cast(strings):
+    """Signed zeros, +.5 and 1., leading and trailing zeros, 19 to 21
+    significant digits, k = 27 and 28 fraction digits, ties, empty and
+    malformed fields: _decimals reads exactly the fields of its grammar
+    that are no 64-bit tie, each to float()'s bits, and leaves every other
+    one to the cast."""
+    nums, exact = _read_decimals(strings)
+    for s, num, read in zip(strings, nums, exact):
+        assert read == _decimal_reads(s), s
+        if read:
+            assert num.tobytes() == np.float64(float(s)).tobytes(), s
+
+
+def _written_datasets():
+    """A generated dataset and a 10^4 x 10^3 CSR with 5 nonzeros per row."""
     import scipy.sparse as sp
     from subsearch.counted import CountedMatrix
 
@@ -419,7 +484,20 @@ def test_written_datasets_take_the_array_route():
     X = sp.csr_matrix((rng.standard_normal(n * k), cols.ravel(),
                        np.arange(0, n * k + 1, k)), shape=(n, d))
     sparse = Dataset(CountedMatrix(X), rng.choice([-1.0, 1.0], n), "binary")
-    for ds in (gen_logistic(200, 20, seed=1), sparse):
+    return gen_logistic(200, 20, seed=1), sparse
+
+
+def test_written_datasets_take_the_array_route():
+    """write_libsvm's text of a generated dataset and of a 10^4 x 10^3 CSR
+    with 5 nonzeros per row parses without entering the line route, so a
+    slip in the array route's grammar cannot quietly cost its speed; so
+    does that text with CRLF line ends or with tab separators, to the line
+    loop's bits.  With a lone CR, VT, FF or FS line break instead, each of
+    which str.splitlines breaks a line at, it takes the line route, to the
+    line loop's bits too."""
+    import scipy.sparse as sp
+
+    for ds in _written_datasets():
         text = write_libsvm(ds)
         with _line_route_refused():
             got = [parse_libsvm(text), parse_libsvm(text.encode())]
@@ -445,6 +523,33 @@ def test_written_datasets_take_the_array_route():
             for given_text in (form, form.encode()):
                 _same_dataset(parse_libsvm(given_text), want)
         assert line_route.call_count == 2, repr(brk)
+
+
+def test_cast_alone_reads_the_written_datasets_to_the_same_bits():
+    """With _decimals switched off, as on a platform without a 64-bit
+    longdouble significand, the cast reads every field of both written
+    datasets, from str and bytes, to the bits _decimals gives."""
+    for ds in _written_datasets():
+        text = write_libsvm(ds)
+        want = parse_libsvm(text)
+        with mock.patch.object(data, "_EXTENDED", False), \
+                _line_route_refused():
+            for given_text in (text, text.encode()):
+                _same_dataset(parse_libsvm(given_text), want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="no 64-bit longdouble")
+def test_decimals_leave_few_written_fields_to_the_cast():
+    """Of the 6 x 10^4 labels and values of the written 10^4 x 10^3 CSR,
+    fewer than 1% reach the cast, so a slip in _decimals' grammar, or a
+    self-check that fails on a platform that has the significand, cannot
+    quietly cost the array route its speed."""
+    ds = _written_datasets()[1]
+    with mock.patch.object(data, "_cast", wraps=data._cast) as cast:
+        parse_libsvm(write_libsvm(ds))
+    cast_fields = sum(call.args[1].size for call in cast.call_args_list)
+    assert cast_fields < (ds.n + ds.X.payload.nnz) / 100
 
 
 @given(st.data())
@@ -490,7 +595,8 @@ def test_invalid_utf8_names_its_line(raw, lineno):
 def test_parse_peak_memory_stays_near_the_csr():
     """Parsing holds one 8-byte entry per nonzero and field, not one Python
     object: the traced peak stays within 6x the bytes of the CSR it builds
-    (it was 9.6x with lists)."""
+    (it was 9.6x with lists), from str and from bytes, the route a --data
+    file takes."""
     import tracemalloc
 
     import scipy.sparse as sp
@@ -499,14 +605,16 @@ def test_parse_peak_memory_stays_near_the_csr():
     X = sp.random(5000, 500, density=0.01, format="csr",
                   random_state=np.random.default_rng(0))
     text = write_libsvm(Dataset(CountedMatrix(X), np.ones(5000), "real"))
-    tracemalloc.start()
-    try:
-        P = parse_libsvm(text).X.payload
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (P != X).nnz == 0
-    assert peak <= 6 * (P.data.nbytes + P.indices.nbytes + P.indptr.nbytes)
+    for given_text in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            P = parse_libsvm(given_text).X.payload
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (P != X).nnz == 0
+        assert peak <= 6 * (P.data.nbytes + P.indices.nbytes
+                            + P.indptr.nbytes), type(given_text)
 
 
 def test_standardize_population_sd():
