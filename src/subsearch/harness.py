@@ -5,12 +5,13 @@ StepRecord per iteration.  Row k's gradient norm is the norm of the full
 gradient that the next step already took at row k's iterate
 (`StepRecord.gnorm` of record k+1), so it costs no product.  Rows whose
 step took no such gradient (nag(1/l), which takes it at its extrapolated
-point, and every matfact and logdet step) and the last row are audited
-instead.  LCP and network audits (and the network f0) use audit products
-on the data's own payload, so sparse inputs stay sparse, instrumentation
-never touches the per-iteration product budget, and its cost shows in the
-audit counter: one gnorm per LCP or network run, plus one per row for
-nag(1/l).  matfact and logdet work on a dense copy by design.
+point, matfact altmin, which takes one factor's gradient, and every logdet
+step) and the last row are audited instead.  LCP and network audits (and
+the network f0) use audit products on the data's own payload, so sparse
+inputs stay sparse, instrumentation never touches the per-iteration
+product budget, and its cost shows in the audit counter: one gnorm per LCP
+or network run, plus one per row for nag(1/l).  matfact and logdet work on
+a dense copy by design.
 
 Reference optima are closed forms for matfact and logdet; logistic, lsq
 and net2 take the best value of this module's own full-space
@@ -388,7 +389,7 @@ def _matfact_family(cfg: ExperimentConfig) -> _Family:
 
     def gnorm(U, W):
         G = _matfact.pca_grad(U @ W.T, X)
-        return float(np.sqrt(np.sum((G @ W) ** 2) + np.sum((G.T @ U) ** 2)))
+        return _matfact.grad_norm(G @ W, G.T @ U)
 
     def reference():
         # Eckart-Young: the best rank-r fit leaves the trailing spectrum

@@ -81,7 +81,7 @@ def init_state(S: np.ndarray, V0: np.ndarray | None = None) -> SpdState:
 
 def f_gauss(state: SpdState) -> float:
     """Tr(SV) - log|V| from the tracked log-determinant."""
-    return float(np.sum(state.S * state.V)) - state.logdet_V
+    return float((state.S * state.V).sum()) - state.logdet_V
 
 
 def audit_logdet(state: SpdState) -> float:

@@ -53,11 +53,18 @@ from .subsolver import SubProblem, solve
 
 def pca_value(M: np.ndarray, X: np.ndarray) -> float:
     r = M - X
-    return 0.5 * float(np.sum(r * r))
+    r *= r
+    return 0.5 * float(r.sum())
 
 
 def pca_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return M - X
+
+
+def grad_norm(Gu: np.ndarray, Gw: np.ndarray) -> float:
+    """The norm of the full gradient (G W, G^T U), from its two factor
+    gradients."""
+    return float(np.sqrt((Gu * Gu).sum() + (Gw * Gw).sum()))
 
 
 @dataclass
@@ -138,6 +145,13 @@ def _directions(state, slots):
     return anchors, [sign * anchors[f][i] for f, _, (i, sign) in slots]
 
 
+def _gnorm(slots, dirs):
+    """The full gradient's norm where the step moves both factors along
+    their gradients, from those directions (-G W and -G^T U); else None."""
+    grads = [D for (_, _, anchor), D in zip(slots, dirs) if anchor == GRAD]
+    return grad_norm(*grads) if len(grads) == 2 else None
+
+
 def _factor_step(state, slots, dirs, theta):
     """U and W moved by theta_s along each slot's direction; a factor that
     no slot moves by a nonzero step stays the same array."""
@@ -148,16 +162,16 @@ def _factor_step(state, slots, dirs, theta):
     return new["u"], new["w"]
 
 
-def _restriction(X, M, images, bilinear):
+def _restriction(X, M, S, pairs):
     """SO restriction of the PCA loss to the bilinear family
 
         M(theta) = M + sum_s theta_s I_s + sum_(s,t) theta_s theta_t B_st,
 
-    with `images` the I_s of the p step sizes and `bilinear` the triples
-    (s, t, B_st).  The loss is quadratic in M, so with R = M - X, the terms
-    T_k (the images, then the B_st) with coefficients c_k(theta),
-    b_k = <R, T_k> and the Gram matrix G_kl = <T_k, T_l>, formed once in
-    O(nd k^2),
+    with the k terms T_k as the rows of the k x nd stack `S`, which the
+    caller writes once: the images I_s of the p step sizes, then one B_st
+    for each index pair (s, t) of `pairs`.  The loss is quadratic in M, so
+    with R = M - X, the terms' coefficients c_k(theta), b_k = <R, T_k> and
+    the Gram matrix G_kl = <T_k, T_l>, formed once in O(nd k^2),
 
         f(theta)    = ||R||^2 / 2 + c.b + c^T G c / 2
         grad f      = J^T r,    r = b + G c
@@ -166,24 +180,23 @@ def _restriction(X, M, images, bilinear):
     where J = dc/dtheta has the unit row e_s for I_s and the row
     theta_t e_s + theta_s e_t for B_st.  A value costs O(k^2) scalar work,
     a gradient or Hessian O(p k^2), and none a counted product; only `m_at`
-    forms an n x d matrix.
+    forms an n x d matrix, from views of the stack's rows.
     """
-    p = len(images)
-    terms = images + [B for _, _, B in bilinear]
-    pairs = [(s, t) for s, t, _ in bilinear]
+    k, p = len(S), len(S) - len(pairs)
     R = M - X
-    S = np.array([T.ravel() for T in terms]).reshape(len(terms), R.size)
     b = S @ R.ravel()
     G = S @ S.T
-    f0 = 0.5 * float(np.sum(R * R))
+    R *= R
+    f0 = 0.5 * float(R.sum())
+    terms = [T.reshape(M.shape) for T in S]
 
     def coefs(theta):
         return np.concatenate([theta, [theta[s] * theta[t] for s, t in pairs]])
 
     def jac(theta):
-        J = np.eye(len(terms), p)
-        for k, (s, t) in enumerate(pairs, start=p):
-            J[k, s], J[k, t] = theta[t], theta[s]
+        J = np.eye(k, p)
+        for row, (s, t) in enumerate(pairs, start=p):
+            J[row, s], J[row, t] = theta[t], theta[s]
         return J
 
     def m_at(theta):
@@ -204,9 +217,9 @@ def _restriction(X, M, images, bilinear):
         J = jac(theta)
         H = J.T @ G @ J
         r = b + G @ coefs(theta)
-        for k, (s, t) in enumerate(pairs, start=p):
-            H[s, t] += r[k]
-            H[t, s] += r[k]
+        for row, (s, t) in enumerate(pairs, start=p):
+            H[s, t] += r[row]
+            H[t, s] += r[row]
         return H
 
     return SubProblem(p, value, grad, hess), m_at
@@ -223,7 +236,8 @@ def _expand(state, slots, free=None):
     direction is exactly zero (a momentum slot at the start and after a
     refresh restart) is left out of the subproblem, whose variables are the
     step sizes of the `live` slots; its products are still taken, so each
-    step of a scheme spends the same.
+    step of a scheme spends the same.  Each live image is written once,
+    times its sign, into its row of the restriction's stack.
     """
     anchors, dirs = _directions(state, slots)
     live = [k for k, D in enumerate(dirs) if np.any(D)]
@@ -240,10 +254,14 @@ def _expand(state, slots, free=None):
                        if (i, j) == (1, 1) else state.prod(u[i], w[j].T))
 
     pos = {k: n for n, k in enumerate(live)}
-    sp, m_at = _restriction(
-        state.X, state.M, [signs[k] * P[sides[k]] for k in live],
-        [(pos[s], pos[t], signs[s] * signs[t] * P[ij])
-         for (s, t), ij in bilinear.items() if s in pos and t in pos])
+    pairs = [(s, t) for s, t in bilinear if s in pos and t in pos]
+    terms = ([(signs[k], P[sides[k]]) for k in live]
+             + [(signs[s] * signs[t], P[bilinear[s, t]]) for s, t in pairs])
+    S = np.empty((len(terms), state.M.size))
+    for row, (sign, image) in zip(S, terms):
+        np.multiply(image.ravel(), sign, out=row)
+    sp, m_at = _restriction(state.X, state.M, S,
+                            [(pos[s], pos[t]) for s, t in pairs])
     return sp, m_at, live, dirs
 
 
@@ -284,6 +302,7 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     else:
         M_new, f_new = m_at(res.theta), res.value
     rec = StepRecord(f_new, inner_iters=res.inner_iters, flag=flag,
+                     gnorm=_gnorm(slots, dirs),
                      **{name: float(t)
                         for (_, name, _), t in zip(slots, theta)})
     return _commit(state, U_new, W_new, M_new, rec, restart)
@@ -369,6 +388,7 @@ def step_momentum_both_inexact(state: MfState,
             best = (f_c, c, U_c, W_c, M_c)
     f_new, theta, U_new, W_new, M_new = best
     rec = StepRecord(f_new, inner_iters=len(candidates),
+                     gnorm=_gnorm(MOMENTUM_BOTH, dirs),
                      **dict(zip(_FIELDS, theta)))
     return _commit(state, U_new, W_new, M_new, rec)
 

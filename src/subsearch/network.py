@@ -42,7 +42,7 @@ class NetObjective(DatasetView):
         resid = np.tanh(M) @ v - self.y
         val = float(resid @ resid)
         if self.l2_lambda > 0:
-            val += 0.5 * self.l2_lambda * (float(np.sum(W * W))
+            val += 0.5 * self.l2_lambda * (float((W * W).sum())
                                            + float(v @ v))
         return val
 
@@ -113,7 +113,7 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
         W_c, v_c, _, resid = at(theta)
         val = float(resid @ resid)
         if lam > 0:
-            val += 0.5 * lam * (float(np.sum(W_c * W_c)) + float(v_c @ v_c))
+            val += 0.5 * lam * (float((W_c * W_c).sum()) + float(v_c @ v_c))
         return val
 
     def grad(theta):
@@ -196,7 +196,7 @@ class NetState(TrackedState):
 
     @staticmethod
     def dot(a, b) -> float:
-        return float(np.sum(a[0] * b[0])) + float(a[1] @ b[1])
+        return float((a[0] * b[0]).sum()) + float(a[1] @ b[1])
 
     @staticmethod
     def per_layer(dirs, slots):
@@ -289,7 +289,7 @@ def step_cgm_sb(state, rule="so"):
     d1 = (-gW + eta1 * dW, None, -D + eta1 * dM)
     d2 = (None, -gv + eta2 * dv, None)
     flag = None
-    if float(np.sum(d1[0] * gW)) + float(d2[1] @ gv) >= 0:
+    if float((d1[0] * gW).sum()) + float(d2[1] @ gv) >= 0:
         eta1 = eta2 = 0.0
         d1, d2 = (-gW, None, -D), (None, -gv, None)
         flag = "momentum_reset"

@@ -86,7 +86,7 @@ class MarginLoss:
     @cached_property
     def value(self) -> float:
         if self.logistic:
-            return float(np.sum(_softplus(self.z, self.e)))
+            return float(_softplus(self.z, self.e).sum())
         return 0.5 * float(self.r @ self.r)
 
     @cached_property

@@ -91,7 +91,8 @@ class StepRecord:
     wolfe_verified: bool | None = None
     elapsed_s: float = 0.0
     # norm of the full gradient the step took at its starting iterate; None
-    # where the step took no gradient there (nag(1/l), matfact, logdet)
+    # where the step took no full gradient there (nag(1/l), matfact altmin,
+    # logdet)
     gnorm: float | None = None
 
 

@@ -389,6 +389,63 @@ def test_lcp_gnorms_come_from_the_steps_own_gradients(monkeypatch, model,
         assert audits == 1 + per_row + -(-iters // 100), method
 
 
+@pytest.mark.parametrize("iters", [0, 1, 30])
+def test_matfact_gnorms_come_from_the_steps(monkeypatch, iters):
+    """Every matfact row's gnorm is within 1e-10 gnorm0 of the old per-row
+    audit of its iterate, a fresh U W^T; momentum-both-inexact, whose M is
+    a fresh product, and altmin, whose rows are still that audit, match it
+    bitwise.  Every scheme but altmin records its step's gnorm, so the
+    family's audit runs once per run, for the last row."""
+    from subsearch import matfact as mf
+
+    run, build = mf.run, hz._FAMILIES["matfact"][0]
+
+    def audit(X, U, W):
+        G = mf.pca_grad(U @ W.T, X)
+        return float(np.sqrt(np.sum((G @ W) ** 2) + np.sum((G.T @ U) ** 2)))
+
+    def run_with_audits(scheme, X, rank, iters, seed=0, callback=None):
+        st0 = mf.init_state(X, rank, seed)
+        want.append(audit(X, st0.U, st0.W))
+
+        def audit_then_callback(k, state, rec):
+            assert (rec.gnorm is None) == (scheme == "altmin"), k
+            want.append(audit(X, state.U, state.W))
+            callback(k, state, rec)
+
+        return run(scheme, X, rank, iters, seed=seed,
+                   callback=audit_then_callback)
+
+    def build_with_spy(cfg):
+        family = build(cfg)
+        gnorm = family.gnorm
+
+        def spy(*iterate):
+            calls.append(iterate)
+            return gnorm(*iterate)
+
+        family.gnorm = spy
+        return family
+
+    monkeypatch.setattr(mf, "run", run_with_audits)
+    monkeypatch.setitem(hz._FAMILIES, "matfact",
+                        (build_with_spy, hz._FAMILIES["matfact"][1]))
+    for scheme in mf.MF_SCHEMES:
+        want, calls = [], []
+        cfg = hz.ExperimentConfig(model="matfact", method=scheme,
+                                  iters=iters, n=40, d=6, hidden=3, seed=1)
+        trace = hz.run_experiment(cfg)
+        got = [trace.gnorm0] + trace.gnorms
+        assert len(got) == len(want) == len(trace), scheme
+        if scheme in ("altmin", "momentum-both-inexact"):
+            assert got == want, scheme
+        else:
+            assert np.allclose(got, want, rtol=0.0, atol=1e-10 * want[0]), \
+                scheme
+        assert len(calls) == (len(trace.records) + 1 if scheme == "altmin"
+                              else 1), scheme
+
+
 def test_config_fields_are_type_checked():
     base = '{"model": "logistic", "method": "gd(lo)", "n": 20, "d": 3, '
     for fields in ('"iters": true', '"iters": 2, "lam": true',
