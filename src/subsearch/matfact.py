@@ -286,9 +286,14 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     and commit; a left-out slot records 0.  M comes from the expansion.
 
     With `refresh` (the exact momentum schemes), every `refresh_every`-th
-    step restarts momentum: M is formed as U W^T (one counted product) and
-    the step records its value, and `_commit` sets the previous factors to
-    the new ones, so the next step's momentum directions vanish.
+    step restarts momentum: M is formed as U W^T (one counted product), and
+    `_commit` sets the previous factors to the new ones, so the next step's
+    momentum directions vanish.
+
+    The step records the committed point's own value, f at its M, which
+    differs from the restriction's value at theta by rounding.  Where it
+    lies above the iterate's f, the zero step is committed instead (flag
+    `rounding_floor`), so the recorded f never rises.
     """
     sp, m_at, live, dirs = _expand(state, slots, free)
     res = solve(sp)
@@ -296,11 +301,12 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     theta[live] = res.theta
     U_new, W_new = _factor_step(state, slots, dirs, theta)
     restart = refresh and (state.k + 1) % state.refresh_every == 0
-    if restart:
-        M_new = state.prod(U_new, W_new.T)
-        f_new = pca_value(M_new, state.X)
-    else:
-        M_new, f_new = m_at(res.theta), res.value
+    M_new = state.prod(U_new, W_new.T) if restart else m_at(res.theta)
+    f_new = pca_value(M_new, state.X)
+    if f_new > state.f:
+        theta[:] = 0.0
+        U_new, W_new, M_new, f_new = state.U, state.W, state.M, state.f
+        flag = flag or "rounding_floor"
     rec = StepRecord(f_new, inner_iters=res.inner_iters, flag=flag,
                      gnorm=_gnorm(slots, dirs),
                      **{name: float(t)

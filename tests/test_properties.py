@@ -256,12 +256,15 @@ def test_matfact_schemes_spend_their_budget_and_never_rise(
     """The exact momentum schemes spend one more product on each refresh
     step, where they restart momentum and form U W^T.  Every step is
     checked: the tracked M stays within 1e-8 of U W^T (read directly, since
-    the 50-step audit lands on a refresh step, where M was just formed), and
-    the recorded f is the committed point's own value within
-    1e-12 max(1, |f|): a refresh step records the value of the U W^T it
-    forms, every other step the restriction's Gram-form value.  f may rise
-    by rounding within the same bound (a 1 x 1 altmin run records 0.0,
-    then 2.5e-32)."""
+    the 50-step audit lands on a refresh step, where M was just formed), the
+    recorded f is the committed tracked M's own value, bitwise, and f(U W^T)
+    differs from it by at most 1e-12 max(1, |f|) plus what that M's drift
+    D = M - U W^T accounts for, |U W^T - X| |D| + |D|^2 / 2.  That term is
+    rounding-sized on most steps; after an extreme step (simul on a 1 x 12
+    rank-1 problem, alpha2 = -4927) the factor step's rounding, times
+    |W| = 5e4, leaves D at 1.4e-11.  f never rises: where rounding puts the
+    committed point above the iterate's f, the step commits the zero
+    step."""
     X = (gen_quadratic if quadratic else gen_logistic)(n, d, seed).X.dense()
     rank = min(rank, n, d)
     f_prev = matfact.init_state(X, rank, seed).f
@@ -269,8 +272,11 @@ def test_matfact_schemes_spend_their_budget_and_never_rise(
     def check(k, state, rec):
         UW = state.U @ state.W.T
         assert relative_drift(state.M, UW) <= 1e-8, k
+        assert rec.f == matfact.pca_value(state.M, X), k
+        drift = np.linalg.norm(state.M - UW)
+        effect = np.linalg.norm(UW - X) * drift + 0.5 * drift * drift
         f_true = matfact.pca_value(UW, X)
-        assert abs(rec.f - f_true) <= 1e-12 * max(1.0, abs(rec.f)), k
+        assert abs(rec.f - f_true) <= 1e-12 * max(1.0, abs(rec.f)) + effect, k
 
     state, recs = matfact.run(scheme, X, rank, MF_ITERS, seed=seed,
                               callback=check)
@@ -278,6 +284,6 @@ def test_matfact_schemes_spend_their_budget_and_never_rise(
     for k, r in enumerate(recs, start=1):
         extra = refreshes and k % state.refresh_every == 0
         assert r.products == matfact.MF_BUDGETS[scheme] + extra, k
-        assert r.f <= f_prev + 1e-12 * max(1.0, abs(f_prev)), k
+        assert r.f <= f_prev, k
         f_prev = r.f
     assert matfact.audit_product(state) <= 1e-8
