@@ -182,7 +182,7 @@ def _restriction(X, M, S, pairs):
     a gradient or Hessian O(p k^2), and none a counted product; only `m_at`
     forms an n x d matrix, from views of the stack's rows.
     """
-    k, p = len(S), len(S) - len(pairs)
+    p = len(S) - len(pairs)
     R = M - X
     b = S @ R.ravel()
     G = S @ S.T
@@ -194,9 +194,9 @@ def _restriction(X, M, S, pairs):
         return np.concatenate([theta, [theta[s] * theta[t] for s, t in pairs]])
 
     def jac(theta):
-        J = np.eye(k, p)
-        for row, (s, t) in enumerate(pairs, start=p):
-            J[row, s], J[row, t] = theta[t], theta[s]
+        J = np.eye(len(S), p)
+        for k, (s, t) in enumerate(pairs, start=p):
+            J[k, s], J[k, t] = theta[t], theta[s]
         return J
 
     def m_at(theta):
@@ -217,9 +217,9 @@ def _restriction(X, M, S, pairs):
         J = jac(theta)
         H = J.T @ G @ J
         r = b + G @ coefs(theta)
-        for row, (s, t) in enumerate(pairs, start=p):
-            H[s, t] += r[row]
-            H[t, s] += r[row]
+        for k, (s, t) in enumerate(pairs, start=p):
+            H[s, t] += r[k]
+            H[t, s] += r[k]
         return H
 
     return SubProblem(p, value, grad, hess), m_at
