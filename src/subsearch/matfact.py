@@ -293,7 +293,13 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     The step records the committed point's own value, f at its M, which
     differs from the restriction's value at theta by rounding.  Where it
     lies above the iterate's f, the zero step is committed instead (flag
-    `rounding_floor`), so the recorded f never rises.
+    `rounding_floor`, in place of altmin's factor flag), so the recorded f
+    never rises.  A restart step's fresh U W^T is free of the drift that
+    the iterate's f, read at the tracked M, carries; where its value lies
+    above that f, the step is judged at the tracked point m_at(theta)
+    instead, and commits it if it lies no higher, so drift does not turn a
+    decrease into the zero step (that M then keeps its drift until the
+    next restart).
     """
     sp, m_at, live, dirs = _expand(state, slots, free)
     res = solve(sp)
@@ -303,10 +309,13 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     restart = refresh and (state.k + 1) % state.refresh_every == 0
     M_new = state.prod(U_new, W_new.T) if restart else m_at(res.theta)
     f_new = pca_value(M_new, state.X)
+    if restart and f_new > state.f:
+        M_new = m_at(res.theta)
+        f_new = pca_value(M_new, state.X)
     if f_new > state.f:
         theta[:] = 0.0
         U_new, W_new, M_new, f_new = state.U, state.W, state.M, state.f
-        flag = flag or "rounding_floor"
+        flag = "rounding_floor"
     rec = StepRecord(f_new, inner_iters=res.inner_iters, flag=flag,
                      gnorm=_gnorm(slots, dirs),
                      **{name: float(t)

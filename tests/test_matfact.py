@@ -223,6 +223,53 @@ def test_momentum_box_records_stay_true():
     assert not errors, errors[0]
 
 
+@pytest.mark.parametrize("steps_before", [0, 9])
+@pytest.mark.parametrize("scheme", SO_SCHEMES)
+def test_a_step_above_the_iterates_f_commits_the_zero_step(
+        monkeypatch, scheme, steps_before):
+    # every committed point reads above f, on a plain step and on the
+    # exact momentum schemes' restart step (the 10th), where the fresh
+    # U W^T and the tracked point are both judged
+    step, _ = SO_SCHEMES[scheme]
+    st = mf.init_state(make_X(), 3, 1)
+    for _ in range(steps_before):
+        step(st)
+    U, W, M, f = st.U, st.W, st.M.copy(), st.f
+    monkeypatch.setattr(mf, "pca_value", lambda M, X: np.inf)
+    rec = step(st)
+    assert (rec.flag, rec.f, st.f) == ("rounding_floor", f, f)
+    assert all(getattr(rec, name) in (None, 0.0) for name in mf._FIELDS)
+    assert st.U is U and st.W is W and np.array_equal(st.M, M)
+
+
+@pytest.mark.parametrize("scheme", ["momentum-u", "momentum-both"])
+def test_a_restart_step_keeps_a_decrease_that_drift_hides(scheme):
+    # the restart step's fresh U W^T is skewed to read above the iterate's
+    # f; the step is judged at its tracked point instead and commits it
+    step = mf.MF_SCHEMES[scheme]
+    st = mf.init_state(make_X(), 3, 1)
+    for _ in range(st.refresh_every - 1):
+        step(st)
+    U, f = st.U, st.f
+    budget = mf.MF_BUDGETS[scheme]
+    start = st.counter.read()
+    prod = st.prod
+
+    def skewed(A, B, audit=False):
+        P = prod(A, B, audit)
+        return P + 1e3 if st.counter.read() - start > budget else P
+
+    st.prod = skewed
+    rec = step(st)
+    assert st.counter.read() - start == budget + 1
+    assert rec.flag is None and rec.alpha1 != 0.0
+    assert rec.f == mf.pca_value(st.M, st.X) < f
+    assert not np.array_equal(st.U, U)
+    assert mf.relative_drift(st.M, st.U @ st.W.T) <= 1e-12
+    # momentum still restarts
+    assert np.array_equal(st.U_prev, st.U) and np.array_equal(st.M_prev, st.M)
+
+
 def test_altmin_alpha_matches_closed_form(state):
     # with no momentum yet, the first altmin step on U is exact line
     # optimization of a quadratic: alpha* = ||grad||^2 / ||D||^2

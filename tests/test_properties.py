@@ -248,35 +248,18 @@ def test_logdet_steps_spend_rank_solves_and_record_the_true_value(
 MF_ITERS = 30
 
 
-@given(scheme=st.sampled_from(tuple(matfact.MF_SCHEMES)),
-       n=st.integers(1, 30), d=st.integers(1, 12), rank=st.integers(1, 4),
-       seed=st.integers(0, 10 ** 6), quadratic=st.booleans())
-def test_matfact_schemes_spend_their_budget_and_never_rise(
-        scheme, n, d, rank, seed, quadratic):
-    """The exact momentum schemes spend one more product on each refresh
-    step, where they restart momentum and form U W^T.  Every step is
-    checked: the tracked M stays within 1e-8 of U W^T (read directly, since
-    the 50-step audit lands on a refresh step, where M was just formed), the
-    recorded f is the committed tracked M's own value, bitwise, and f(U W^T)
-    differs from it by at most 1e-12 max(1, |f|) plus what that M's drift
-    D = M - U W^T accounts for, |U W^T - X| |D| + |D|^2 / 2.  That term is
-    rounding-sized on most steps; after an extreme step (simul on a 1 x 12
-    rank-1 problem, alpha2 = -4927) the factor step's rounding, times
-    |W| = 5e4, leaves D at 1.4e-11.  f never rises: where rounding puts the
-    committed point above the iterate's f, the step commits the zero
-    step."""
-    X = (gen_quadratic if quadratic else gen_logistic)(n, d, seed).X.dense()
-    rank = min(rank, n, d)
+def _check_matfact_run(scheme, X, rank, seed):
+    """Run `scheme` for MF_ITERS steps and check every step: its budget, a
+    drift within 1e-8, a record equal to its tracked M's own value, f(U W^T)
+    within 1e-12 max(1, |f|) of that record, and no rise."""
     f_prev = matfact.init_state(X, rank, seed).f
 
     def check(k, state, rec):
         UW = state.U @ state.W.T
         assert relative_drift(state.M, UW) <= 1e-8, k
         assert rec.f == matfact.pca_value(state.M, X), k
-        drift = np.linalg.norm(state.M - UW)
-        effect = np.linalg.norm(UW - X) * drift + 0.5 * drift * drift
         f_true = matfact.pca_value(UW, X)
-        assert abs(rec.f - f_true) <= 1e-12 * max(1.0, abs(rec.f)) + effect, k
+        assert abs(rec.f - f_true) <= 1e-12 * max(1.0, abs(rec.f)), k
 
     state, recs = matfact.run(scheme, X, rank, MF_ITERS, seed=seed,
                               callback=check)
@@ -287,3 +270,30 @@ def test_matfact_schemes_spend_their_budget_and_never_rise(
         assert r.f <= f_prev, k
         f_prev = r.f
     assert matfact.audit_product(state) <= 1e-8
+
+
+@given(scheme=st.sampled_from(tuple(matfact.MF_SCHEMES)),
+       n=st.integers(1, 30), d=st.integers(1, 12), rank=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6), quadratic=st.booleans())
+def test_matfact_schemes_spend_their_budget_and_never_rise(
+        scheme, n, d, rank, seed, quadratic):
+    """The exact momentum schemes spend one more product on each refresh
+    step, where they restart momentum and form U W^T.  Every step is
+    checked: the tracked M stays within 1e-8 of U W^T (read directly, since
+    the 50-step audit lands on a refresh step, where M was just formed), the
+    recorded f is the committed tracked M's own value, bitwise, and f(U W^T)
+    is within 1e-12 max(1, |f|) of it.  f never rises: where rounding puts
+    the committed point above the iterate's f, the step commits the zero
+    step."""
+    X = (gen_quadratic if quadratic else gen_logistic)(n, d, seed).X.dense()
+    _check_matfact_run(scheme, X, min(rank, n, d), seed)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "matfact's tracked M drifts after an extreme SO step: simul's first "
+    "step on this 1 x 12 rank-1 problem stops at the subsolver's cap with "
+    "alpha2 = -4927, |W| grows to 5e4, M ends 1.4e-11 from a fresh U W^T, "
+    "and the record, f at the tracked M, is 1.8e-12 relative off f(U W^T)"))
+def test_matfact_record_after_an_extreme_step_is_the_iterates_value():
+    _check_matfact_run("simul", gen_logistic(1, 12, 20699).X.dense(), 1,
+                       20699)
