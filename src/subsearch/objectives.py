@@ -14,6 +14,12 @@ iterate's loss, and each trial point builds one.  The restriction and line
 closures also keep their last point (`memo_last`, keyed on theta or the step
 size), so value, grad and hess at one theta, and the Wolfe search's re-check
 of a step it already evaluated, form the trial margin once.
+
+A restriction keeps its directions as the rows of p x n and p x d arrays, so
+its gradient and Hessian run over each direction contiguously, and it adds
+the directions to a trial margin in the order the commit does; the margin a
+step commits is then bitwise the solve's trial margin, and where the solve
+ended on that point, the committed f reuses its loss.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ def _softplus(z: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) without overflow, given e = exp(-|t|)."""
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    # e lies in [0, 1], so max(e, t >= 0) is 1 where t >= 0 and e elsewhere
+    return np.maximum(e, t >= 0) / (1.0 + e)
 
 
 def memo_last(build):
@@ -204,21 +211,36 @@ class LcpObjective(DatasetView):
         """Restrict f to w + sum_j theta_j p_j given margin images X p_j.
 
         Candidate evaluations cost O(n*p) and perform zero counted products.
-        One trial point builds one image m + Q theta and its `loss`, shared
-        by the value, gradient and Hessian at that theta; theta = 0 is m
-        itself, whose loss the iterate already built.
+        The directions are stacked as rows (Q is p x n, P is p x d), so the
+        gradient is Q g and the Hessian (Q * h) Q^T, each a contiguous pass
+        over n per direction.  One trial point builds one image and its
+        `loss`, shared by the value, gradient and Hessian at that theta;
+        theta = 0 is m itself, whose loss the iterate already built.  Any
+        other image is formed as `optimizers._apply` commits it, a copy of
+        m plus theta_j q_j for each j in turn, so the committed margin is
+        bitwise the solve's trial margin and its f reuses the trial's loss.
         """
         p = len(param_dirs)
-        assert len(margin_dirs) == p
-        Q = np.column_stack(margin_dirs) if p else np.zeros((self.n, 0))
+        if len(margin_dirs) != p:
+            raise ValueError(f"{p} parameter directions but "
+                             f"{len(margin_dirs)} margin directions")
+        Q = np.reshape(np.array(margin_dirs), (p, self.n))
         lam = self.l2_lambda
         if lam > 0:
-            P = np.column_stack(param_dirs)
-            c = P.T @ w
-            G = P.T @ P
+            P = np.reshape(np.array(param_dirs), (p, self.d))
+            c = P @ w
+            G = P @ P.T
             w_sq = float(w @ w)
-        at = memo_last(lambda theta: self.loss(
-            m + np.dot(Q, theta) if theta.any() else m))
+
+        def image(theta):
+            if not theta.any():
+                return m
+            mt = m.copy()
+            for t, q in zip(theta, Q):
+                mt += t * q
+            return mt
+
+        at = memo_last(lambda theta: self.loss(image(theta)))
 
         def value(theta):
             val = at(theta).value
@@ -228,13 +250,13 @@ class LcpObjective(DatasetView):
             return val
 
         def grad(theta):
-            gr = np.dot(at(theta).grad, Q)
+            gr = Q @ at(theta).grad
             if lam > 0:
                 gr = gr + lam * (c + G @ theta)
             return gr
 
         def hess(theta):
-            H = (Q * at(theta).hess_diag[:, None]).T @ Q
+            H = (Q * at(theta).hess_diag) @ Q.T
             if lam > 0:
                 H = H + lam * G
             return H

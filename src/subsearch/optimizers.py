@@ -255,6 +255,10 @@ def momentum_dir(state):
 
 
 def _apply(blocks, dirs, theta):
+    """Copies of `blocks` plus theta_j times each direction, added in the
+    order of `dirs`.  `LcpObjective.subspace_restrict` forms its trial
+    margins in the same order, so an SO or LO commit's margin is bitwise
+    the solve's trial margin."""
     new = [b.copy() for b in blocks]
     for t, d in zip(theta, dirs):
         for b, db in zip(new, d):

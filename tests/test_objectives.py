@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import subsearch.optimizers as opt
 from subsearch.counted import CountedMatrix
 from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.network import NetObjective, subspace_restrict
 from subsearch.objectives import (LcpObjective, MarginLoss, _sigmoid,
                                   _softplus)
 from subsearch.optimizers import MarginState, init_state, run
+from subsearch.subsolver import SubProblem
 
 
 def fd_grad(f, w, h=1e-6):
@@ -119,6 +124,14 @@ def test_rejects_bad_construction():
         LcpObjective("logistic", gen_quadratic(5, 2, seed=0))
 
 
+def test_restriction_rejects_unpaired_directions():
+    obj = LcpObjective("logistic", gen_logistic(25, 5, seed=4), 0.3)
+    w, P = np.zeros(5), [np.ones(5), np.arange(5.0)]
+    with pytest.raises(ValueError, match="2 parameter directions but 1 "
+                                         "margin directions"):
+        obj.subspace_restrict(w, np.zeros(25), P, [obj.X.matvec(P[0])])
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_rejects_nonfinite_lambda(lam):
     ds = gen_logistic(5, 2, seed=0)
@@ -162,6 +175,26 @@ def test_branch_free_softplus_and_sigmoid_match_masked_forms_bitwise():
     e = np.exp(-np.abs(z))
     assert _same_bits(_softplus(z, e), _softplus_masked(z))
     assert _same_bits(_sigmoid(z, e), _sigmoid_masked(z))
+
+
+def _sigmoid_where(t, e):
+    """The selecting form `_sigmoid` replaced, frozen as its oracle."""
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+          746.0, -746.0, 1e4, -1e4, 5e-324, -5e-324, 2.2250738585072014e-308,
+          -2.2250738585072009e-308]
+
+
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+@example(_EDGES)
+def test_sigmoid_is_the_selecting_form_bitwise(ts):
+    # exp(-|t|) lies in [0, 1] (nan aside), so max(e, t >= 0) selects 1
+    # where t >= 0 and e elsewhere; nan payloads included
+    t = np.array(ts, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    assert _bits(_sigmoid(t, e)) == _bits(_sigmoid_where(t, e))
 
 
 def _restrictions(loss, lam_scale):
@@ -291,7 +324,6 @@ def _iterate_with_signed_zeros(loss, sparse):
         y[:2] = 0.0
     X = ds.X.payload
     if sparse:
-        import scipy.sparse as sps
         X = sps.csr_matrix(X)
     obj = LcpObjective(loss, Dataset(CountedMatrix(X), y, ds.label_kind))
     rng = np.random.default_rng(3)
@@ -307,7 +339,7 @@ def _iterate_with_signed_zeros(loss, sparse):
 def test_the_zero_point_reuses_the_iterates_loss(loss, sparse, monkeypatch):
     obj, w, m, P, images = _iterate_with_signed_zeros(loss, sparse)
     fresh = MarginLoss(obj, m.copy())
-    Q = np.column_stack(images)
+    Q = np.array(images)
     builds = _count_builds(monkeypatch)
     assert _bits(obj.g_value(m)) == _bits(fresh.value)
     assert builds == [1]
@@ -316,9 +348,8 @@ def test_the_zero_point_reuses_the_iterates_loss(loss, sparse, monkeypatch):
         (P[0], images[0]))
     zero = np.zeros(2)
     assert _bits(sp.value(zero)) == _bits(fresh.value)
-    assert _bits(sp.grad(zero)) == _bits(Q.T @ fresh.grad)
-    assert _bits(sp.hess(zero)) == _bits(
-        (Q * fresh.hess_diag[:, None]).T @ Q)
+    assert _bits(sp.grad(zero)) == _bits(Q @ fresh.grad)
+    assert _bits(sp.hess(zero)) == _bits((Q * fresh.hess_diag) @ Q.T)
     assert _bits(phi(0.0)) == _bits(fresh.value)
     assert _bits(dphi(0.0)) == _bits(fresh.grad @ images[0])
     # the loss the zero point used is the iterate's, signed zeros and all
@@ -377,9 +408,6 @@ def test_an_objective_dies_with_its_last_reference():
 def _trial_points(monkeypatch):
     """Per inner search, the set of distinct nonzero points at which the
     subsolver or the Wolfe search evaluated its closures."""
-    import subsearch.optimizers as opt
-    from subsearch.subsolver import SubProblem
-
     searches = []
 
     def keyed(fn, seen):
@@ -429,3 +457,92 @@ def test_one_loss_per_margin_vector(loss, gen, method, monkeypatch):
     else:
         assert len(searches) == iters
         assert len(builds) <= iters + 1 + sum(map(len, searches))
+
+
+class _Recorded:
+    """The loss a twin objective hands its restriction: value 0."""
+    value = 0.0
+
+
+def _trial_margin(obj, args, theta):
+    """The margin at which the restriction over `args` evaluates theta,
+    read off a twin objective at lambda = 0 whose `loss` records it."""
+    twin, seen = LcpObjective(obj.loss_kind, obj.dataset), []
+
+    def loss(m):
+        seen.append(np.array(m))
+        return _Recorded
+
+    twin.loss = loss
+    twin.subspace_restrict(*args).value(theta)
+    return seen[0]
+
+
+def _commits(monkeypatch):
+    """Per SO or LO commit: the restriction's arguments, the committed
+    theta and margin, the `MarginLoss` builds of the committed f, and
+    whether theta is the last point the solve evaluated.  `so_step`
+    values its commit right after the solve, so the first
+    `MarginState.value` after a solve is the commit's."""
+    builds, commits, pending = _count_builds(monkeypatch), [], {}
+    restrict, solve = LcpObjective.subspace_restrict, opt.solve
+    value = MarginState.value
+
+    def spy_restrict(self, *args):
+        pending["args"] = args
+        return restrict(self, *args)
+
+    def spy_solve(sp, *args, **kwargs):
+        def last(fn):
+            def at(theta):
+                pending["last"] = _bits(theta)
+                return fn(theta)
+            return at
+
+        pending["res"] = solve(SubProblem(sp.dim, last(sp.value),
+                                          last(sp.grad), last(sp.hess)),
+                               *args, **kwargs)
+        return pending["res"]
+
+    def spy_value(self, blocks):
+        if "res" not in pending:
+            return value(self, blocks)
+        before = len(builds)
+        f = value(self, blocks)
+        theta = pending["res"].theta
+        commits.append((pending["args"], theta, blocks[1].copy(),
+                        len(builds) - before,
+                        pending["last"] == _bits(theta)))
+        pending.clear()
+        return f
+
+    monkeypatch.setattr(LcpObjective, "subspace_restrict", spy_restrict)
+    monkeypatch.setattr(opt, "solve", spy_solve)
+    monkeypatch.setattr(MarginState, "value", spy_value)
+    return commits
+
+
+@pytest.mark.parametrize("method", opt.MONOTONE_METHODS)
+@given(loss=st.sampled_from(("logistic", "least_squares")),
+       n=st.integers(5, 60), d=st.integers(1, 10),
+       seed=st.integers(0, 10 ** 6), lam=st.booleans(),
+       sparse=st.booleans())
+def test_a_commit_is_the_solves_trial_margin(method, loss, n, d, seed, lam,
+                                            sparse):
+    # the committed margin is bitwise the restriction's trial margin at the
+    # committed theta, so where that theta is the solve's last point, the
+    # committed f reuses the trial's loss and builds none
+    ds = (gen_logistic if loss == "logistic" else gen_quadratic)(n, d, seed)
+    if sparse:
+        X = ds.X.payload.copy()
+        X[np.abs(X) < 1.0] = 0.0
+        ds = Dataset(CountedMatrix(sps.csr_matrix(X)), ds.y, ds.label_kind)
+    obj = LcpObjective(loss, ds, 1.0 / n if lam else 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        commits = _commits(mp)
+        _, recs = run(method, obj, 20)
+    assert len(commits) == len(recs)
+    for args, theta, m, builds, last in commits:
+        assert _bits(m) == _bits(_trial_margin(obj, args, theta))
+        if last:
+            assert builds == 0

@@ -19,8 +19,10 @@ generator's dataset (written with `write_libsvm`), so their references run
 on a CSR payload.  `--compare` lists the files that differ, each CSV with the
 largest relative difference of f and of every other numeric column that
 moved (subopt, gnorm and the step sizes alpha1 to delta; a blank cell
-against a number reads inf), whether `products_cum` and `inner_iters`
-match row for row and each grid's total inner iterations (A -> B), any
+against a number reads inf), the relative difference of the final row's f,
+whether `products_cum` and `inner_iters` match row for row on the rows both
+grids hold (and the row counts, where they differ) and each grid's total
+inner iterations (A -> B), any
 other file with its first differing line, and the files that exist in one
 grid only, as `only in A` or `only in B`; it exits 1 if there are any.  A
 CSV that is a strict prefix of the other, whose dropped rows repeat its last
@@ -188,9 +190,10 @@ def describe(a: Path, b: Path) -> str:
     """How two differing grid files differ: which grid alone holds the
     file; for a CSV that stopped at its fixed point on one side, the row
     counts (A -> B); for any other CSV, the largest relative difference of
-    f and of every other NUMERIC column that moved, whether products_cum
-    and inner_iters match on every row, and each side's total inner
-    iterations; for any other file, its first differing line."""
+    f and of every other NUMERIC column that moved, that of the final
+    row's f, whether products_cum and inner_iters match on every row both
+    sides hold, and each side's total inner iterations; for any other
+    file, its first differing line."""
     if not (a.is_file() and b.is_file()):
         return "only in " + ("A" if a.is_file() else "B")
     if a.suffix != ".csv":
@@ -206,13 +209,18 @@ def describe(a: Path, b: Path) -> str:
              for name in NUMERIC]
     diffs = ", ".join(f"{name} {rel:.3g}" for name, rel in moved
                       if name == "f" or rel)
-    rows = "" if rows_a == rows_b else f", {rows_a} vs {rows_b} rows"
+    final = _rel(ca["f"][-1], cb["f"][-1]) if rows_a and rows_b else math.inf
+    shared = min(rows_a, rows_b)
+    rows = ("" if rows_a == rows_b
+            else f", {rows_a} vs {rows_b} rows ({shared} shared)")
 
     def same(name):
-        return "matches" if ca[name] == cb[name] else "differs"
+        return ("matches" if ca[name][:shared] == cb[name][:shared]
+                else "differs")
 
     inner_a, inner_b = (sum(map(int, c["inner_iters"])) for c in (ca, cb))
-    return (f"max rel diff {diffs}, products_cum {same('products_cum')}, "
+    return (f"max rel diff {diffs}, final f {final:.3g}, "
+            f"products_cum {same('products_cum')}, "
             f"inner_iters {same('inner_iters')} ({inner_a} -> {inner_b})"
             f"{rows}")
 
