@@ -4,6 +4,16 @@ LIBSVM text is read by one of two routes.  The array route reads byte-clean
 text (what write_libsvm emits, CRLF line ends and tab separators included)
 with array operations over its bytes; the line route reads everything else
 one line at a time and reports every error with its line number.
+
+Each input is built once per process.  Two one-entry memos keep the last
+distinct input: the generated features, keyed on (n, d, seed) and shared by
+gen_logistic and gen_quadratic, which draw them alike, and the parsed text,
+keyed on its exact str or bytes value, with its CSR and labels.  The last
+input stays resident until a different one is built, and on a miss the old
+entry is dropped before the new one is built.  Every call returns a new
+Dataset whose new CountedMatrix counts from 0 over the shared payload, and
+the shared arrays are read-only, so a writer fails loudly instead of
+changing a later run's input.  Generation peaks at 1.5x the bytes of X.
 """
 
 from __future__ import annotations
@@ -38,6 +48,18 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+
+# the one-entry memos: (text, X, y, label_kind) of the last text parsed,
+# and ((n, d, seed), X, the state word after X) of the last features drawn
+_parsed = None
+_features = None
+
+
+def _clear_memos() -> None:
+    """Forget the last parsed text and generated features."""
+    global _parsed, _features
+    _parsed = _features = None
 
 
 def _map_binary(labels: np.ndarray) -> tuple[np.ndarray, str]:
@@ -352,7 +374,28 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     its line number (invalid UTF-8 included).  Both routes append to typed
     buffers of 8 bytes per entry, from which the CSR is built with no COO
     step, and both give the same bits.
+
+    The last str or bytes text parsed is kept with its read-only CSR and
+    labels, and the same text again, of the same type, is not read again;
+    each call returns a new Dataset and CountedMatrix over them.
     """
+    global _parsed
+    hit = (_parsed is not None and type(_parsed[0]) is type(text)
+           and _parsed[0] == text)
+    if not hit:
+        _parsed = None          # the last input goes before the next is read
+        X, y, kind = _parse(text)
+        for a in (X.data, X.indices, X.indptr, y):
+            a.flags.writeable = False
+        if type(text) in (str, bytes):      # immutable, so a safe key
+            _parsed = text, X, y, kind
+    else:
+        _, X, y, kind = _parsed
+    return Dataset(CountedMatrix(X), y, kind)
+
+
+def _parse(text: str | bytes) -> tuple:
+    """parse_libsvm's CSR, labels and label kind, read from the text."""
     # a refused array route yields None, and the line route reads it all
     buffers = _fill(_array_blocks(text)) or _read_lines(text)
     labels, counts, cols, vals = (np.frombuffer(buf, dtype=buf.typecode)
@@ -365,8 +408,7 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     np.cumsum(counts, out=indptr[1:])
     d = int(cols.max()) + 1 if cols.size else 0
     X = sp.csr_matrix((vals, cols, indptr), shape=(n, d))
-    y, kind = _map_binary(labels)
-    return Dataset(CountedMatrix(X), y, kind)
+    return (X, *_map_binary(labels))
 
 
 def write_libsvm(ds: Dataset) -> str:
@@ -425,15 +467,18 @@ def _jump_table(block: int) -> tuple[np.ndarray, np.ndarray]:
 _JUMP_A, _JUMP_C = _jump_table(_BLOCK)
 
 
-def _uniforms(state: list[int], n: int) -> np.ndarray:
-    """Deterministic 64-bit congruential stream mapped to (0,1).
+def _uniforms(state: list[int], n: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic 64-bit congruential stream mapped to (0,1), written
+    into `out` (n float64s) when it is given.
 
     The state list holds one 64-bit word, advanced by n steps.  Each block
     of _BLOCK outputs is one wrapping uint64 multiply-add of the state
     before the block against the jump table, so the stream is bit-identical
     to stepping s <- a s + c one output at a time.
     """
-    out = np.empty(n)
+    if out is None:
+        out = np.empty(n)
     s0 = np.uint64(state[0])
     for i in range(0, n, _BLOCK):
         r = min(_BLOCK, n - i)
@@ -453,22 +498,24 @@ def _normals(state: list[int], n: int) -> np.ndarray:
 
     With two draws u1, u2 of m = (n + 1) // 2 uniforms, entries :m are
     r cos(2 pi u2) and the rest r sin(2 pi u2), r = sqrt(-2 log u1), cut to
-    n.  Every ufunc runs in place (r in u1's array, the angle in u2's) and
-    writes the two halves straight into one output array.
+    n.  Every ufunc runs in place: u1 is drawn into the output's first
+    half, which becomes r and then r cos, the sine goes into the second
+    half, and the cosine into the angle's own array, so the peak is 1.5x
+    the output's bytes.
     """
     m = (n + 1) // 2
-    r = _uniforms(state, m)
+    z = np.empty(2 * m)
+    r, sin = z[:m], z[m:]
+    _uniforms(state, m, out=r)
     theta = _uniforms(state, m)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     theta *= 2 * math.pi
-    z = np.empty(2 * m)
-    cos, sin = z[:m], z[m:]
-    np.cos(theta, out=cos)
     np.sin(theta, out=sin)
-    cos *= r
     sin *= r
+    np.cos(theta, out=theta)
+    r *= theta
     return z[:n]
 
 
@@ -491,13 +538,27 @@ def _gen_features(n: int, d: int, state: list[int]) -> np.ndarray:
     return X
 
 
+def _shared_features(n: int, d: int, seed: int) -> tuple[np.ndarray,
+                                                           list[int]]:
+    """seed's read-only n x d features and a new state list holding the
+    stream's word after them, from the one-entry memo."""
+    global _features
+    key = (n, d, seed)
+    if _features is None or _features[0] != key:
+        _features = None        # the last X goes before the next is drawn
+        state = _seed_state(seed)
+        X = _gen_features(n, d, state)
+        X.flags.writeable = False
+        _features = key, X, state[0]
+    return _features[1], [_features[2]]
+
+
 def gen_logistic(n: int, d: int, seed: int) -> Dataset:
     """Gaussian features with column scales spanning [1, _CONDITION_SCALE];
     labels are sign(X w_true) with 10% flips.  Deterministic per seed."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    state = _seed_state(seed)
-    X = _gen_features(n, d, state)
+    X, state = _shared_features(n, d, seed)
     w_true = _normals(state, d)
     y = np.sign(X @ w_true)
     y[y == 0] = 1.0
@@ -507,11 +568,10 @@ def gen_logistic(n: int, d: int, seed: int) -> Dataset:
 
 
 def gen_quadratic(n: int, d: int, seed: int) -> Dataset:
-    """Least-squares problem: same feature scheme, real-valued targets."""
+    """Least-squares problem: the same features, real-valued targets."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    state = _seed_state(seed)
-    X = _gen_features(n, d, state)
+    X, state = _shared_features(n, d, seed)
     w_true = _normals(state, d)
     y = X @ w_true + _NOISE * _normals(state, n)
     return Dataset(CountedMatrix(X), y, "real")

@@ -149,6 +149,13 @@ ARRAY_BLOCK_SIZES = (1, 16, 64, data._BLOCK_BYTES)
 BIG_INDEX = 2 ** 63 - 1
 
 
+def _parse_cold(text):
+    """parse_libsvm with its memo cleared first, so that its routes, and the
+    patches on them, read the text instead of a memo hit answering."""
+    data._clear_memos()
+    return parse_libsvm(text)
+
+
 def _line_route_refused():
     return mock.patch.object(data, "_read_lines",
                              side_effect=AssertionError("line route"))
@@ -163,7 +170,7 @@ def _parse_each_array_block_size(text, as_str=True):
         for given_text in (text, text.encode())[not as_str:]:
             with mock.patch.object(data, "_BLOCK_BYTES", size):
                 try:
-                    out.append(parse_libsvm(given_text))
+                    out.append(_parse_cold(given_text))
                 except ParseError as e:
                     out.append((str(e), e.lineno))
     return out
@@ -500,7 +507,7 @@ def test_written_datasets_take_the_array_route():
     for ds in _written_datasets():
         text = write_libsvm(ds)
         with _line_route_refused():
-            got = [parse_libsvm(text), parse_libsvm(text.encode())]
+            got = [_parse_cold(text), _parse_cold(text.encode())]
         Q = sp.csr_matrix(ds.X.payload)
         for again in got:
             P = again.X.payload
@@ -512,7 +519,7 @@ def test_written_datasets_take_the_array_route():
             want = _loop_parse(form)
             with _line_route_refused():
                 for given_text in (form, form.encode()):
-                    _same_dataset(parse_libsvm(given_text), want)
+                    _same_dataset(_parse_cold(given_text), want)
 
     text = write_libsvm(gen_logistic(200, 20, seed=1))
     for brk in ("\r", "\x0b", "\x0c", "\x1c"):
@@ -521,7 +528,7 @@ def test_written_datasets_take_the_array_route():
         with mock.patch.object(data, "_read_lines",
                                wraps=data._read_lines) as line_route:
             for given_text in (form, form.encode()):
-                _same_dataset(parse_libsvm(given_text), want)
+                _same_dataset(_parse_cold(given_text), want)
         assert line_route.call_count == 2, repr(brk)
 
 
@@ -531,11 +538,11 @@ def test_cast_alone_reads_the_written_datasets_to_the_same_bits():
     datasets, from str and bytes, to the bits _decimals gives."""
     for ds in _written_datasets():
         text = write_libsvm(ds)
-        want = parse_libsvm(text)
+        want = _parse_cold(text)
         with mock.patch.object(data, "_EXTENDED", False), \
                 _line_route_refused():
             for given_text in (text, text.encode()):
-                _same_dataset(parse_libsvm(given_text), want)
+                _same_dataset(_parse_cold(given_text), want)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
@@ -547,7 +554,7 @@ def test_decimals_leave_few_written_fields_to_the_cast():
     quietly cost the array route its speed."""
     ds = _written_datasets()[1]
     with mock.patch.object(data, "_cast", wraps=data._cast) as cast:
-        parse_libsvm(write_libsvm(ds))
+        _parse_cold(write_libsvm(ds))
     cast_fields = sum(call.args[1].size for call in cast.call_args_list)
     assert cast_fields < (ds.n + ds.X.payload.nnz) / 100
 
@@ -596,7 +603,7 @@ def test_parse_peak_memory_stays_near_the_csr():
     """Parsing holds one 8-byte entry per nonzero and field, not one Python
     object: the traced peak stays within 6x the bytes of the CSR it builds
     (it was 9.6x with lists), from str and from bytes, the route a --data
-    file takes."""
+    file takes, each parsed with the memo cleared."""
     import tracemalloc
 
     import scipy.sparse as sp
@@ -608,7 +615,7 @@ def test_parse_peak_memory_stays_near_the_csr():
     for given_text in (text, text.encode()):
         tracemalloc.start()
         try:
-            P = parse_libsvm(given_text).X.payload
+            P = _parse_cold(given_text).X.payload
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -703,13 +710,16 @@ def _scalar_uniforms(state, n):
 
 
 def test_generator_streams_match_golden_hashes():
+    """A cold build, with the memo cleared, and a memo hit hash alike."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")     # numpy overflow warnings fail
-        for kind, ds in (("logistic", gen_logistic(2000, 200, 1)),
-                         ("quadratic", gen_quadratic(300, 30, 2))):
-            h = hashlib.sha256(ds.X.payload.tobytes())
-            h.update(ds.y.tobytes())
-            assert h.hexdigest() == GOLDEN_DATASETS[kind], kind
+        for kind, gen, shape in (("logistic", gen_logistic, (2000, 200, 1)),
+                                 ("quadratic", gen_quadratic, (300, 30, 2))):
+            data._clear_memos()
+            for ds in (gen(*shape), gen(*shape)):       # cold, then a hit
+                h = hashlib.sha256(ds.X.payload.tobytes())
+                h.update(ds.y.tobytes())
+                assert h.hexdigest() == GOLDEN_DATASETS[kind], kind
         for (name, seed), digest in GOLDEN_STREAMS.items():
             state = data._seed_state(seed)
             h = hashlib.sha256()
@@ -778,15 +788,82 @@ def test_generated_arrays_share_no_memory():
 
 @pytest.mark.parametrize("gen", [gen_logistic, gen_quadratic])
 def test_generator_peak_memory_stays_near_the_features(gen):
-    """Box-Muller writes its two halves into one output array and the
-    features are scaled in place: the traced peak stays within 2.25x the
-    bytes of X (it was 3.5x with a fresh array per intermediate)."""
+    """Box-Muller draws r into its output array and the cosine into the
+    angle's, and the features are scaled in place: the traced peak of a
+    build with the memo cleared stays within 1.75x the bytes of X (it was
+    2x with r and the angle apart from the output, 3.5x with a fresh array
+    per intermediate)."""
     import tracemalloc
 
+    data._clear_memos()
     tracemalloc.start()
     try:
         X = gen(2000, 200, 1).X.payload
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * X.nbytes
+    assert peak <= 1.75 * X.nbytes
+
+
+# the memo test's inputs: generator keys, two of one shape, and texts, one
+# as str and as bytes, one with real labels and one malformed
+_MEMO_KEYS = [(6, 3, 1), (6, 3, 2), (5, 4, 1)]
+_MEMO_TEXTS = ["+1 1:0.5 3:2\n-1 2:1\n", b"+1 1:0.5 3:2\n-1 2:1\n",
+               "0.5 1:1\n1.5 2:-1\n2.5 1:1 2:3\n", b"+1 2:1 1:1\n"]
+_MEMO_CALLS = st.one_of(
+    st.tuples(st.sampled_from([gen_logistic, gen_quadratic]),
+              st.sampled_from(_MEMO_KEYS)),
+    st.tuples(st.just(parse_libsvm), st.sampled_from(_MEMO_TEXTS).map(
+        lambda text: (text,))))
+
+
+def _dataset_bytes(ds):
+    P = ds.X.payload
+    arrays = (P.data, P.indices, P.indptr) if ds.X.is_sparse else (P,)
+    return ([(a.dtype, a.tobytes()) for a in arrays]
+            + [P.shape, ds.y.tobytes(), ds.label_kind])
+
+
+def _cold(fn, args):
+    """fn(*args) with both memos cleared first: its bytes, or the
+    ParseError's message."""
+    data._clear_memos()
+    try:
+        return _dataset_bytes(fn(*args))
+    except ParseError as e:
+        return str(e)
+
+
+@given(st.lists(_MEMO_CALLS, max_size=12))
+def test_memos_return_cold_builds_with_their_own_counters(calls):
+    """Any interleaving of the generators and the parser over a few inputs:
+    each result equals a cold build's bytes, its CountedMatrix counts from 0
+    and on its own, its shared arrays refuse writes, the two generators
+    share X at one (n, d, seed), and malformed text raises every time."""
+    want = {(fn, args): _cold(fn, args) for fn, args in set(calls)}
+    data._clear_memos()
+    seen, last_X = [], None
+    for fn, args in calls:
+        try:
+            ds = fn(*args)
+        except ParseError as e:
+            assert str(e) == want[fn, args]
+            continue
+        assert _dataset_bytes(ds) == want[fn, args]
+        X = ds.X
+        assert X.counter.read() == 0 and X.audit_counter.read() == 0
+        X.matvec(np.ones(ds.d))
+        X.rmatvec(ds.y, audit=True)
+        seen.append(X)
+        assert all(old.counter.read() == 1 and old.audit_counter.read() == 1
+                   for old in seen)
+        P = X.payload
+        shared = ((P.data, P.indices, P.indptr, ds.y) if X.is_sparse
+                  else (P,))
+        for a in shared:
+            with pytest.raises(ValueError):
+                a[...] = 0
+        if fn is not parse_libsvm:
+            if last_X is not None and last_X[0] == args:
+                assert np.shares_memory(P, last_X[1])
+            last_X = args, P

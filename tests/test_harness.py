@@ -342,6 +342,46 @@ def test_sparse_inputs_are_never_densified(tmp_path, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("source", ["synthetic", "data"])
+def test_a_repeated_run_gives_the_same_trace_on_fresh_counters(
+        tmp_path, monkeypatch, source):
+    """Two runs of one config, the second on the memo's input: the CSV
+    bodies apart from elapsed_s are byte-identical, each record spends the
+    same products, and each run counts from 0 in its own CountedMatrix."""
+    from subsearch import data
+    from subsearch.data import write_libsvm
+
+    path = None
+    if source == "data":
+        path = tmp_path / "in.libsvm"
+        path.write_text(write_libsvm(gen_logistic(40, 6, 3)))
+    load, datasets = hz.load_dataset, []
+
+    def load_and_keep(cfg):
+        datasets.append(load(cfg))
+        return datasets[-1]
+
+    monkeypatch.setattr(hz, "load_dataset", load_and_keep)
+    data._clear_memos()
+    cfg = hz.ExperimentConfig(model="logistic", method="gd+m(so)", iters=20,
+                              n=40, d=6, seed=3, lam="1/n",
+                              data=None if path is None else str(path))
+    traces = [hz.run_experiment(cfg) for _ in range(2)]
+    # elapsed_s is the last column
+    bodies = [[line.rsplit(",", 1)[0] for line in hz.emit_csv(t).splitlines()]
+              for t in traces]
+    assert bodies[0] == bodies[1]
+    products = [[r.products for r in t.records] for t in traces]
+    assert products[0] == products[1]
+    first, second = (ds.X for ds in datasets)
+    payloads = [X.payload.data if X.is_sparse else X.payload
+                for X in (first, second)]
+    assert np.shares_memory(*payloads)          # the second run's is a hit
+    for X in (first, second):
+        assert X.counter.read() == sum(products[0])
+    assert first.audit_counter.read() == second.audit_counter.read() > 0
+
+
 @pytest.mark.parametrize("iters", [0, 1, 100])
 @pytest.mark.parametrize("model", ["logistic", "lsq"])
 def test_lcp_gnorms_come_from_the_steps_own_gradients(monkeypatch, model,
