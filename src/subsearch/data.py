@@ -5,20 +5,24 @@ text (what write_libsvm emits, CRLF line ends and tab separators included)
 with array operations over its bytes; the line route reads everything else
 one line at a time and reports every error with its line number.
 
-Each input is built once per process.  Two one-entry memos keep the last
-distinct input: the generated features, keyed on (n, d, seed) and shared by
-gen_logistic and gen_quadratic, which draw them alike, and the parsed text,
-keyed on its exact str or bytes value, with its CSR and labels.  The last
-input stays resident until a different one is built, and on a miss the old
-entry is dropped before the new one is built.  Every call returns a new
-Dataset whose new CountedMatrix counts from 0 over the shared payload, and
-the shared arrays are read-only, so a writer fails loudly instead of
-changing a later run's input.  Generation peaks at 1.5x the bytes of X.
+Consecutive calls on the same input share one build.  Two one-entry memos
+keep the last input built: the generated features, keyed on the integers
+(n, d, seed) and shared by gen_logistic and gen_quadratic, which draw them
+alike, and the parsed CSR and labels, keyed on the text's type, length and
+SHA-256 digest, so the text itself is not kept.  The last input stays
+resident until a different one is built, and on a miss the old entry is
+dropped before the new one is built.  A process that builds one input, as
+`subsearch run` does, never hits; a sweep that runs several methods on one
+input in one process builds it once.  Every call returns a new Dataset whose
+new CountedMatrix counts from 0 over the shared payload, and the shared
+arrays are read-only, so a writer fails loudly instead of changing a later
+run's input.  Generation peaks at 1.5x the bytes of X.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -50,8 +54,9 @@ class Dataset:
         return self.X.shape[1]
 
 
-# the one-entry memos: (text, X, y, label_kind) of the last text parsed,
-# and ((n, d, seed), X, the state word after X) of the last features drawn
+# the one-entry memos: (_text_key(text), X, y, label_kind) of the last text
+# parsed, and ((n, d, seed), X, the state word after X) of the last features
+# drawn
 _parsed = None
 _features = None
 
@@ -375,23 +380,39 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     buffers of 8 bytes per entry, from which the CSR is built with no COO
     step, and both give the same bits.
 
-    The last str or bytes text parsed is kept with its read-only CSR and
-    labels, and the same text again, of the same type, is not read again;
-    each call returns a new Dataset and CountedMatrix over them.
+    The read-only CSR and labels of the last str or bytes text parsed are
+    kept under the text's digest, and the same text again, of the same
+    type, is not read again; each call returns a new Dataset and
+    CountedMatrix over them.
     """
     global _parsed
-    hit = (_parsed is not None and type(_parsed[0]) is type(text)
-           and _parsed[0] == text)
-    if not hit:
+    key = _text_key(text) if type(text) in (str, bytes) else None
+    if key is not None and _parsed is not None and _parsed[0] == key:
+        _, X, y, kind = _parsed
+    else:
         _parsed = None          # the last input goes before the next is read
         X, y, kind = _parse(text)
         for a in (X.data, X.indices, X.indptr, y):
             a.flags.writeable = False
-        if type(text) in (str, bytes):      # immutable, so a safe key
-            _parsed = text, X, y, kind
-    else:
-        _, X, y, kind = _parsed
+        if key is not None:
+            _parsed = key, X, y, kind
     return Dataset(CountedMatrix(X), y, kind)
+
+
+def _text_key(text: str | bytes) -> tuple:
+    """The text's type, length and SHA-256 digest, which stand for it in
+    the parse memo; a str is hashed as UTF-8 a block at a time, so no copy
+    of the whole text is made."""
+    import hashlib      # here, like scipy.sparse: generated runs skip it
+
+    h = hashlib.sha256()
+    if isinstance(text, bytes):
+        h.update(text)
+    else:
+        for i in range(0, len(text), _BLOCK_BYTES):
+            h.update(text[i:i + _BLOCK_BYTES].encode("utf-8",
+                                                     "surrogatepass"))
+    return type(text), len(text), h.digest()
 
 
 def _parse(text: str | bytes) -> tuple:
@@ -543,7 +564,9 @@ def _shared_features(n: int, d: int, seed: int) -> tuple[np.ndarray,
     """seed's read-only n x d features and a new state list holding the
     stream's word after them, from the one-entry memo."""
     global _features
-    key = (n, d, seed)
+    # a non-integer n, d or seed raises here as a cold build would, and
+    # never matches an integer key
+    key = n, d, seed = tuple(map(operator.index, (n, d, seed)))
     if _features is None or _features[0] != key:
         _features = None        # the last X goes before the next is drawn
         state = _seed_state(seed)

@@ -867,3 +867,38 @@ def test_memos_return_cold_builds_with_their_own_counters(calls):
             if last_X is not None and last_X[0] == args:
                 assert np.shares_memory(P, last_X[1])
             last_X = args, P
+
+
+@pytest.mark.parametrize("gen", [gen_logistic, gen_quadratic])
+@pytest.mark.parametrize("args", [(6, 3, 1.0), (6.0, 3, 1), (6, 3.0, 1)])
+def test_a_non_integer_shape_or_seed_raises_after_a_memo_hit_too(gen, args):
+    """A float n, d or seed that equals the memo's integer key is refused
+    as a cold build refuses it, whatever was built before."""
+    for warm in (False, True):
+        data._clear_memos()
+        if warm:
+            gen(6, 3, 1)
+        with pytest.raises(TypeError):
+            gen(*args)
+
+
+@pytest.mark.parametrize("as_str", [False, True])
+def test_the_parse_memo_keeps_no_text_and_reads_all_of_it(as_str):
+    """The memo holds no reference to the text it parsed, and two texts
+    longer than a block that differ only in their last line are told apart
+    (a str is digested a block at a time)."""
+    import sys
+
+    rows = data._BLOCK_BYTES // 8 + 10
+    head = "+1 1:0.5 2:2\n" * rows
+    texts = [head + "-1 2:1\n", head + "-1 2:3\n"]
+    if not as_str:
+        texts = [t.encode() for t in texts]
+    data._clear_memos()
+    before = sys.getrefcount(texts[0])
+    first = parse_libsvm(texts[0])
+    after = sys.getrefcount(texts[0])
+    assert after == before
+    second = parse_libsvm(texts[1])
+    assert _dataset_bytes(second) == _cold(parse_libsvm, (texts[1],))
+    assert _dataset_bytes(first) != _dataset_bytes(second)
