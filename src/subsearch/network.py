@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _normals, _seed_state
-from .objectives import DatasetView, memo_last
+from .objectives import DatasetView, combine, memo_last
 from .optimizers import (MONOTONE_RULES, TRACKED_METHODS, TWO_PRODUCT_RULES,
                          StepRecord, TrackedState, apply_rule, drive,
-                         methods_with_rule, momentum_dir, pr_plus,
-                         relative_drift, step_gd, step_memory_gradient)
+                         methods_with_rule, pr_plus, relative_drift, step_gd,
+                         step_memory_gradient)
 from .subsolver import SubProblem, solve
 
 
@@ -60,7 +60,8 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     Candidate values and gradients cost O(nrp) (plus O(drp) for the weight
     decay term), and the exact p x p Hessian O(nrp^2); all are analytic
     through tanh and use no counted products.  One trial point builds its
-    combined blocks, one tanh H of the n x r pre-activations and the
+    blocks (the iterate plus `combine`'s step, as `optimizers._apply`
+    commits them), one tanh H of the n x r pre-activations and the
     residual u once, shared by the value, the gradient and the Hessian at
     that theta (and so by the Wolfe search's phi and dphi at one step size).
     The gradient and the Hessian share H' = 1 - H^2 and the block adjoints
@@ -80,17 +81,12 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     p = len(dirs)
     n, r = M.shape
 
+    # without weight decay the value reads no W, so no trial forms it
+    carried = dirs if lam > 0 else [(None, dv, dM) for _, dv, dM in dirs]
+
     def point(theta):
-        M_c = M.copy()
-        v_c = v.copy()
-        W_c = W.copy() if lam > 0 else None
-        for t, (dW, dv, dM) in zip(theta, dirs):
-            if dM is not None:
-                M_c += t * dM
-            if dv is not None:
-                v_c += t * dv
-            if lam > 0 and dW is not None:
-                W_c += t * dW
+        W_c, v_c, M_c = (b if s is None else b + s
+                         for b, s in zip((W, v, M), combine(theta, carried)))
         H = np.tanh(M_c)
         return W_c, v_c, H, H @ v_c - y
 
@@ -281,11 +277,9 @@ def step_cgm_sb(state, rule="so"):
     eta1 = eta2 = dW = dv = dM = 0.0
     if state.grad_prev is not None:
         gW_prev, gv_prev, _ = state.grad_prev
-        W_prev, v_prev, _ = state.prev_blocks
-        eta1 = pr_plus(gW.ravel(), gW_prev.ravel(), state.W.ravel(),
-                       W_prev.ravel())
-        eta2 = pr_plus(gv, gv_prev, state.v, v_prev)
-        dW, dv, dM = momentum_dir(state)
+        dW, dv, dM = state.step
+        eta1 = pr_plus(gW.ravel(), gW_prev.ravel(), dW.ravel())
+        eta2 = pr_plus(gv, gv_prev, dv)
     d1 = (-gW + eta1 * dW, None, -D + eta1 * dM)
     d2 = (None, -gv + eta2 * dv, None)
     flag = None

@@ -16,8 +16,8 @@ size), so value, grad and hess at one theta, and the Wolfe search's re-check
 of a step it already evaluated, form the trial margin once.
 
 A restriction keeps its directions as the rows of p x n and p x d arrays, so
-its gradient and Hessian run over each direction contiguously, and it adds
-the directions to a trial margin in the order the commit does; the margin a
+its gradient and Hessian run over each direction contiguously, and its trial
+margin is m plus `combine`'s step, which the commit adds too; the margin a
 step commits is then bitwise the solve's trial margin, and where the solve
 ended on that point, the committed f reuses its loss.
 """
@@ -45,6 +45,21 @@ def _sigmoid(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) without overflow, given e = exp(-|t|)."""
     # e lies in [0, 1], so max(e, t >= 0) is 1 where t >= 0 and e elsewhere
     return np.maximum(e, t >= 0) / (1.0 + e)
+
+
+def combine(theta, dirs):
+    """The step sum_j theta_j d_j of directions shaped as blocks, per block.
+
+    The directions are added in the order of `dirs`, and a block that no
+    direction carries is None.  Every trial point and every commit forms
+    its step here, so a committed point is bitwise the solve's trial point.
+    """
+    step = [None] * len(dirs[0])
+    for t, d in zip(theta, dirs):
+        for i, db in enumerate(d):
+            if db is not None:
+                step[i] = t * db if step[i] is None else step[i] + t * db
+    return step
 
 
 def memo_last(build):
@@ -216,9 +231,9 @@ class LcpObjective(DatasetView):
         over n per direction.  One trial point builds one image and its
         `loss`, shared by the value, gradient and Hessian at that theta;
         theta = 0 is m itself, whose loss the iterate already built.  Any
-        other image is formed as `optimizers._apply` commits it, a copy of
-        m plus theta_j q_j for each j in turn, so the committed margin is
-        bitwise the solve's trial margin and its f reuses the trial's loss.
+        other image is m plus `combine`'s step, as `optimizers._apply`
+        commits it, so the committed margin is bitwise the solve's trial
+        margin and its f reuses the trial's loss.
         """
         p = len(param_dirs)
         if len(margin_dirs) != p:
@@ -235,10 +250,7 @@ class LcpObjective(DatasetView):
         def image(theta):
             if not theta.any():
                 return m
-            mt = m.copy()
-            for t, q in zip(theta, Q):
-                mt += t * q
-            return mt
+            return m + combine(theta, [(q,) for q in Q])[0]
 
         at = memo_last(lambda theta: self.loss(image(theta)))
 

@@ -12,9 +12,9 @@ written once here:
 
 - `obj`: the model's objective, which the model calls below read;
 - `blocks`: the parameter blocks with the tracked image last, (w, m) or
-  (W, v, M); `prev_blocks` the same one step back, and `grad_prev` the
-  gradient blocks that step took with their image last (None where the
-  step took no image of its gradient), or None;
+  (W, v, M); `step` the last committed step, shaped the same, and
+  `grad_prev` the gradient blocks that step took with their image last
+  (None where the step took no image of its gradient), or None;
 - `advance` commits a step, and `momentum_coef` is the PR+ coefficient over
   all parameter blocks jointly;
 - `alpha_prev` (the "ls" rule's last accepted step, its next start) and
@@ -37,8 +37,10 @@ Each model subclasses it with its arithmetic alone (`MarginState` here,
   1-d value and slope closures for the Wolfe search.
 
 A direction is a tuple shaped like `blocks`; None marks a block it leaves
-alone.  A method is a step function, which builds the method's directions,
-plus a step-size rule, which `apply_rule` carries out:
+alone.  The momentum direction is the last committed step with its own
+image, and every trial point and commit forms its step sum_j theta_j d_j
+with `objectives.combine`.  A method is a step function, which builds the
+method's directions, plus a step-size rule, which `apply_rule` carries out:
 
   "1/l"    backtracking on L along the negative gradient
   "fixed"  a constant step along the first direction
@@ -63,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from .linesearch import backtrack_half, fista_momentum, strong_wolfe
-from .objectives import LcpObjective, memo_last
+from .objectives import LcpObjective, combine, memo_last
 from .subsolver import solve
 
 # L-BFGS keeps this many (s, y) pairs
@@ -96,14 +98,14 @@ class StepRecord:
     gnorm: float | None = None
 
 
-def pr_plus(grad, grad_prev, w, w_prev):
-    """Non-negative PR+ momentum coefficient for the (w - w_prev) direction.
+def pr_plus(grad, grad_prev, s):
+    """Non-negative PR+ momentum coefficient for the last step s.
 
-    Divides by (w-w_prev)^T(grad-grad_prev) (Hestenes-Stiefel), which
-    reproduces linear CG under exact line optimization.
+    Divides by s^T(grad-grad_prev) (Hestenes-Stiefel), which reproduces
+    linear CG under exact line optimization.
     """
     yv = grad - grad_prev
-    den = float((w - w_prev) @ yv)
+    den = float(s @ yv)
     if den <= 0:
         return 0.0
     return max(0.0, float(grad @ yv) / den)
@@ -135,15 +137,18 @@ class TrackedState:
     obj: object
     blocks: tuple
     f: float
-    prev_blocks: tuple | None = None
+    step: tuple | None = None
     grad_prev: tuple | None = None
     alpha_prev: float | None = None
     L: float = 1.0
     memory: object = None
 
-    def advance(self, blocks, f, grad, grad_image):
-        """Commit a step to `blocks`; `grad` was taken at the old iterate."""
-        self.prev_blocks = self.blocks
+    def advance(self, blocks, f, grad, grad_image, step=None):
+        """Commit `blocks`, reached by `step`; `grad` was taken at the old
+        iterate.  Without `step`, the step is the committed difference, as
+        for a step from another point than the iterate (nag(1/l))."""
+        self.step = tuple(map(np.subtract, blocks, self.blocks)
+                          if step is None else step)
         self.grad_prev = (*grad, grad_image)
         self.blocks = tuple(blocks)
         self.f = f
@@ -155,7 +160,7 @@ class TrackedState:
         memory = self.memory
         if isinstance(memory, deque):
             memory = tuple(memory)
-        return (self.blocks, self.f, self.prev_blocks, self.grad_prev,
+        return (self.blocks, self.f, self.step, self.grad_prev,
                 self.alpha_prev, self.L, memory)
 
     def momentum_coef(self, grad) -> float:
@@ -163,7 +168,7 @@ class TrackedState:
         if self.grad_prev is None:
             return 0.0
         return pr_plus(_flat(grad), _flat(self.grad_prev[:-1]),
-                       _flat(self.blocks[:-1]), _flat(self.prev_blocks[:-1]))
+                       _flat(self.step[:-1]))
 
 
 class MarginState(TrackedState):
@@ -204,8 +209,8 @@ class MarginState(TrackedState):
         Both closures share the last step size's margin m + a q and its
         `obj.loss`, so phi and dphi at one a build them once.  At a = 0 the
         margin is m itself, so phi(0) and dphi(0) reuse the iterate's loss,
-        and m + a q is bitwise the margin `_apply` commits at a, so the next
-        gradient reuses the accepted step's loss.
+        and m + a q is bitwise the margin `_apply` commits at a (`combine`'s
+        step a q), so the next gradient reuses the accepted step's loss.
         """
         (p, q), (w, m), obj = direction, self.blocks, self.obj
         lam = obj.l2_lambda
@@ -249,22 +254,12 @@ def grad_dir(grad, grad_image):
     return (*(-g for g in grad), -grad_image)
 
 
-def momentum_dir(state):
-    """The last step, x - x_prev, as a direction."""
-    return tuple(b - bp for b, bp in zip(state.blocks, state.prev_blocks))
-
-
 def _apply(blocks, dirs, theta):
-    """Copies of `blocks` plus theta_j times each direction, added in the
-    order of `dirs`.  `LcpObjective.subspace_restrict` forms its trial
-    margins in the same order, so an SO or LO commit's margin is bitwise
-    the solve's trial margin."""
-    new = [b.copy() for b in blocks]
-    for t, d in zip(theta, dirs):
-        for b, db in zip(new, d):
-            if db is not None:
-                b += t * db
-    return new
+    """`blocks` plus the step sum_j theta_j d_j, and that step.  The
+    restrictions form their trial points with the same `combine`, so an
+    SO or LO commit is bitwise the solve's trial point."""
+    step = combine(theta, dirs)
+    return [b + s for b, s in zip(blocks, step)], step
 
 
 def so_step(state, dirs, slots, grad, grad_image, warm=None, flag=None):
@@ -277,18 +272,18 @@ def so_step(state, dirs, slots, grad, grad_image, warm=None, flag=None):
     """
     res = state.subspace_solve(dirs, warm)
     theta = res.theta
-    blocks = _apply(state.blocks, dirs, theta)
+    blocks, step = _apply(state.blocks, dirs, theta)
     f = state.value(blocks)
     if f > state.f:
         theta, f = np.zeros_like(theta), state.f
-        blocks = [b.copy() for b in state.blocks]
+        blocks, step = [b.copy() for b in state.blocks], None
         flag = flag or "rounding_floor"
     rec = StepRecord(f, inner_iters=res.inner_iters, flag=flag)
     for slot, t in zip(slots, theta):
         setattr(rec, slot, float(t))
     if "delta" in slots:
         rec.delta = rec.delta + 1.0  # recorded as the actual scaling factor
-    state.advance(blocks, f, grad, grad_image)
+    state.advance(blocks, f, grad, grad_image, step)
     return rec
 
 
@@ -303,8 +298,8 @@ def _wolfe_along(state, direction, alpha_init, grad, grad_image, flag=None):
     rec = StepRecord(res.value, alpha1=a, inner_iters=res.evals,
                      wolfe_verified=res.verified if res.success else None,
                      flag=flag)
-    state.advance(_apply(state.blocks, [direction], [a]), res.value, grad,
-                  grad_image)
+    blocks, step = _apply(state.blocks, [direction], [a])
+    state.advance(blocks, res.value, grad, grad_image, step)
     if a > 0:
         state.alpha_prev = a
     return rec
@@ -355,9 +350,9 @@ def apply_rule(state, rule, dirs, slots, grad, grad_image, flag=None,
     if rule == "1/l":
         rec = _backtrack(state, state.blocks, state.f, grad, grad_image)
     elif rule == "fixed":
-        blocks = _apply(state.blocks, dirs[:1], [FIXED_STEP])
+        blocks, step = _apply(state.blocks, dirs[:1], [FIXED_STEP])
         f = state.value(blocks)
-        state.advance(blocks, f, grad, grad_image)
+        state.advance(blocks, f, grad, grad_image, step)
         rec = StepRecord(f, alpha1=FIXED_STEP, flag=flag)
     elif rule == "ls":
         rec = _wolfe_along(state, dirs[0],
@@ -389,7 +384,7 @@ def step_cg_prp(state, rule):
     direction = grad_dir(grad, q)
     if eta:
         direction = tuple(g + eta * s
-                          for g, s in zip(direction, momentum_dir(state)))
+                          for g, s in zip(direction, state.step))
     flag = None
     if state.dot(direction[:-1], grad) >= 0:
         eta, direction = 0.0, grad_dir(grad, q)
@@ -401,9 +396,9 @@ def step_cg_prp(state, rule):
 
 def _with_momentum(state, direction):
     """`direction` and, after the first step, the momentum direction."""
-    if state.prev_blocks is None:
+    if state.step is None:
         return [direction], ["alpha1"]
-    return [direction, momentum_dir(state)], ["alpha1", "beta1"]
+    return [direction, state.step], ["alpha1", "beta1"]
 
 
 def step_memory_gradient(state, rule="so", warm=None):
@@ -439,11 +434,10 @@ def step_nag_fixedL(state, rule="1/l"):
     The method's memory is FISTA's t.
     """
     t_next, mix = fista_momentum(state.memory or 1.0)
-    if state.prev_blocks is None:
+    if state.step is None:
         y = state.blocks
     else:
-        y = tuple(b + mix * s for b, s in zip(state.blocks,
-                                              momentum_dir(state)))
+        y = tuple(b + mix * s for b, s in zip(state.blocks, state.step))
     state.memory = t_next
     grad_y = state.gradient(y)
     return _backtrack(state, y, state.value(y), grad_y, state.image(grad_y))
@@ -478,7 +472,7 @@ def _lbfgs_pairs(state, grad):
     if state.memory is None:
         state.memory = deque(maxlen=LBFGS_MEMORY)
     if state.grad_prev is not None:
-        s = _flat(state.blocks[:-1]) - _flat(state.prev_blocks[:-1])
+        s = _flat(state.step[:-1])
         yv = grad - _flat(state.grad_prev[:-1])
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(yv) + 1e-300):

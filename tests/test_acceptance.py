@@ -210,9 +210,9 @@ def test_criterion_4_monotonicity():
 def _random_lcp_state(obj, rng):
     Xd = obj.X.dense()
     w = rng.standard_normal(obj.d) * 0.5
-    w_prev = w - 0.1 * rng.standard_normal(obj.d)
+    s = 0.1 * rng.standard_normal(obj.d)
     return opt.MarginState(obj, (w, Xd @ w), obj.f_value_margin(w, Xd @ w),
-                           prev_blocks=(w_prev, Xd @ w_prev))
+                           step=(s, Xd @ s))
 
 
 def test_criterion_5_single_step_dominance_logistic():
@@ -245,10 +245,10 @@ def _random_net_state(obj, rng):
     Xd = obj.X.dense()
     W = rng.standard_normal((obj.d, obj.hidden)) * 0.2
     v = rng.standard_normal(obj.hidden) * 0.2
-    W_prev = W - 0.05 * rng.standard_normal(W.shape)
-    v_prev = v - 0.05 * rng.standard_normal(v.shape)
+    sW = 0.05 * rng.standard_normal(W.shape)
+    sv = 0.05 * rng.standard_normal(v.shape)
     return net.NetState(obj, (W, v, Xd @ W), obj.value_tracked(W, v, Xd @ W),
-                        prev_blocks=(W_prev, v_prev, Xd @ W_prev))
+                        step=(sW, sv, Xd @ sW))
 
 
 def test_criterion_5_single_step_dominance_net():

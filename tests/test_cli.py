@@ -254,15 +254,27 @@ def test_plot_names_the_line_of_a_malformed_trace_row(tmp_path, capsys):
         assert not fig.exists()
 
 
-def test_a_drift_after_the_last_audit_cadence_still_stops_the_run(capsys):
-    # 199 steps end between the every-100-step audits; the audit after the
-    # last step catches the drifted margins, whose recorded f 4.2836 lies
-    # below the exact f* 4.30522524 that `ref` prints
-    code = main(["run", "--model", "lsq", "--method", "gd+m(lo)",
-                 "--kind", "quadratic", "--n", "1000", "--d", "100",
-                 "--seed", "1", "--iters", "199"])
+def test_a_drift_after_the_last_audit_cadence_still_stops_the_run(
+        capsys, monkeypatch):
+    # 199 steps end between the every-100-step audits, and this run takes
+    # all of them; its 150th commit perturbs the tracked margins, so only
+    # the audit after the last step can catch the drift
+    from subsearch.optimizers import MarginState
+
+    advance, commits = MarginState.advance, []
+
+    def perturbed(self, blocks, *args):
+        commits.append(None)
+        if len(commits) == 150:
+            blocks = [*blocks[:-1], blocks[-1] + 1e-3]
+        advance(self, blocks, *args)
+
+    monkeypatch.setattr(MarginState, "advance", perturbed)
+    code = main(["run", "--model", "logistic", "--method", "gd(lo)",
+                 "--n", "200", "--d", "20", "--seed", "1", "--iters", "199"])
     assert code == 2
-    assert "margin drift" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "margin drift" in err and "at iteration 199" in err
 
 
 def test_model_inputs_the_problem_cannot_take_are_usage_errors(tmp_path,

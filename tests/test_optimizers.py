@@ -202,11 +202,11 @@ def test_adam_default_matches_scripted_recurrence():
 def test_pr_plus_formulas():
     rng = np.random.default_rng(0)
     g, gp = rng.standard_normal(4), rng.standard_normal(4)
-    w, wp = rng.standard_normal(4), rng.standard_normal(4)
+    s = rng.standard_normal(4)
     yv = g - gp
     num = float(g @ yv)
-    assert pr_plus(g, gp, w, wp) == max(
-        0.0, num / float((w - wp) @ yv)) if float((w - wp) @ yv) > 0 else True
+    assert pr_plus(g, gp, s) == max(
+        0.0, num / float(s @ yv)) if float(s @ yv) > 0 else True
 
 
 def test_gd_lo_never_worse_than_backtracked_single_step(logistic_obj):
@@ -335,6 +335,32 @@ def test_drive_stops_after_a_step_that_leaves_the_state_unchanged():
               lambda st: ("fake", 1e-7, 1e-8), 10)
 
 
+def test_drive_audits_a_drift_brought_in_after_the_last_cadence():
+    # 199 steps end between the every-100-step audits; the step at index
+    # 150 perturbs the tracked image, so only the audit after the last step
+    # sees the drift
+    from subsearch.optimizers import StepRecord, drive, relative_drift
+
+    X = np.arange(6.0).reshape(3, 2)
+    state = _stub_state()
+    state.blocks = (np.ones(2), X @ np.ones(2))
+    k = [0]
+
+    def step(state):
+        w, m = state.blocks
+        image = X @ np.ones(2) + (1e-3 if k[0] == 150 else 0.0)
+        k[0] += 1
+        state.advance([w + 1.0, m + image], 0.0, (np.zeros(2),), None)
+        return StepRecord(0.0)
+
+    with pytest.raises(RuntimeError, match="image drift .* at iteration 199"):
+        drive("fake", step, state, 199, lambda: 0,
+              lambda st: ("image", relative_drift(st.blocks[1],
+                                                  X @ st.blocks[0]), 1e-8),
+              100)
+    assert k[0] == 199
+
+
 def test_drive_runs_every_step_while_the_state_moves_or_lists_no_inputs():
     from collections import deque
 
@@ -446,15 +472,12 @@ def test_plane_search_stops_at_the_rounding_floor(monkeypatch):
     assert sum(r.inner_iters for r in recs) <= 1000
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
-    "tracked margins drift past the audit on lsq gd+m(lo) at 1000x100, and "
-    "the recorded f falls below the exact f*"))
 def test_lsq_line_momentum_margins_stay_within_the_audit():
     # subsearch run --model lsq --method "gd+m(lo)" --kind quadratic
     #   --n 1000 --d 100 --seed 1 --iters 200
-    # stops with "margin drift 1.642e-04 at iteration 200"; the f recorded
-    # there, 4.2836, is below f* = 4.30522524 from the normal equations,
-    # while the iterate's own f is 4.3150
+    # stopped with "margin drift 1.642e-04 at iteration 200" while the
+    # momentum image was a difference of tracked margins; the f recorded
+    # there, 4.2836, was below f* = 4.30522524 from the normal equations
     ds = gen_quadratic(1000, 100, seed=1)
     obj = LcpObjective("least_squares", ds, 0.0)
     X = ds.X.payload
@@ -465,9 +488,9 @@ def test_lsq_line_momentum_margins_stay_within_the_audit():
 
 
 # the arrays of an iterate that a run holds across steps: the tracked
-# states' blocks, previous blocks and previous gradient, matfact's factors
+# states' blocks, last step and previous gradient, matfact's factors
 # and product with their previous values, and logdet's V
-_HELD = ("blocks", "prev_blocks", "grad_prev", "U", "W", "M", "U_prev",
+_HELD = ("blocks", "step", "grad_prev", "U", "W", "M", "U_prev",
          "W_prev", "M_prev", "V")
 
 
