@@ -184,23 +184,29 @@ def backtrack_half(value_at: Callable[[float], float],
     and the search starts from the estimate `L` > 0.  Returns (L, accepted
     value, number of doublings, reason).  With reason "converged" the
     accepted L is the one whose trial evaluation satisfied the inequality
-    directly.  A rejected trial whose predicted decrease ||grad||^2 / L and
-    observed change |f - f0| are both within `rounding_floor(f0)` ends the
-    search with reason "rounding_floor": no step can change f beyond
-    rounding, so it returns the given L and f0, and the caller takes the
-    zero step.  A trial that stays non-finite or above the floor until L
-    passes MAX_L raises LineSearchError.
+    directly.  A rejected trial whose predicted decrease ||grad||^2 / L is
+    within `rounding_floor(f0)`, and that agrees with f0 or with the
+    previous trial within that floor, ends the search with reason
+    "rounding_floor": no step can change f beyond rounding, so it returns
+    the given L and f0, and the caller takes the zero step.  The previous
+    trial counts because f0 may be read at a different image of the same
+    point than the trials are (nag's tracked extrapolated point against
+    fresh products), so rounding-sized trials may settle a few floors away
+    from f0 and stay there.  A trial that stays non-finite or above the
+    floor until L passes MAX_L raises LineSearchError.
     """
     if grad_sq <= 0:
         raise LineSearchError("backtrack_half needs a nonzero gradient")
     floor = rounding_floor(f0)
-    L0, doublings = L, 0
+    L0, doublings, f_prev = L, 0, f0
     while True:
         f_trial = value_at(L)
         if np.isfinite(f_trial) and f_trial <= f0 - grad_sq / (2.0 * L):
             return L, f_trial, doublings, "converged"
-        if grad_sq / L <= floor and abs(f_trial - f0) <= floor:
+        if grad_sq / L <= floor and (abs(f_trial - f0) <= floor
+                                     or abs(f_trial - f_prev) <= floor):
             return L0, f0, doublings, "rounding_floor"
+        f_prev = f_trial
         L *= 2.0
         doublings += 1
         if L > MAX_L:

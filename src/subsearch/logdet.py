@@ -76,6 +76,8 @@ def init_state(S: np.ndarray, V0: np.ndarray | None = None) -> SpdState:
     V = np.eye(d) if V0 is None else np.asarray(V0, dtype=np.float64).copy()
     if not np.allclose(V, V.T, atol=1e-12):
         raise ValueError("V must be symmetric")
+    # bitwise symmetric from here on: every step adds a u u^T term
+    V = 0.5 * (V + V.T)
     return SpdState(S=S, V=V, logdet_V=chol_logdet(V))
 
 
@@ -200,7 +202,7 @@ def step_rank_so(state: SpdState, rank: int = 2,
             V_new += a2 * np.outer(w, w)
         full = rank2_det_factor(state, u, w, a1, a2, u_tilde, w_tilde)
 
-    state.V = 0.5 * (V_new + V_new.T)
+    state.V = V_new
     state.logdet_V += float(np.log(full))
     state.k += 1
 

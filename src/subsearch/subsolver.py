@@ -29,10 +29,12 @@ information, and as the next momentum direction it is noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .linesearch import Reason, rounding_floor
 
@@ -72,17 +74,35 @@ class SubSolveResult:
 
 
 def _safe_value(phi, theta):
-    if np.max(np.abs(theta)) > _THETA_CAP:
+    """phi(theta), or inf for a non-finite value or a theta outside the box
+    (a NaN coordinate is outside it too)."""
+    if not all(-_THETA_CAP <= t <= _THETA_CAP for t in theta.tolist()):
         return np.inf
-    v = phi(theta)
-    if not np.isfinite(v):
-        return np.inf
-    return float(v)
+    v = float(phi(theta))
+    return v if math.isfinite(v) else np.inf
+
+
+def _norm(g):
+    """np.linalg.norm(g) of a 1-d float array, as a Python float."""
+    return math.sqrt(float(g.dot(g)))
 
 
 # an eigenvalue of the subproblem Hessian at or below this fraction of its
 # largest one marks a flat mode
 _FLAT_RCOND = 1e-10
+
+
+def _lapack_failed(err, flag):
+    raise LinAlgError(f"LAPACK failed ({err} flag)")
+
+
+def _lapack_errstate():
+    """The errstate np.linalg.eigvalsh and np.linalg.solve run their LAPACK
+    gufuncs under: the invalid flag a failed call sets (no convergence, a
+    singular LU) raises LinAlgError; overflow, divide and underflow are
+    ignored."""
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def _newton_direction(H, g, tol):
@@ -102,13 +122,19 @@ def _newton_direction(H, g, tol):
     The eigenvalues alone settle the common case: when the smallest clears
     the flat threshold, H is positive definite with no flat mode, and one
     LU solve gives the step; the eigenvectors are formed only otherwise.
+    That path calls the LAPACK gufuncs behind np.linalg.eigvalsh and
+    np.linalg.solve under their errstate, so it returns their bits, raises
+    where eigvalsh raises, and falls through where solve raises, without
+    their wrappers' cost (a few µs per call at this size).
     """
-    w = np.linalg.eigvalsh(H)
-    if w[0] > _FLAT_RCOND * max(-w[0], w[-1]):
-        try:
-            return np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:   # singular to LU: solve per mode
-            pass
+    with _lapack_errstate():
+        w = _umath_linalg.eigvalsh_lo(H, signature="d->d")
+        lo, hi = float(w[0]), float(w[-1])
+        if lo > _FLAT_RCOND * max(-lo, hi):
+            try:
+                return _umath_linalg.solve1(H, -g, signature="dd->d")
+            except LinAlgError:     # singular to LU: solve per mode
+                pass
     w, V = np.linalg.eigh(H)
     flat = _FLAT_RCOND * float(np.max(np.abs(w)))
     if flat == 0:
@@ -119,7 +145,7 @@ def _newton_direction(H, g, tol):
     if np.all(keep) and w[0] > 0:
         try:
             return np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:   # singular to LU: solve per mode
+        except LinAlgError:     # singular to LU: solve per mode
             pass
     V, w = V[:, keep], np.abs(w[keep])
     return -V @ ((V.T @ g) / np.where(w == 0, flat, w))
@@ -131,7 +157,7 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
     opts = opts or SubSolverOptions()
     zero = np.zeros(sp.dim)
     f_zero = float(sp.value(zero))
-    if not np.isfinite(f_zero):
+    if not math.isfinite(f_zero):
         raise ValueError("subproblem value at zero must be finite")
 
     best_theta, best_f = zero.copy(), f_zero
@@ -142,22 +168,22 @@ def solve(sp: SubProblem, opts: SubSolverOptions | None = None,
         f0 = _safe_value(sp.value, theta0)
         if f0 < best_f:
             best_theta, best_f = theta0.copy(), f0
-        if np.isfinite(f0):
+        if math.isfinite(f0):
             theta, f = theta0.copy(), f0
 
     g = np.asarray(sp.grad(theta), dtype=np.float64)
-    tol = _GRAD_TOL * max(1.0, float(np.linalg.norm(g)))
+    tol = _GRAD_TOL * max(1.0, _norm(g))
     recent = [f]
 
     iters = 0
     reason = "max_iters"
     last_change = None      # |f change| of the last accepted step
     for iters in range(1, opts.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         if gnorm <= tol:
             reason = "converged"
             break
-        if not np.isfinite(gnorm):
+        if not math.isfinite(gnorm):
             reason = "nonfinite"
             break
 

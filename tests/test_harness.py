@@ -1,5 +1,11 @@
 """Experiment pipeline: configs, references, CSV traces."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,6 +227,33 @@ def test_all_models_produce_traces(tmp_path):
         trace = hz.run_experiment(cfg)
         assert len(trace.records) == 5
         assert np.isfinite(trace.records[-1].f)
+
+
+def test_synthetic_runs_import_neither_scipy_nor_hashlib():
+    # scipy costs a generated run about 0.3 s of start-up and 20 MB, and
+    # only the CSR payload and the libsvm reader need it (hashlib digests
+    # libsvm text); a fresh interpreter shows what a run really imports
+    script = textwrap.dedent("""
+        import sys
+        from subsearch import cli, harness
+        for model, method, kind in [
+                ("logistic", "gd+m(so)", "logistic"),
+                ("lsq", "nag(1/l)", "quadratic"),
+                ("net2", "gd+m(so+sb)", "quadratic"),
+                ("net2_reg", "qn+m(so)", "quadratic"),
+                ("matfact", "momentum-both", "quadratic"),
+                ("logdet", "rank2", "quadratic")]:
+            harness.run_experiment(harness.ExperimentConfig(
+                model=model, method=method, iters=3, kind=kind, n=30, d=6,
+                seed=1, hidden=3))
+        print(" ".join(sorted(m for m in sys.modules
+                              if m == "hashlib" or m.split(".")[0] == "scipy")))
+        """)
+    src = str(Path(hz.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []
 
 
 def test_trace_from_csv_reemits_identically():

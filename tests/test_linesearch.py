@@ -108,6 +108,19 @@ def test_backtrack_half_stops_at_the_rounding_floor():
     assert backtrack_half(lambda L: f0 - ulp, f0, grad_sq, 4.0) == (
         4.0, f0 - ulp, 0, "converged")
 
+    # trials that settle a few floors off f0 (f0 read at another image of
+    # the point) stop once two in a row agree within the floor
+    trials.clear()
+
+    def settled(L):
+        trials.append(L)
+        return f0 + 3 * rounding_floor(f0)
+
+    L, f, doublings, reason = backtrack_half(settled, f0,
+                                             4.0 * rounding_floor(f0), 1.0)
+    assert (L, f, reason) == (1.0, f0, "rounding_floor")
+    assert doublings == 2 and trials == [1.0, 2.0, 4.0]
+
     # a trial that never turns finite still exhausts the curvature cap
     with pytest.raises(LineSearchError, match="curvature estimate"):
         backtrack_half(lambda L: float("inf"), f0, grad_sq, 4.0)

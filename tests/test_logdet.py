@@ -92,6 +92,23 @@ def test_step_budgets_and_monotonicity(rank):
     np.linalg.cholesky(state.V)          # iterate stayed positive definite
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_steps_keep_v_bitwise_symmetric(rank, seed):
+    # V + a u u^T is symmetric to the bit, so no step re-symmetrizes it;
+    # init_state does once, for a V0 only within 1e-12 of symmetric
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((7, 20))
+    S = (A @ A.T) / 20
+    V0 = np.eye(7)
+    V0[0, 1] += 1e-13
+    state = ld.init_state(S, V0=V0)
+    assert np.array_equal(state.V, state.V.T)
+    for _ in range(30):
+        ld.step_rank_so(state, rank=rank)
+        assert np.array_equal(state.V, state.V.T)
+
+
 def test_rank2_converges_toward_inverse_covariance():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((8, 40))

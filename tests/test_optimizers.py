@@ -99,6 +99,19 @@ def test_one_over_l_stops_at_the_rounding_floor_instead_of_failing():
     assert audit_margin(state) <= 1e-8
 
 
+def test_nag_one_over_l_stops_where_its_trials_settle_off_the_floor():
+    # nag reads f0 at the tracked image of its extrapolated point and each
+    # later trial at a fresh one; at step 13 the trials settle 2.2 floors
+    # above f0, and the doubling search used to run L past its 1e30 cap
+    obj = LcpObjective("least_squares", gen_quadratic(12, 1, seed=343216),
+                       0.0)
+    state, recs = run("nag(1/l)", obj, 100)
+    assert len(recs) == 100
+    assert recs[13].flag == "rounding_floor" and recs[13].alpha1 == 0.0
+    assert [r.products for r in recs] == [2 + r.inner_iters for r in recs]
+    assert audit_margin(state) <= 1e-8
+
+
 def test_margin_drift_stays_small(logistic_obj):
     state, _ = run("gd+m(so)", logistic_obj, 200)
     assert audit_margin(state) <= 1e-10

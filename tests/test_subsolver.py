@@ -1,8 +1,14 @@
 """Low-dimensional subproblem solver: never-worse guarantee and accuracy."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import LinAlgError, _umath_linalg
 
+from subsearch import subsolver
 from subsearch.data import gen_logistic, gen_quadratic
 from subsearch.objectives import LcpObjective
 from subsearch.subsolver import SubProblem, SubSolverOptions, solve
@@ -199,3 +205,99 @@ def test_zero_and_repeated_directions_solve_as_the_independent_ones(
     ref = solve(restrict([-g, p]))
     assert res.converged and res.inner_iters <= min(10, ref.inner_iters)
     assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value)
+
+
+@st.composite
+def _hessian_and_gradient(draw):
+    """A symmetric H, 1x1 to 4x4, scaled by 2^-20 to 2^20 (about 1e-6 to
+    1e6), and a gradient.  'singular' is exactly singular to LU (integer
+    entries, rank 1), 'nonfinite' carries a NaN or an inf."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("definite", "indefinite", "rank_deficient",
+                                 "singular", "nonfinite")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((d, d))
+    if kind == "definite":
+        H = A @ A.T + 1e-3 * np.eye(d)
+    elif kind == "indefinite":
+        H = A + A.T
+    elif kind == "rank_deficient":
+        B = A[:, :draw(st.integers(0, d - 1))]
+        H = B @ B.T
+    elif kind == "singular":
+        v = rng.integers(-3, 4, d).astype(np.float64)
+        H = np.outer(v, v)
+    else:
+        H = A + A.T
+        i, j = rng.integers(0, d, 2)
+        H[i, j] = H[j, i] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    H = 2.0 ** draw(st.integers(-20, 20)) * (0.5 * (H + H.T))
+    return H, rng.standard_normal(d)
+
+
+def _bits_or_error(call):
+    try:
+        return call().tobytes()
+    except LinAlgError:
+        return LinAlgError
+
+
+class _FellThrough(Exception):
+    pass
+
+
+def _fall_through(*args, **kwargs):
+    raise _FellThrough
+
+
+@settings(max_examples=400)
+@given(case=_hessian_and_gradient())
+def test_newton_direction_gufuncs_match_the_numpy_linalg_wrappers(case):
+    # the Newton direction calls the gufuncs behind np.linalg.eigvalsh and
+    # np.linalg.solve under its own errstate: the same bits, a LinAlgError
+    # wherever the wrappers raise one, a fall-through to the per-mode path
+    # (np.linalg.eigh) exactly where solve raises, and no warning
+    H, g = case
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(g)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with subsolver._lapack_errstate():
+            eig = _bits_or_error(
+                lambda: _umath_linalg.eigvalsh_lo(H, signature="d->d"))
+            lu = _bits_or_error(
+                lambda: _umath_linalg.solve1(H, -g, signature="dd->d"))
+        assert eig == _bits_or_error(lambda: np.linalg.eigvalsh(H))
+        assert lu == _bits_or_error(lambda: np.linalg.solve(H, -g))
+
+        # the same decision on np.linalg's wrappers
+        want = None                     # None: fell through
+        try:
+            w = np.linalg.eigvalsh(H)
+        except LinAlgError:
+            want = LinAlgError
+        else:
+            if w[0] > subsolver._FLAT_RCOND * max(-w[0], w[-1]):
+                try:
+                    want = np.linalg.solve(H, -g).tobytes()
+                except LinAlgError:
+                    pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", _fall_through)
+            try:
+                got = _bits_or_error(
+                    lambda: subsolver._newton_direction(H, g, tol))
+            except _FellThrough:
+                got = None
+    assert got == want
+
+
+def test_lapack_errstate_raises_on_invalid_and_ignores_the_rest():
+    # LAPACK reports a failed eigvalsh or LU solve by the invalid flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with subsolver._lapack_errstate():
+            with pytest.raises(LinAlgError):
+                np.array([0.0]) / 0.0
+            np.array([1.0]) / 0.0
+            np.array([1e308]) * 10.0
+            np.array([1e-308]) * 1e-308
