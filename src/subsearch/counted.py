@@ -108,10 +108,7 @@ class CountedMatrix:
             raise DimensionError(
                 f"matmat: {self.shape} @ {b.shape}")
         self._bump(audit)
-        out = self.payload @ b
-        if _issparse(out):
-            out = out.toarray()
-        return np.asarray(out, dtype=np.float64)
+        return np.asarray(self.payload @ b, dtype=np.float64)
 
     def rmatmat(self, b, audit: bool = False) -> np.ndarray:
         """A.T @ B; counts 1."""
@@ -120,10 +117,7 @@ class CountedMatrix:
             raise DimensionError(
                 f"rmatmat: {self.shape}.T @ {b.shape}")
         self._bump(audit)
-        out = self._transpose @ b
-        if _issparse(out):
-            out = out.toarray()
-        return np.asarray(out, dtype=np.float64)
+        return np.asarray(self._transpose @ b, dtype=np.float64)
 
     def dense(self) -> np.ndarray:
         """Uncounted densified copy (for oracles and audits only)."""

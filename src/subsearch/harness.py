@@ -39,8 +39,6 @@ from .network import NetObjective, init_params
 from .objectives import LcpObjective
 from .optimizers import StepRecord
 
-MODELS = ("logistic", "lsq", "net2", "net2_reg", "matfact", "logdet")
-
 CSV_HEADER = ("iter,f,subopt,gnorm,products_cum,alpha1,beta1,alpha2,beta2,"
               "gamma,delta,inner_iters,elapsed_s")
 
@@ -430,6 +428,7 @@ _FAMILIES = {
     "matfact": (_matfact_family, _matfact.MF_SCHEMES),
     "logdet": (_logdet_family, ("rank1", "rank2")),
 }
+MODELS = tuple(_FAMILIES)
 
 
 def _family(cfg: ExperimentConfig) -> _Family:

@@ -69,7 +69,9 @@ class WolfeResult:
 def strong_wolfe(phi: Callable[[float], float],
                  dphi: Callable[[float], float],
                  alpha_init: float) -> WolfeResult:
-    """Bracketing with step doubling, then midpoint zoom (Nocedal alg. 3.5).
+    """One loop over a bracket (Nocedal and Wright, algs. 3.5 and 3.6): the
+    step doubles until a trial is rejected or its slope turns, and from
+    then on each trial is the bracket's midpoint.
 
     A trial that passes both conditions is accepted.  A trial the search
     would go on from, whose predicted decrease a |phi'(0)| and observed
@@ -124,36 +126,20 @@ def strong_wolfe(phi: Callable[[float], float],
             return WolfeResult(a, fa, reason, False, evals)
         return WolfeResult(0.0, phi0, reason, False, evals)
 
-    def zoom(lo, f_lo, hi, f_hi):
-        nonlocal evals
-        while evals < _MAX_EVALS:
-            a = 0.5 * (lo + hi)
-            fa = phi(a)
-            evals += 1
-            note(a, fa)
-            rejected = not armijo_ok(a, fa) or fa >= f_lo
-            if not rejected:
-                ga = dphi(a)
-                evals += 1
-                if abs(ga) <= -_C2 * g0:
-                    return finish(a, fa)
-            if lost(a, fa):
-                return fail("rounding_floor")
-            if rejected:
-                hi, f_hi = a, fa
-                continue
-            if ga * (hi - lo) >= 0:
-                hi, f_hi = lo, f_lo
-            lo, f_lo = a, fa
-        return fail()
-
-    a_prev, f_prev = 0.0, phi0
+    # the bracket: trials step from lo, the best accepted trial so far
+    # (f_lo its value), toward hi, the last rejected trial or an accepted
+    # one whose slope pointed back; hi is None while the step doubles
+    lo, f_lo, hi = 0.0, phi0, None
+    # as in alg. 3.5, the first trial is exempt from the fa >= f_lo test;
+    # that decides only where phi0 + _C1 a g0 rounds to phi0, so that a
+    # trial at phi0 passes Armijo
     first = True
     while evals < _MAX_EVALS:
         fa = phi(a)
         evals += 1
         note(a, fa)
-        rejected = not armijo_ok(a, fa) or (not first and fa >= f_prev)
+        rejected = not armijo_ok(a, fa) or (not first and fa >= f_lo)
+        first = False
         if not rejected:
             ga = dphi(a)
             evals += 1
@@ -162,12 +148,12 @@ def strong_wolfe(phi: Callable[[float], float],
         if lost(a, fa):
             return fail("rounding_floor")
         if rejected:
-            return zoom(a_prev, f_prev, a, fa)
-        if ga >= 0:
-            return zoom(a, fa, a_prev, f_prev)
-        a_prev, f_prev = a, fa
-        a *= _GROWTH
-        first = False
+            hi = a
+        else:
+            if (ga >= 0) if hi is None else (ga * (hi - lo) >= 0):
+                hi = lo
+            lo, f_lo = a, fa
+        a = _GROWTH * lo if hi is None else 0.5 * (lo + hi)
     return fail()
 
 

@@ -69,6 +69,9 @@ def grad_norm(Gu: np.ndarray, Gw: np.ndarray) -> float:
 
 @dataclass
 class MfState:
+    """The factors, their tracked product M and what the schemes carry
+    from step to step.  `k` counts the steps of the schedules that read
+    it: altmin's U,U,W,W order and the exact momentum schemes' restart."""
     X: np.ndarray               # n x d target
     U: np.ndarray               # n x r
     W: np.ndarray               # d x r
@@ -92,6 +95,14 @@ class MfState:
         """A @ B, metered as one bottleneck product."""
         (self.audit_counter if audit else self.counter).bump()
         return A @ B
+
+    def step_inputs(self) -> tuple:
+        """Everything a step reads.  Only altmin and the exact momentum
+        schemes advance `k`, so those never repeat their inputs, and a
+        simul or momentum-both-inexact step that leaves these bitwise as it
+        found them would repeat itself bitwise from then on."""
+        return (self.k, self.U, self.W, self.M, self.U_prev, self.W_prev,
+                self.M_prev, self.f, self.alt_prev, self.last_theta)
 
 
 def init_state(X: np.ndarray, rank: int, seed: int = 0) -> MfState:
@@ -277,7 +288,6 @@ def _commit(state, U_new, W_new, M_new, rec, restart=False):
     state.U, state.W, state.M = U_new, W_new, M_new
     state.f = rec.f
     state.last_theta = tuple(getattr(rec, name) or 0.0 for name in _FIELDS)
-    state.k += 1
     return rec
 
 
@@ -285,8 +295,8 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     """Solve the restriction to `slots`, step each factor along its slots
     and commit; a left-out slot records 0.  M comes from the expansion.
 
-    With `refresh` (the exact momentum schemes), every `refresh_every`-th
-    step restarts momentum: M is formed as U W^T (one counted product), and
+    With `refresh` (the exact momentum schemes), the step advances `k`,
+    and every `refresh_every`-th step restarts momentum: M is formed as U W^T (one counted product), and
     `_commit` sets the previous factors to the new ones, so the next step's
     momentum directions vanish.
 
@@ -306,7 +316,9 @@ def _so_step(state, slots, free=None, refresh=False, flag=None):
     theta = np.zeros(len(slots))
     theta[live] = res.theta
     U_new, W_new = _factor_step(state, slots, dirs, theta)
-    restart = refresh and (state.k + 1) % state.refresh_every == 0
+    if refresh:
+        state.k += 1
+    restart = refresh and state.k % state.refresh_every == 0
     M_new = state.prod(U_new, W_new.T) if restart else m_at(res.theta)
     f_new = pca_value(M_new, state.X)
     if restart and f_new > state.f:
@@ -348,6 +360,7 @@ def step_altmin_so(state: MfState, which: str | None = None) -> StepRecord:
         raise ValueError("which must be 'u' or 'w'")
     slots, free = _altmin_slots(state, which)
     state.alt_prev = which
+    state.k += 1
     return _so_step(state, slots, free, flag=which)
 
 
@@ -425,13 +438,6 @@ MF_BUDGETS = {
 }
 
 
-def _step_inputs(state: MfState) -> tuple:
-    """Everything a simul or momentum-both-inexact step reads.  Those read
-    no step counter, unlike altmin's schedule and the momentum restart."""
-    return (state.U, state.W, state.M, state.U_prev, state.W_prev,
-            state.M_prev, state.f, state.alt_prev, state.last_theta)
-
-
 def run(scheme: str, X: np.ndarray, rank: int, iters: int, seed: int = 0,
         callback=None) -> tuple[MfState, list[StepRecord]]:
     """Apply `scheme` for up to `iters` steps (see `optimizers.drive`);
@@ -439,9 +445,7 @@ def run(scheme: str, X: np.ndarray, rank: int, iters: int, seed: int = 0,
     if scheme not in MF_SCHEMES:
         raise KeyError(f"unknown scheme {scheme!r}")
     state = init_state(X, rank, seed)
-    inputs = ((lambda: _step_inputs(state))
-              if scheme in ("simul", "momentum-both-inexact") else None)
     return drive(scheme, MF_SCHEMES[scheme], state, iters,
                  state.counter.read,
                  lambda st: ("product", audit_product(st), 1e-8),
-                 50, callback, inputs)
+                 50, callback)

@@ -593,7 +593,7 @@ def _same_bits(a, b) -> bool:
 
 
 def drive(name, step, state, iters, meter, audit, audit_cadence,
-          callback=None, inputs=None):
+          callback=None):
     """The step loop behind every model's `run`; returns (state, records).
 
     Each record gets the products `meter` counted during its step and the
@@ -603,13 +603,13 @@ def drive(name, step, state, iters, meter, audit, audit_cadence,
     A failing step is re-raised naming `name` and the iteration.
     `callback(k, state, record)` runs after each step.
 
-    `iters` is an upper bound.  Where `inputs()` lists everything a step
-    reads (by default the state's `step_inputs`, which every `TrackedState`
-    has), the run ends at its bitwise fixed point: once a step leaves them
-    as it found them, every later step would repeat its record and state
-    bitwise, so that step is audited and its record is the last.
+    `iters` is an upper bound.  Where the state's `step_inputs()` lists
+    everything a step reads (every `TrackedState` and matfact's `MfState`
+    has it), the run ends at its bitwise fixed point: once a step leaves
+    them as it found them, every later step would repeat its record and
+    state bitwise, so that step is audited and its record is the last.
     """
-    inputs = inputs or getattr(state, "step_inputs", None)
+    inputs = getattr(state, "step_inputs", None)
     records = []
     for k in range(iters):
         start = inputs() if inputs else None

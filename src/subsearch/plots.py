@@ -84,6 +84,16 @@ def _legend_entry(i, label, color, dashed=False):
             f'font-family="sans-serif">{escape(label)}</text>')
 
 
+def _close(out, path):
+    """Close the document's lines and write them to `path`, if any."""
+    out.append("</svg>")
+    doc = "\n".join(out) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(doc)
+    return doc
+
+
 def emit_subopt_svg(traces: list[Trace], fstar: float, path: str) -> str:
     """log10(f - f*) against iteration, one polyline per trace, labelled
     with its method."""
@@ -110,12 +120,7 @@ def emit_subopt_svg(traces: list[Trace], fstar: float, path: str) -> str:
                    f'stroke-width="1.5" data-series="{escape(label)}" '
                    f'data-values="{vals}" points="{pts}"/>')
         out.append(_legend_entry(i, label, color))
-    out.append("</svg>")
-    doc = "\n".join(out) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return _close(out, path)
 
 
 _STEP_FIELDS = (("alpha1", False), ("beta1", True),
@@ -171,9 +176,4 @@ def emit_steps_svg(traces: list[Trace], path: str) -> str:
                        f'data-series="{escape(label)}" '
                        f'data-negative="{k}"/>')
         out.append(_legend_entry(i, label, color, dashed))
-    out.append("</svg>")
-    doc = "\n".join(out) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc)
-    return doc
+    return _close(out, path)

@@ -1,11 +1,15 @@
 """Wolfe search, doubling backtracking, and the FISTA schedule."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from subsearch.linesearch import (LineSearchError, backtrack_half,
-                                  fista_momentum, rounding_floor,
-                                  strong_wolfe)
+from subsearch.linesearch import (_C1, _C2, _MAX_EVALS, LineSearchError,
+                                  backtrack_half, fista_momentum,
+                                  rounding_floor, strong_wolfe)
 
 
 def wolfe_holds(phi, dphi, res, c1=1e-4, c2=0.9):
@@ -181,3 +185,119 @@ def test_wolfe_budget_exhaustion_reason_is_max_iters():
     assert res.reason == "max_iters"
     assert strong_wolfe(lambda a: (a - 2.0) ** 2, lambda a: 2.0 * (a - 2.0),
                         1.0).reason == "converged"
+
+
+def _line(kind, p):
+    """phi and phi' of one 1-d family member with parameters `p`."""
+    if kind == "quadratic":
+        off, g, c = p
+        return (lambda a: off + g * a + 0.5 * c * a * a,
+                lambda a: g + c * a)
+    if kind == "quartic":
+        c0, c1, c2, c3, c4 = p
+        return (lambda a: c0 + a * (c1 + a * (c2 + a * (c3 + a * c4))),
+                lambda a: c1 + a * (2 * c2 + a * (3 * c3 + a * 4 * c4)))
+    if kind == "logistic":
+        z, q = np.array(p[0]), np.array(p[1])
+        return (lambda a: float(np.logaddexp(0.0, -(z + a * q)).sum()),
+                lambda a: float((-q * np.exp(-np.logaddexp(0.0, z + a * q)))
+                                .sum()))
+    # a large offset, a tiny slope and rounding-sized noise that the slope
+    # does not see
+    off, g, c, noise, w = p
+    return (lambda a: off + g * a + 0.5 * c * a * a + noise * math.sin(w * a),
+            lambda a: g + c * a)
+
+
+def _exp10(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_sign = st.sampled_from((-1.0, 1.0))
+
+
+@st.composite
+def _line_cases(draw):
+    kind = draw(st.sampled_from(("quadratic", "quartic", "logistic",
+                                 "rounding")))
+    if kind == "quadratic":
+        scale = draw(_exp10(-8, 8))
+        off = draw(st.sampled_from((0.0, 1.0))) * draw(_exp10(0, 12))
+        p = (off * draw(_sign), -scale * draw(_exp10(-4, 2)),
+             scale * draw(_exp10(-3, 3)))
+    elif kind == "quartic":
+        c = draw(st.lists(st.floats(-10, 10), min_size=5, max_size=5))
+        scale = draw(_exp10(-4, 4))
+        c[1], c[4] = -abs(c[1]) - 1e-6, abs(c[4]) + 1e-3
+        p = tuple(scale * x for x in c)
+    elif kind == "logistic":
+        m = draw(st.integers(1, 8))
+        z = draw(st.lists(st.floats(-6, 6), min_size=m, max_size=m))
+        q = draw(st.lists(st.floats(0.1, 10), min_size=m, max_size=m))
+        # q > 0 with every margin rising along the line: a descent slope
+        p = (tuple(z), tuple(x * draw(_exp10(-3, 2)) for x in q))
+    else:
+        off = draw(_exp10(0, 12))
+        p = (off * draw(_sign), -off * draw(_exp10(-20, -12)),
+             off * draw(_exp10(-20, 0)),
+             off * draw(st.floats(0, 4)) * np.finfo(float).eps,
+             draw(_exp10(-3, 3)))
+    return kind, p, draw(_exp10(-10, 10))
+
+
+# a rounding-floor stop and a budget stop, each after the bracket closed:
+# halving a rejected first trial until its change is rounding-sized, and
+# halving one too long by a factor of 2^50 (phi(0) = 0 puts the floor at 0)
+_FLOOR_AFTER_BRACKET = ("quadratic", (1e6, -1e-9, 2.0), 1.0)
+_BUDGET_AFTER_BRACKET = ("quadratic", (0.0, -1e-3, 500.0), 3e9)
+
+
+@settings(max_examples=400)
+@example(_FLOOR_AFTER_BRACKET)
+@example(_BUDGET_AFTER_BRACKET)
+@given(_line_cases())
+def test_wolfe_result_keeps_its_contract_on_random_lines(case):
+    """Whatever the reason, the result is a step no worse than alpha = 0
+    whose value is phi's own; a converged step meets both Wolfe conditions
+    within the re-check's 1e-12 slack, and a floor stop never returns a
+    step whose decrease is rounding-sized.  A trial begun within the
+    budget may still add its slope, so a search spends at most one
+    evaluation past `_MAX_EVALS`."""
+    kind, p, alpha_init = case
+    phi, dphi = _line(kind, p)
+    phi0, g0 = phi(0.0), dphi(0.0)
+    assert g0 < 0
+    res = strong_wolfe(phi, dphi, alpha_init)
+    assert res.alpha >= 0 and res.evals <= _MAX_EVALS + 1
+    assert res.value == phi(res.alpha) and res.value <= phi0
+    if res.reason == "converged":
+        assert res.verified
+        assert (phi(res.alpha) <= phi0 + _C1 * res.alpha * g0
+                + 1e-12 * max(1.0, abs(phi0)))
+        assert abs(dphi(res.alpha)) <= _C2 * abs(g0) + 1e-12 * abs(g0)
+    else:
+        assert res.reason in ("rounding_floor", "max_iters")
+        assert not res.verified
+    if res.reason == "rounding_floor":
+        assert (res.alpha == 0.0
+                or phi0 - res.value > rounding_floor(phi0))
+
+
+@pytest.mark.parametrize("case, reason", [
+    (_FLOOR_AFTER_BRACKET, "rounding_floor"),
+    (_BUDGET_AFTER_BRACKET, "max_iters")])
+def test_wolfe_stops_at_the_floor_and_the_budget_after_the_bracket_closed(
+        case, reason):
+    # a trial below the one before it is a midpoint, tried only once the
+    # bracket has closed
+    kind, p, alpha_init = case
+    phi, dphi = _line(kind, p)
+    trials = []
+
+    def recorded(a):
+        trials.append(a)
+        return phi(a)
+
+    res = strong_wolfe(recorded, dphi, alpha_init)
+    assert res.reason == reason
+    assert any(b < a for a, b in zip(trials[1:], trials[2:]))

@@ -143,8 +143,8 @@ def _record_bits(rec):
 def test_counter_free_schemes_stop_at_their_fixed_point(scheme, kept):
     """`run` against a plain loop of the step function over all 300 steps:
     its records are a bitwise prefix of the loop's, every dropped record
-    repeats the last kept one, and the final states hold the same bits
-    apart from the step counter."""
+    repeats the last kept one, and the final states' `step_inputs()` hold
+    the same bits."""
     X = gen_logistic(80, 50, 3).X.dense()
     loop_state = mf.init_state(X, 4, seed=3)
     full = []
@@ -160,8 +160,35 @@ def test_counter_free_schemes_stop_at_their_fixed_point(scheme, kept):
                                                      full[:kept]))
     assert all(_record_bits(r) == _record_bits(recs[-1])
                for r in full[kept:])
-    assert (_bits(mf._step_inputs(state))
-            == _bits(mf._step_inputs(loop_state)))
+    assert _bits(state.step_inputs()) == _bits(loop_state.step_inputs())
+
+
+def test_step_inputs_repeat_only_where_no_schedule_reads_k():
+    """simul and momentum-both-inexact read no step counter: at their fixed
+    point a step commits the zero step and leaves `step_inputs()` bitwise
+    as it found it.  altmin and the exact momentum schemes advance `k` on
+    every step, so `drive` runs each of them, zero steps included."""
+    X = gen_logistic(20, 12, 3).X.dense()
+    for scheme in ("simul", "momentum-both-inexact"):
+        state, recs = mf.run(scheme, X, 2, 250, seed=3)
+        assert len(recs) < 250 and state.k == 0
+        before = _bits(state.step_inputs())
+        rec = mf.MF_SCHEMES[scheme](state)
+        assert (rec.alpha1, rec.alpha2) == (0.0, 0.0)
+        assert _bits(state.step_inputs()) == before
+
+    for scheme in ("altmin", "momentum-u", "momentum-both"):
+        ks, zero_steps = [], []
+
+        def note(k, state, rec):
+            ks.append(state.k)
+            zero_steps.append(not any([rec.alpha1, rec.beta1, rec.alpha2,
+                                       rec.beta2]))
+
+        _, recs = mf.run(scheme, X, 2, 250, seed=3, callback=note)
+        assert len(recs) == 250 and ks == list(range(1, 251))
+        # the run has reached zero steps, and drive still runs them
+        assert zero_steps[-1]
 
 
 def test_monotone(state):

@@ -284,3 +284,28 @@ def test_rejects_bad_construction():
         NetObjective(ds, hidden=0)
     with pytest.raises(ValueError):
         NetObjective(ds, hidden=2, l2_lambda=-0.5)
+
+
+def test_per_layer_momentum_resets_where_the_combined_direction_vanishes(
+        obj):
+    # a last step equal to the gradient, from a zero gradient, gives PR+
+    # eta = 1 on both layers, so -g + eta * step is the zero direction; the
+    # step then resets to the per-layer gradient directions, gd(sb)'s own
+    from subsearch.network import step_cgm_sb
+    from subsearch.optimizers import step_gd
+
+    state, ref = init_state(obj, seed=0), init_state(obj, seed=0)
+    gW, gv = state.gradient()
+    state.step = (gW, gv, state.image((gW, gv)))
+    state.grad_prev = (np.zeros_like(gW), np.zeros_like(gv), None)
+    before = obj.X.counter_read()
+    rec = step_cgm_sb(state)
+    assert obj.X.counter_read() - before == 2
+    assert rec.flag == "momentum_reset"
+    assert rec.beta1 == 0.0 and rec.beta2 == 0.0
+    want = step_gd(ref, "sb")
+    assert (rec.f, rec.alpha1, rec.alpha2) == (want.f, want.alpha1,
+                                               want.alpha2)
+    assert rec.f < init_state(obj, seed=0).f
+    for got, expected in zip(state.blocks, ref.blocks):
+        assert np.array_equal(got, expected)

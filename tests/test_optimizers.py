@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from subsearch.data import gen_logistic, gen_quadratic
+from subsearch.data import Dataset, gen_logistic, gen_quadratic
 from subsearch.linesearch import fista_momentum
 from subsearch.objectives import LcpObjective
 from subsearch.optimizers import (LO_SO_METHODS, MONOTONE_METHODS,
                                   TRACKED_METHODS, audit_margin, grad_dir,
-                                  init_state, pr_plus, run, so_step)
+                                  init_state, pr_plus, run, so_step,
+                                  step_adam, step_gd, step_qn)
 from subsearch.subsolver import SubSolveResult
 
 
@@ -210,6 +211,42 @@ def test_adam_default_matches_scripted_recurrence():
     _, recs = run("adam", obj, 20)
     for r, f_ref in zip(recs, fs):
         assert abs(r.f - f_ref) <= 1e-10 * max(1.0, abs(f_ref))
+
+
+def test_adam_ls_commits_the_zero_step_where_no_direction_descends():
+    # all-zero labels and w = 0: the gradient is 0, so neither the Adam
+    # direction nor its negation descends
+    ds = gen_quadratic(30, 5, seed=1)
+    obj = LcpObjective("least_squares", Dataset(ds.X, np.zeros(ds.n), "real"))
+    state = init_state(obj)
+    f0 = state.f
+    before = obj.X.counter_read()
+    rec = step_adam(state, "ls")
+    assert obj.X.counter_read() - before == 2
+    assert (rec.flag, rec.alpha1, rec.f) == ("no_descent", 0.0, f0)
+    assert not np.any(state.w) and not np.any(state.m)
+    # from the second step on the state comes back bitwise unchanged
+    _, recs = run("adam(ls)", obj, 10)
+    assert [r.flag for r in recs] == ["no_descent"] * 2
+    assert all(r.products == 2 and r.f == f0 for r in recs)
+
+
+def test_qn_searches_along_the_negated_direction_where_lbfgs_ascends(
+        logistic_obj, monkeypatch):
+    # an L-BFGS direction that ascends is negated; here it is the negated
+    # gradient, so the step is gd(ls)'s own and still descends
+    import subsearch.optimizers as opt
+
+    monkeypatch.setattr(opt, "lbfgs_direction", lambda pairs, g: -g)
+    state, ref = init_state(logistic_obj), init_state(logistic_obj)
+    before = logistic_obj.X.counter_read()
+    rec = step_qn(state, "ls")
+    assert logistic_obj.X.counter_read() - before == 2
+    assert rec.flag == "negated_direction"
+    assert rec.f < ref.f
+    want = step_gd(ref, "ls")
+    assert (rec.f, rec.alpha1) == (want.f, want.alpha1)
+    assert np.array_equal(state.w, ref.w) and np.array_equal(state.m, ref.m)
 
 
 def test_pr_plus_formulas():
