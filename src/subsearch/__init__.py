@@ -1,5 +1,8 @@
 """Deterministic line/subspace step-size optimization with metered
-bottleneck products."""
+bottleneck products.
+
+Deterministic means bitwise reproducible for one numpy/BLAS build and one
+BLAS thread count; a product's bits can change with the thread count."""
 
 __version__ = "0.1.0"
 

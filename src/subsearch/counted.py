@@ -4,6 +4,13 @@ Every multiplication with the registered bottleneck matrix costs exactly one
 unit, regardless of how many columns the other operand has.  Everything else
 (subspace evaluations, O(d*p) quasi-Newton work) is free.  All arithmetic is
 float64.
+
+A dense image product X x over a C-ordered X of two or more row blocks runs
+one BLAS call per block, last block first.  A step's gradient pass Xᵀr
+streams X forward, so the image pass that follows starts on the rows that
+pass left in cache and ends on the first rows, where the next gradient pass
+starts.  Each output entry is still one BLAS dot product over a row, so
+under one BLAS thread the result is bitwise the single call's.
 """
 
 from __future__ import annotations
@@ -11,6 +18,11 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+
+# bytes of X per block of a dense image product.  A block's row count is a
+# multiple of 16, so every block starts on a row group of the BLAS gemv
+# kernel, as in the single call (7-row blocks change the bits)
+_BLOCK_BYTES = 512 * 1024
 
 
 class DimensionError(ValueError):
@@ -41,6 +53,21 @@ def _issparse(a) -> bool:
     return sparse is not None and sparse.issparse(a)
 
 
+def _row_blocks(payload) -> tuple:
+    """The row slices of X x's blocked traversal, last block first, or ()
+    where X x is one call: a sparse or non-C-ordered payload, or one under
+    two blocks.  The short tail is folded into the last block."""
+    if _issparse(payload) or not payload.flags.c_contiguous:
+        return ()
+    n, d = payload.shape
+    rows = max(16, _BLOCK_BYTES // (8 * max(d, 1)) // 16 * 16)
+    starts = range(0, n - rows + 1, rows)
+    if len(starts) < 2:
+        return ()
+    stops = [*starts[1:], n]
+    return tuple(slice(a, b) for a, b in zip(starts[::-1], stops[::-1]))
+
+
 def _as_payload(a):
     if _issparse(a):
         import scipy.sparse as sp
@@ -69,6 +96,7 @@ class CountedMatrix:
         self.payload = _as_payload(payload)
         # a view: a CSR payload's transpose is a CSC over the same arrays
         self._transpose = self.payload.T
+        self._image_blocks = _row_blocks(self.payload)
         self.counter = ProductCounter()
         self.audit_counter = ProductCounter()
 
@@ -84,13 +112,19 @@ class CountedMatrix:
         (self.audit_counter if audit else self.counter).bump()
 
     def matvec(self, x, audit: bool = False) -> np.ndarray:
-        """A @ x for a vector x; one counted product."""
+        """A @ x for a vector x; one counted product (over row blocks,
+        last first, for a dense C-ordered A of two or more blocks)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or self.shape[1] != x.shape[0]:
             raise DimensionError(
                 f"matvec: {self.shape} @ {x.shape}")
         self._bump(audit)
-        return np.asarray(self.payload @ x, dtype=np.float64)
+        if not self._image_blocks:
+            return np.asarray(self.payload @ x, dtype=np.float64)
+        out = np.empty(self.shape[0])
+        for rows in self._image_blocks:
+            np.matmul(self.payload[rows], x, out=out[rows])
+        return out
 
     def rmatvec(self, y, audit: bool = False) -> np.ndarray:
         """A.T @ y for a vector y; one counted product."""

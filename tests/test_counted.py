@@ -1,5 +1,10 @@
 """Metered matrix primitives: counting semantics and dimension checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -111,3 +116,51 @@ def test_model_states_deep_copy_with_their_own_counters():
     step(lcp_copy, rule)
     assert lcp.obj.X.counter_read() == start
     assert lcp_copy.obj.X.counter_read() == start + 2
+
+
+# run under one BLAS thread: `X @ v` alone changes bits between 1 and 2
+# threads, so only a single-threaded comparison is exact
+_BLOCKED_SWEEP = r"""
+import numpy as np
+from subsearch.counted import CountedMatrix
+
+rng = np.random.default_rng(34)
+shapes = 0
+for d in (1, 7, 131, 200, 301):
+    big = rng.standard_normal((3100, d))
+    # the block row count the module uses at this d: its first block
+    blocks = CountedMatrix(big)._image_blocks
+    rows = blocks[-1].stop if blocks else len(big)
+    sizes = {rows - 1, rows, 2 * rows - 1, 2 * rows}
+    sizes |= {k * rows + off for k in range(1, 3000 // rows + 1)
+              for off in (-17, -16, -15, -1, 1, 15, 16, 17)}
+    for n in sorted(m for m in sizes if 1 <= m <= len(big)):
+        X = big[:n]
+        x = rng.standard_normal(d)
+        want = (X @ x).tobytes()
+        cm = CountedMatrix(X)
+        for audit in (False, True):
+            assert cm.matvec(x, audit=audit).tobytes() == want, ("bits", n, d)
+        assert (cm.counter_read(), cm.audit_counter.read()) == (1, 1)
+        assert bool(cm._image_blocks) == (n >= 2 * rows), ("blocks", n, d)
+        if d > 1:               # one column is C- and F-ordered at once
+            F = CountedMatrix(np.asfortranarray(X))
+            assert F.matvec(x).tobytes() == (F.payload @ x).tobytes()
+            assert F._image_blocks == ()
+        shapes += 1
+print(shapes)
+"""
+
+
+def test_blocked_image_products_are_bitwise_the_single_call():
+    """A dense C-ordered X x runs over row blocks, last first; under one
+    BLAS thread each product is bitwise `X @ x` at one block, two blocks
+    and every block boundary ±1, 15, 16 and 17 rows, and counts once on
+    the counter its `audit` flag names.  An F-ordered X keeps one call."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _BLOCKED_SWEEP], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 200

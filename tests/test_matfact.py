@@ -329,3 +329,15 @@ def test_init_validation():
         mf.init_state(make_X(4, 3), rank=4)
     with pytest.raises(KeyError):
         mf.run("svd", make_X(), 2, 1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "momentum-both-inexact's momentum is dead: `default_candidates` copies "
+    "beta1 and beta2 from `last_theta`, which start at 0, and no candidate "
+    "sets a nonzero beta, so candidates 2-4 repeat candidates 5-7 and 3 of "
+    "the step's 9 counted products price a point already priced"))
+def test_inexact_momentum_records_a_nonzero_beta():
+    X = gen_logistic(80, 50, 1).X.dense()
+    state, recs = mf.run("momentum-both-inexact", X, 4, 100, seed=1)
+    assert any(rec.beta1 or rec.beta2 for rec in recs)
+    assert len(set(mf.default_candidates(state))) == 7

@@ -9,8 +9,12 @@ grids file by file:
 
 Each run is n=200, d=20, hidden=4, 60 iterations, seed 1, at lambda 1/n
 and 0; lsq runs on the quadratic generator, every other model on the
-logistic one.  The CSV drops the `elapsed_s` column, so two grids of the
-same code are byte-identical, and a run that raises writes the error as
+logistic one.  A dense section (`dense2000x200__<model>__<method>...`)
+runs logistic and lsq with gd(1/l), qn(ls) and gd+m(so) at n=2000, d=200,
+30 iterations, where X spans several row blocks of `CountedMatrix.matvec`.
+The grid runs under one BLAS thread, since a product's bits depend on the
+BLAS thread count.  The CSV drops the `elapsed_s` column, so two grids of
+the same code are byte-identical, and a run that raises writes the error as
 the file's text.  Each model and lambda also gets `<model>__ref__lam<λ>.txt`:
 `harness.reference_certificate`'s f* (`%.17g`) and its line saying how f*
 is known.  logistic, lsq and net2 also get `<model>__ref_csr__lam<λ>.txt`,
@@ -33,6 +37,7 @@ collecting this file.
 """
 
 import math
+import os
 import re
 import sys
 import tempfile
@@ -41,6 +46,9 @@ from pathlib import Path
 SHAPE = dict(n=200, d=20, hidden=4, iters=60, seed=1)
 LAMBDAS = ("1/n", "0")
 CSR_MODELS = ("logistic", "lsq", "net2")
+DENSE_SHAPE = dict(n=2000, d=200, iters=30, seed=1)
+DENSE_MODELS = ("logistic", "lsq")
+DENSE_METHODS = ("gd(1/l)", "qn(ls)", "gd+m(so)")
 
 
 def _name(model, method, lam, suffix=".csv"):
@@ -51,20 +59,20 @@ def _kind(model):
     return "quadratic" if model == "lsq" else "logistic"
 
 
-def _config(model, method, lam, data=None):
+def _config(model, method, lam, data=None, shape=SHAPE):
     from subsearch import harness
 
     return harness.ExperimentConfig(
         model=model, method=method, lam=lam, data=data, kind=_kind(model),
-        **SHAPE)
+        **shape)
 
 
-def _csv(model, method, lam):
+def _csv(model, method, lam, shape=SHAPE):
     from subsearch import harness
 
     try:
         text = harness.emit_csv(
-            harness.run_experiment(_config(model, method, lam)))
+            harness.run_experiment(_config(model, method, lam, shape=shape)))
     except Exception as exc:                    # noqa: BLE001
         return f"{type(exc).__name__}: {exc}\n"
     return "".join(line.rsplit(",", 1)[0] + "\n"
@@ -111,6 +119,14 @@ def write_grid(out: Path) -> tuple[int, int]:
             for method in harness.methods_for_model(model):
                 path = out / _name(model, method, lam)
                 path.write_text(_csv(model, method, lam), encoding="utf-8")
+                csvs += 1
+    n, d = DENSE_SHAPE["n"], DENSE_SHAPE["d"]
+    for model in DENSE_MODELS:
+        for lam in LAMBDAS:
+            for method in DENSE_METHODS:
+                path = out / _name(f"dense{n}x{d}__{model}", method, lam)
+                path.write_text(_csv(model, method, lam, DENSE_SHAPE),
+                                encoding="utf-8")
                 csvs += 1
     with tempfile.TemporaryDirectory() as tmp:
         for model in CSR_MODELS:
@@ -242,4 +258,9 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # before numpy loads: one BLAS thread, so two grids of the same code on
+    # the same numpy/BLAS build are byte-identical
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
     sys.exit(main(sys.argv[1:]))
