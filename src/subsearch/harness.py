@@ -354,8 +354,8 @@ def _net_family(cfg: ExperimentConfig) -> _Family:
     d, r = ds.d, cfg.hidden
 
     def grad(W, v):
-        return _network.gradient(obj, W, v, obj.X.matmat(W, audit=True),
-                                 audit=True)
+        return _network.gradient(obj, _network.NetPoint(
+            obj, W, v, obj.X.matmat(W, audit=True)), audit=True)
 
     def gnorm(W, v):
         gW, gv = grad(W, v)

@@ -8,6 +8,17 @@ for the first-layer gradient and X D for the image of the search direction.
 The shared tracked-state steps of `optimizers` run here unchanged, gd(sb)
 and gd+m(so+sb) among them under the per-layer (stepsize-block) rule "sb";
 gd+m(sb), with per-layer PR+ coefficients, is the network's own step.
+
+Each point is evaluated once.  `NetPoint` is the one evaluation: tanh of
+the pre-activations, the residual and the value, and on first use H' and
+the block adjoints that the gradient and the restriction read.  A
+`NetState` keeps the last point it evaluated (`NetState.kept`): the last
+trial point of its line or restriction, or the last point its `evaluate`
+built.  At each step boundary (the commit's f, the next gradient, the next
+search's zero point) the kept point is served where its blocks have the
+exact bytes of the blocks being read, so one step's accepted trial point
+is the next step's iterate evaluation, and a block written in place is
+never served stale.
 """
 
 from __future__ import annotations
@@ -39,19 +50,78 @@ class NetObjective(DatasetView):
     def value_tracked(self, W: np.ndarray, v: np.ndarray,
                       M: np.ndarray) -> float:
         """Loss from the tracked pre-activations; zero counted products."""
-        resid = np.tanh(M) @ v - self.y
-        val = float(resid @ resid)
-        if self.l2_lambda > 0:
-            val += 0.5 * self.l2_lambda * (float((W * W).sum())
-                                           + float(v @ v))
-        return val
+        return NetPoint(self, W, v, M).value
 
     def value(self, W: np.ndarray, v: np.ndarray,
               audit: bool = False) -> float:
         return self.value_tracked(W, v, self.X.matmat(W, audit=audit))
 
 
-def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
+def _block_key(lam, W, v, M) -> tuple:
+    """The exact bytes of the blocks an evaluation reads: v, M, and W only
+    under weight decay."""
+    return (W.tobytes() if lam > 0 else None, v.tobytes(), M.tobytes())
+
+
+class NetPoint:
+    """The loss and its chain-rule factors at one point (W, v, M).
+
+    Every evaluation of the network is one of these, so the value, the
+    gradient and the restriction's value, gradient and Hessian at one point
+    share one H = tanh(M) and one residual u = H v - y.  The constructor
+    forms H, u and the value; `adjoints` forms, on its first call, u2 = 2u,
+    H' = 1 - H^2 and the block adjoints gM = u2 o (H' o v),
+    gv = H^T u2 + lambda v and gW = lambda W.  The gradient's first-layer
+    factor R = (u2 o H') o v keeps its own order of multiplication (see
+    `gradient`), so gM and R each keep the bits they always had.  W is read
+    only under weight decay.
+
+    The point keeps its blocks, which `adjoints` reads, and their bytes are
+    its `key`; it may be served only while they hold the values it was
+    built at.  A restriction's trial blocks are its own, and
+    `NetState.evaluate` passes the key of the blocks it builds at, so
+    neither can be written afterwards.
+    """
+
+    __slots__ = ("lam", "W", "v", "M", "H", "resid", "value", "_key",
+                 "_adjoints")
+
+    def __init__(self, obj: NetObjective, W, v, M, key=None):
+        self.lam = lam = obj.l2_lambda
+        self.W, self.v, self.M = W, v, M
+        self.H = np.tanh(M)
+        self.resid = resid = self.H @ v - obj.y
+        val = float(resid @ resid)
+        if lam > 0:
+            val += 0.5 * lam * (float((W * W).sum()) + float(v @ v))
+        self.value = val
+        self._key = key
+        self._adjoints = None
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = _block_key(self.lam, self.W, self.v, self.M)
+        return self._key
+
+    def adjoints(self) -> tuple:
+        """(u2, H', gM, gv, gW), gW None without weight decay; gv is shared
+        by every caller, so it is read-only."""
+        if self._adjoints is None:
+            H, v, lam = self.H, self.v, self.lam
+            u2 = 2.0 * self.resid
+            Hp = 1.0 - H * H
+            gv = H.T @ u2
+            if lam > 0:
+                gv += lam * v
+            gv.flags.writeable = False
+            self._adjoints = (u2, Hp, u2[:, None] * (Hp * v), gv,
+                              lam * self.W if lam > 0 else None)
+        return self._adjoints
+
+
+def subspace_restrict(obj: NetObjective, W, v, M, dirs, zero=None,
+                      keep=None) -> SubProblem:
     """Restrict f to (W, v) + sum_j theta_j (dW_j, dv_j) given images dM_j.
 
     Each direction is a triple (dW, dv, dM) with dM = X dW, None marking a
@@ -61,12 +131,15 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     decay term), and the exact p x p Hessian O(nrp^2); all are analytic
     through tanh and use no counted products.  One trial point builds its
     blocks (the iterate plus `combine`'s step, as `optimizers._apply`
-    commits them), one tanh H of the n x r pre-activations and the
-    residual u once, shared by the value, the gradient and the Hessian at
-    that theta (and so by the Wolfe search's phi and dphi at one step size).
-    The gradient and the Hessian share H' = 1 - H^2 and the block adjoints
+    commits them) and one `NetPoint` there, shared by the value, the
+    gradient and the Hessian at that theta (and so by the Wolfe search's
+    phi and dphi at one step size), and handed to `keep` as it is built, so
+    a state can serve the point it commits to its next step.  theta = 0 is
+    the iterate itself, not (W, v, M) plus a zero step: its point is `zero`,
+    the iterate's own, built here only when not given.  The gradient and
+    the Hessian share H' = 1 - H^2 and the block adjoints
     gM = 2u o H' o v_c, gv = H^T 2u + lambda v_c and gW = lambda W_c, formed
-    once per trial point, so each direction's derivative is one dot product
+    once per point, so each direction's derivative is one dot product
     per block it carries.  With u = tanh(M_c) v_c - y
     and a_j = du/dtheta_j = (H' o dM_j) v_c + H dv_j, where H = tanh(M_c),
     the Hessian is
@@ -77,43 +150,32 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
     that use only values and gradients (the Wolfe search) never pay for them.
     """
     lam = obj.l2_lambda
-    y = obj.y
     p = len(dirs)
     n, r = M.shape
 
     # without weight decay the value reads no W, so no trial forms it
     carried = dirs if lam > 0 else [(None, dv, dM) for _, dv, dM in dirs]
 
+    if zero is None:
+        zero = NetPoint(obj, W, v, M)
+
     def point(theta):
-        W_c, v_c, M_c = (b if s is None else b + s
-                         for b, s in zip((W, v, M), combine(theta, carried)))
-        H = np.tanh(M_c)
-        return W_c, v_c, H, H @ v_c - y
+        if not theta.any():
+            pt = zero
+        else:
+            pt = NetPoint(obj, *(b if s is None else b + s for b, s in
+                                 zip((W, v, M), combine(theta, carried))))
+        if keep is not None:
+            keep(pt)
+        return pt
 
     at = memo_last(point)
 
-    def adjoints(theta):
-        # u2 = 2u, H' and the block adjoints gM, gv, gW of the docstring
-        W_c, v_c, H, resid = at(theta)
-        u2 = 2.0 * resid
-        Hp = 1.0 - H * H
-        gM = u2[:, None] * (Hp * v_c)
-        gv = H.T @ u2
-        if lam > 0:
-            gv += lam * v_c
-        return u2, Hp, gM, gv, (lam * W_c if lam > 0 else None)
-
-    adj = memo_last(adjoints)
-
     def value(theta):
-        W_c, v_c, _, resid = at(theta)
-        val = float(resid @ resid)
-        if lam > 0:
-            val += 0.5 * lam * (float((W_c * W_c).sum()) + float(v_c @ v_c))
-        return val
+        return at(theta).value
 
     def grad(theta):
-        _, _, gM, gv, gW = adj(theta)
+        _, _, gM, gv, gW = at(theta).adjoints()
         out = np.zeros(p)
         for j, (dW, dv, dM) in enumerate(dirs):
             if dM is not None:
@@ -147,10 +209,11 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
         if stacks is None:
             stacks = direction_stacks()
         DM, DV, K = stacks
-        _, v_c, H, _ = at(theta)
-        u2, Hp, gM, _, _ = adj(theta)
+        pt = at(theta)
+        H = pt.H
+        u2, Hp, gM, _, _ = pt.adjoints()
         DMHp = DM * Hp
-        A = DMHp @ v_c + DV @ H.T                   # rows a_j, (p, n)
+        A = DMHp @ pt.v + DV @ H.T                  # rows a_j, (p, n)
         # u.da_j/dtheta_k = sum_il u_i H''_il dM_j,il dM_k,il v_l + B_jk + B_kj
         # with H'' = -2 H H' and B_jk = sum_il u_i H'_il dM_j,il dv_k,l;
         # 2 u_i H''_il v_l = -2 H_il gM_il and 2B = (u2^T (DM o H')) DV^T
@@ -164,7 +227,29 @@ def subspace_restrict(obj: NetObjective, W, v, M, dirs) -> SubProblem:
 
 
 class NetState(TrackedState):
-    """Network iterate: blocks (W, v, M), W d x r, v r, M = XW n x r."""
+    """Network iterate: blocks (W, v, M), W d x r, v r, M = XW n x r.
+
+    `kept` is the last `NetPoint` evaluated on the state: the last trial
+    point of its line or restriction, or the last point `evaluate` built.
+    It is a cache, not a dataclass field, so `step_inputs` and copies by
+    field leave it out, and dropping it changes no step's bits.
+    """
+
+    kept = None
+
+    def evaluate(self, blocks) -> NetPoint:
+        """The `NetPoint` at `blocks`: the kept one where its blocks have
+        these blocks' exact bytes, else a new one, which is kept.  Step
+        boundaries call it (the gradient, a commit's f, the zero point of a
+        line or restriction), as `value` does for each 1/L trial; the
+        trial points of a line or restriction never do."""
+        key = _block_key(self.obj.l2_lambda, *blocks)
+        if self.kept is None or self.kept.key != key:
+            self.kept = NetPoint(self.obj, *blocks, key=key)
+        return self.kept
+
+    def _keep(self, point):
+        self.kept = point
 
     @property
     def W(self):
@@ -181,14 +266,15 @@ class NetState(TrackedState):
     def gradient(self, blocks=None):
         """Full gradient (gW, gv) at the iterate or at `blocks`; one counted
         product."""
-        return gradient(self.obj, *(self.blocks if blocks is None else blocks))
+        return gradient(self.obj, self.evaluate(
+            self.blocks if blocks is None else blocks))
 
     def image(self, params) -> np.ndarray:
         """The pre-activation image X dW; one counted product."""
         return self.obj.X.matmat(params[0])
 
     def value(self, blocks) -> float:
-        return self.obj.value_tracked(*blocks)
+        return self.evaluate(blocks).value
 
     @staticmethod
     def dot(a, b) -> float:
@@ -203,12 +289,17 @@ class NetState(TrackedState):
                 + [(None, dv, None) for _, dv, _ in dirs],
                 [*slots, *(slot[:-1] + "2" for slot in slots)])
 
+    def restrict(self, dirs) -> SubProblem:
+        """The restriction to `dirs` at the iterate, whose zero point is the
+        iterate's evaluation and whose trial points are kept."""
+        return subspace_restrict(self.obj, self.W, self.v, self.M, dirs,
+                                 self.evaluate(self.blocks), self._keep)
+
     def subspace_solve(self, dirs, warm):
-        sp = subspace_restrict(self.obj, self.W, self.v, self.M, dirs)
-        return solve(sp, theta0=warm)
+        return solve(self.restrict(dirs), theta0=warm)
 
     def line(self, direction):
-        sp = subspace_restrict(self.obj, self.W, self.v, self.M, [direction])
+        sp = self.restrict([direction])
         one = np.ones(1)
         return (lambda a: sp.value(a * one),
                 lambda a: float(sp.grad(a * one)[0]))
@@ -230,34 +321,20 @@ def init_state(obj: NetObjective, seed: int = 0,
     else:
         W = np.asarray(params[0], dtype=np.float64).copy()
         v = np.asarray(params[1], dtype=np.float64).copy()
-    M = obj.X.matmat(W)
-    return NetState(obj, (W, v, M), obj.value_tracked(W, v, M))
+    state = NetState(obj, (W, v, obj.X.matmat(W)), np.nan)
+    state.f = state.value(state.blocks)     # kept for the first gradient
+    return state
 
 
-def backward(obj: NetObjective, v: np.ndarray, M: np.ndarray
+def gradient(obj: NetObjective, point: NetPoint, audit: bool = False
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-rule factors from the pre-activations M; zero counted products.
-
-    Returns (R, grad_v) with R_ij = dg_i (1 - tanh^2(M_ij)) v_j; the full
-    first-layer gradient is X^T R (+ lambda W), computed by the caller.
-    """
-    H = np.tanh(M)
-    gg = 2.0 * (H @ v - obj.y)
-    R = gg[:, None] * (1.0 - H * H) * v[None, :]
-    grad_v = H.T @ gg
-    if obj.l2_lambda > 0:
-        grad_v = grad_v + obj.l2_lambda * v
-    return R, grad_v
-
-
-def gradient(obj: NetObjective, W: np.ndarray, v: np.ndarray, M: np.ndarray,
-             audit: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Full gradient (gW, gv) at (W, v) with pre-activations M = XW: one
-    product X^T R, counted as an audit product when `audit` is set."""
-    R, gv = backward(obj, v, M)
-    gW = obj.X.rmatmat(R, audit=audit)
-    if obj.l2_lambda > 0:
-        gW = gW + obj.l2_lambda * W
+    """Full gradient (gW, gv) at the `NetPoint` (W, v, M = XW): one product
+    X^T R with R = (u2 o H') o v, counted as an audit product when `audit`
+    is set; gv is the point's own, shared and read-only."""
+    u2, Hp, _, gv, lam_W = point.adjoints()
+    gW = obj.X.rmatmat(u2[:, None] * Hp * point.v, audit=audit)
+    if lam_W is not None:
+        gW = gW + lam_W
     return gW, gv
 
 

@@ -324,10 +324,7 @@ def test_criterion_6_gradients():
 
         def net_grad(z, o=nobj, Xd=Xn):
             W, v = z[:15].reshape(5, 3), z[15:]
-            R, gv = net.backward(o, v, Xd @ W)
-            gW = Xd.T @ R
-            if o.l2_lambda > 0:
-                gW = gW + o.l2_lambda * W
+            gW, gv = net.gradient(o, net.NetPoint(o, W, v, Xd @ W))
             return np.concatenate([gW.ravel(), gv])
 
         cases.append((tag, net_value, net_grad,

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from subsearch.data import gen_quadratic
+from subsearch import network, optimizers
+from subsearch.data import gen_logistic, gen_quadratic
 from subsearch.network import (NET_LO_SO_METHODS, NET_METHODS,
-                               NET_MONOTONE_METHODS, NetObjective, NetState,
-                               audit_activations, backward, init_params,
-                               init_state, run, subspace_restrict)
-from subsearch.optimizers import _apply, apply_rule
+                               NET_MONOTONE_METHODS, NetObjective, NetPoint,
+                               NetState, audit_activations, gradient,
+                               init_params, init_state, run,
+                               subspace_restrict)
+from subsearch.optimizers import _apply, apply_rule, step_gd
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +41,7 @@ def test_gradient_matches_central_differences(obj, obj_reg, reg):
     for _ in range(3):
         W = rng.standard_normal((6, 4)) * 0.3
         v = rng.standard_normal(4) * 0.3
-        state = init_state(o, params=(W, v))
-        R, gv = backward(o, state.v, state.M)
-        gW = Xd.T @ R
-        if o.l2_lambda > 0:
-            gW = gW + o.l2_lambda * W
+        gW, gv = init_state(o, params=(W, v)).gradient()
         for idx in [(0, 0), (3, 2), (5, 1)]:
             Wp, Wm = W.copy(), W.copy()
             Wp[idx] += h
@@ -309,3 +307,166 @@ def test_per_layer_momentum_resets_where_the_combined_direction_vanishes(
     assert rec.f < init_state(obj, seed=0).f
     for got, expected in zip(state.blocks, ref.blocks):
         assert np.array_equal(got, expected)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _count_points(monkeypatch):
+    """Count `NetPoint` constructions, every evaluation of the network."""
+    real, builds = NetPoint.__init__, []
+
+    def init(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetPoint, "__init__", init)
+    return builds
+
+
+def _new_points(seen):
+    """How many points a closure memo keyed on its last argument builds
+    over the arguments `seen` (float64 bytes), not counting zero, which is
+    the iterate's."""
+    return sum(1 for k, x in enumerate(seen)
+               if np.frombuffer(x).any() and (k == 0 or x != seen[k - 1]))
+
+
+def _log_calls(fn, seen):
+    def logged(x):
+        seen.append(np.asarray(x, dtype=np.float64).tobytes())
+        return fn(x)
+    return logged
+
+
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_the_zero_point_is_the_iterates_own_evaluation(lam_scale,
+                                                       monkeypatch):
+    # theta = 0 of a restriction, and a = 0 of a line, is the iterate
+    # itself, signed zeros and all, not the iterate plus a zero step
+    ds = gen_quadratic(40, 6, seed=3)
+    o = NetObjective(ds, hidden=3, l2_lambda=lam_scale / ds.n)
+    rng = np.random.default_rng(4)
+    Xd = o.X.dense()
+    W = rng.standard_normal((6, 3)) * 0.3
+    v = rng.standard_normal(3) * 0.3
+    M = Xd @ W
+    W[0, :] = v[1] = M[:2, 0] = -0.0
+    dirs = _layout("full", rng, Xd, 3)
+    fresh = NetPoint(o, W.copy(), v.copy(), M.copy())
+    state = NetState(o, (W, v, M), fresh.value)
+    builds = _count_points(monkeypatch)
+    assert _bits(state.value(state.blocks)) == _bits(fresh.value)
+    assert builds == [1]
+    sp = state.restrict(dirs)
+    phi, dphi = state.line(dirs[0])
+    _, _, gM, gv, gW = fresh.adjoints()
+    want = np.zeros(len(dirs))
+    for j, (dW, dv, dM) in enumerate(dirs):
+        want[j] += np.vdot(gM, dM)
+        want[j] += gv @ dv
+        if gW is not None:
+            want[j] += np.vdot(gW, dW)
+    zero = np.zeros(len(dirs))
+    assert _bits(sp.value(zero)) == _bits(fresh.value)
+    assert _bits(sp.grad(zero)) == _bits(want)
+    assert _bits(sp.hess(zero)) == _bits(subspace_restrict(
+        o, W.copy(), v.copy(), M.copy(), dirs).hess(zero))
+    assert _bits(phi(0.0)) == _bits(fresh.value)
+    assert _bits(dphi(0.0)) == _bits(want[0])
+    # the zero points read the iterate's evaluation and built none
+    assert builds == [1, 1]
+
+
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_wolfe_steps_build_one_point_per_trial_step_size(lam_scale,
+                                                         monkeypatch):
+    # gd(ls): none at a = 0, none for the next gradient (the accepted trial
+    # is the next iterate), one per new step size a != 0
+    ds = gen_logistic(60, 8, seed=2)
+    o = NetObjective(ds, hidden=3, l2_lambda=lam_scale / ds.n)
+    state = init_state(o, seed=2)
+    builds = _count_points(monkeypatch)
+    searches = []
+    real = optimizers.strong_wolfe
+
+    def wolfe(phi, dphi, alpha_init):
+        seen = []
+        searches.append(seen)
+        return real(_log_calls(phi, seen), _log_calls(dphi, seen),
+                    alpha_init)
+
+    monkeypatch.setattr(optimizers, "strong_wolfe", wolfe)
+    for k in range(12):
+        before = len(builds)
+        rec = step_gd(state, "ls")
+        assert rec.flag is None, k      # converged: it commits its last trial
+        assert len(builds) - before == _new_points(searches[-1]) > 0, k
+    before = len(builds)
+    state.gradient()
+    assert len(builds) == before
+
+
+@pytest.mark.parametrize("method", ["gd+m(so)", "gd+m(so+sb)"])
+@pytest.mark.parametrize("lam_scale", [0.0, 1.0])
+def test_so_steps_build_points_for_their_trials_alone(method, lam_scale,
+                                                      monkeypatch):
+    # none for theta = 0 or for the next gradient, and none for the
+    # commit's f where the solve ended on the point it returns; a solve can
+    # return an earlier point (the non-monotone search accepts a trial no
+    # better than its best), whose f then builds one
+    ds = gen_logistic(60, 8, seed=2)
+    o = NetObjective(ds, hidden=3, l2_lambda=lam_scale / ds.n)
+    state = init_state(o, seed=2)
+    step, rule = NET_METHODS[method]
+    builds = _count_points(monkeypatch)
+    solves = []
+    real = network.solve
+
+    def solve(sp, *args, **kwargs):
+        seen = []
+        res = real(type(sp)(sp.dim, *(_log_calls(fn, seen) for fn in (
+            sp.value, sp.grad, sp.hess))), *args, **kwargs)
+        solves.append((seen, res.theta.tobytes()))
+        return res
+
+    monkeypatch.setattr(network, "solve", solve)
+    ended_on_it = 0
+    for k in range(12):
+        before = len(builds)
+        rec = step(state, rule)
+        seen, committed = solves[-1]
+        assert rec.flag is None, k
+        ended_on_it += seen[-1] == committed
+        assert (len(builds) - before
+                == _new_points(seen) + (seen[-1] != committed)), k
+    assert ended_on_it >= 6
+    before = len(builds)
+    state.gradient()
+    assert len(builds) == before
+
+
+def test_a_block_written_in_place_is_a_new_point(obj, monkeypatch):
+    state = init_state(obj, seed=0)
+    for _ in range(3):
+        step_gd(state, "ls")
+    builds = _count_points(monkeypatch)
+    kept = state.kept
+    assert state.evaluate(tuple(b.copy() for b in state.blocks)) is kept
+    assert builds == []
+    before = tuple(b.copy() for b in state.blocks)
+    state.M[3, 1] += 0.5
+    got = state.gradient()
+    assert builds == [1]
+    want = gradient(obj, NetPoint(obj, *(b.copy() for b in state.blocks)))
+    assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+    with pytest.raises(ValueError):     # every caller shares it
+        got[1][0] = 0.0
+    # the point built before the write read none of it
+    old = NetPoint(obj, *before)
+    assert _bits(kept.value) == _bits(old.value)
+    for a, b in zip(kept.adjoints(), old.adjoints()):
+        assert _bits(a) == _bits(b)
+    state.M[:] = before[2]
+    assert _bits(state.value(state.blocks)) == _bits(kept.value)

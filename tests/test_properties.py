@@ -5,6 +5,10 @@ hypothesis profile (tests/conftest.py).
   method, on random dense and CSR problems, keeps a prefix of the records
   of its own step function looped for the full length, every record it
   drops repeats its last one bitwise, and it ends in the same state.
+- A network step reads the evaluation its state kept (the last point its
+  line or restriction evaluated) as a fresh one: every method's records
+  and states are bitwise those of the same steps taken on a deep copy of
+  the state with that evaluation dropped.
 - LCP methods run past the rounding floor: hypothesis draws the problem
   (size, generator seed, lambda, dense or CSR payload), and each example
   runs long enough for f to stall at rounding level on most draws, which is
@@ -22,6 +26,7 @@ hypothesis profile (tests/conftest.py).
   sizes, ranks, seeds and generators.
 """
 
+import copy
 import dataclasses
 import math
 import re
@@ -156,6 +161,43 @@ def test_a_run_stops_only_where_every_later_step_repeats_its_last(
     last = _record_bits(recs[-1])
     assert all(_record_bits(r) == last for r in full[kept:])
     assert _state_bits(state) == _state_bits(loop_state)
+
+
+KEPT_POINT_STEPS = 8
+
+
+def _every_net_method(test):
+    """One explicit example per network method."""
+    for method in network.NET_METHODS:
+        test = example(method=method, n=20, d=4, hidden=2, seed=3, lam=True,
+                       quadratic=False)(test)
+    return test
+
+
+@given(method=st.sampled_from(tuple(network.NET_METHODS)),
+       n=st.integers(5, 40), d=st.integers(1, 8), hidden=st.integers(1, 4),
+       seed=st.integers(0, 10 ** 6), lam=st.booleans(),
+       quadratic=st.booleans())
+@_every_net_method
+def test_a_net_step_reads_its_kept_point_as_a_fresh_evaluation(
+        method, n, d, hidden, seed, lam, quadratic):
+    ds = (gen_quadratic if quadratic else gen_logistic)(n, d, seed)
+    obj = network.NetObjective(ds, hidden, 1.0 / n if lam else 0.0)
+    state = network.init_state(obj, seed=seed)
+    step, rule = network.NET_METHODS[method]
+    for _ in range(KEPT_POINT_STEPS):
+        twin = copy.deepcopy(state)
+        twin.kept = None
+        outcomes = []
+        for st_ in (state, twin):
+            try:
+                outcomes.append(_record_bits(step(st_, rule)))
+            except Exception as exc:            # noqa: BLE001
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            return
+        assert _state_bits(state) == _state_bits(twin)
 
 
 @given(method=st.sampled_from(("qn(ls)", "gd+m(ls)", "gd+m(so)")),

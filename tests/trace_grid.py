@@ -12,6 +12,9 @@ and 0; lsq runs on the quadratic generator, every other model on the
 logistic one.  A dense section (`dense2000x200__<model>__<method>...`)
 runs logistic and lsq with gd(1/l), qn(ls) and gd+m(so) at n=2000, d=200,
 30 iterations, where X spans several row blocks of `CountedMatrix.matvec`.
+A net2 section (`net300x30__net2__<method>...`) runs gd(ls), gd+m(so),
+gd+m(so+sb) and qn(ls) at the benchmark's tracked-so shape, n=300, d=30,
+hidden=6, 100 iterations.
 The grid runs under one BLAS thread, since a product's bits depend on the
 BLAS thread count.  The CSV drops the `elapsed_s` column, so two grids of
 the same code are byte-identical, and a run that raises writes the error as
@@ -49,6 +52,8 @@ CSR_MODELS = ("logistic", "lsq", "net2")
 DENSE_SHAPE = dict(n=2000, d=200, iters=30, seed=1)
 DENSE_MODELS = ("logistic", "lsq")
 DENSE_METHODS = ("gd(1/l)", "qn(ls)", "gd+m(so)")
+NET_SHAPE = dict(n=300, d=30, hidden=6, iters=100, seed=1)
+NET_METHODS = ("gd(ls)", "gd+m(so)", "gd+m(so+sb)", "qn(ls)")
 
 
 def _name(model, method, lam, suffix=".csv"):
@@ -128,6 +133,13 @@ def write_grid(out: Path) -> tuple[int, int]:
                 path.write_text(_csv(model, method, lam, DENSE_SHAPE),
                                 encoding="utf-8")
                 csvs += 1
+    n, d = NET_SHAPE["n"], NET_SHAPE["d"]
+    for lam in LAMBDAS:
+        for method in NET_METHODS:
+            path = out / _name(f"net{n}x{d}__net2", method, lam)
+            path.write_text(_csv("net2", method, lam, NET_SHAPE),
+                            encoding="utf-8")
+            csvs += 1
     with tempfile.TemporaryDirectory() as tmp:
         for model in CSR_MODELS:
             data = str(_write_libsvm(model, Path(tmp)))
